@@ -426,32 +426,32 @@ def load_generator_file(path: str | Path) -> PermGroup:
     return group
 
 
+def _parse_manifest(text: str) -> list[GroupSpec]:
+    """One spec string per line; `#` starts a comment, blank lines are skipped."""
+    specs = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            specs.append(parse_spec(line))
+    return specs
+
+
 def load_manifest(path: str | Path) -> list[GroupSpec]:
     """Read a catalog manifest: one spec string per line, `#` comments."""
-    specs = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                specs.append(parse_spec(line))
-    return specs
+    return _parse_manifest(Path(path).read_text(encoding="utf-8"))
+
+
+def _packaged_manifest(name: str) -> list[GroupSpec]:
+    return _parse_manifest(
+        resources.files("abelmax").joinpath(f"data/{name}").read_text(encoding="utf-8")
+    )
 
 
 def default_catalog_specs() -> list[GroupSpec]:
     """The pinned default catalog shipped with the package."""
-    text = resources.files("abelmax").joinpath("data/default_catalog.txt").read_text()
-    return [
-        parse_spec(line.split("#", 1)[0].strip())
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    ]
+    return _packaged_manifest("default_catalog.txt")
 
 
 def extended_catalog_specs() -> list[GroupSpec]:
     """Default catalog plus the generator-file groups (M11, M12)."""
-    text = resources.files("abelmax").joinpath("data/extended_catalog.txt").read_text()
-    return [
-        parse_spec(line.split("#", 1)[0].strip())
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    ]
+    return _packaged_manifest("extended_catalog.txt")

@@ -14,9 +14,9 @@ Subcommands:
 Group specs use the catalog DSL (`sym:5`, `psl2:13`, `frobenius:5:4`,
 `agammal1:3`, `agl3_2`, `file:groups/m11.gens`); file paths resolve
 against the working directory.  Flags may also be set through
-environment variables with the ``ABELMAX_`` prefix (ABELMAX_BRUTE_CAP,
-ABELMAX_ENUM_CAP, ABELMAX_WORKERS, ABELMAX_FORMAT, ABELMAX_OUT); a
-command-line flag wins over its environment variable.
+environment variables with the ``ABELMAX_`` prefix (ABELMAX_ENUM_CAP,
+ABELMAX_FORMAT, ABELMAX_OUT); a command-line flag wins over its
+environment variable, and a bad environment value is a usage error.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error, 3 capacity error.
@@ -32,7 +32,7 @@ from pathlib import Path
 from . import catalog, numtheory as nt, verify
 from .errors import CapacityError, GeneratorFileError
 from .perms import DEFAULT_ENUM_CAP
-from .search import DEFAULT_BRUTE_CAP, max_abelian_order
+from .search import max_abelian_order
 
 _FORMATS = ("text", "json", "csv")
 
@@ -51,25 +51,22 @@ def _env_int(name: str, default: int) -> int:
         raise _UsageError(f"{name} must be an integer, got {raw!r}") from None
 
 
+def _env_format() -> str:
+    raw = os.environ.get("ABELMAX_FORMAT", "text")
+    if raw not in _FORMATS:
+        raise _UsageError(
+            f"ABELMAX_FORMAT must be one of {'|'.join(_FORMATS)}, got {raw!r}"
+        )
+    return raw
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--brute-cap",
-        type=int,
-        default=_env_int("ABELMAX_BRUTE_CAP", DEFAULT_BRUTE_CAP),
-        help="largest group order the brute-force oracle accepts",
-    )
     common.add_argument(
         "--enum-cap",
         type=int,
         default=_env_int("ABELMAX_ENUM_CAP", DEFAULT_ENUM_CAP),
         help="largest group order that may be enumerated",
-    )
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=_env_int("ABELMAX_WORKERS", 1),
-        help="worker threads for per-group checks in verify",
     )
     common.add_argument(
         "--out",
@@ -79,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=_FORMATS,
-        default=os.environ.get("ABELMAX_FORMAT", "text"),
+        default=_env_format(),
         help="report format for verify (series is always CSV)",
     )
     parser = argparse.ArgumentParser(
@@ -158,9 +155,7 @@ def _cmd_verify(args) -> int:
     else:
         specs = catalog.default_catalog_specs()
     entries = catalog.build_catalog(specs, base_dir=Path.cwd())
-    report = verify.run_suite(
-        args.suite, entries, enum_cap=args.enum_cap, workers=max(1, args.workers)
-    )
+    report = verify.run_suite(args.suite, entries, enum_cap=args.enum_cap)
     if args.format == "json":
         rendered = verify.report_to_json(report)
     elif args.format == "csv":
@@ -209,8 +204,8 @@ def main(argv=None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    if args.workers < 1 or args.enum_cap < 1 or args.brute_cap < 1:
-        print("abelmax: caps and workers must be positive", file=sys.stderr)
+    if args.enum_cap < 1:
+        print("abelmax: --enum-cap must be positive", file=sys.stderr)
         return 2
     try:
         if args.command == "numtheory":

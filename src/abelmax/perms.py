@@ -7,10 +7,14 @@ chosen as the smallest moved point at each level, orbits are explored
 breadth-first with the generators in list order, so identical inputs
 always produce identical chains).
 
-Bulk element work (centralizers, conjugation, normalizer scans) runs on
-a numpy matrix holding one image row per group element; groups are
-enumerated only when their order fits under an explicit cap, and the
-cap is enforced with a CapacityError rather than truncation.
+Bulk element work (centralizers, conjugation, normalizer scans, the
+abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
+matrix holding one image row per element, in a single canonical order
+that this module owns (identity first, then element order descending,
+then image tuple ascending), with one ``tobytes()`` index from row to
+position.  Groups are enumerated only when their order fits under an
+explicit cap, and the cap is enforced with a CapacityError rather than
+truncation.
 """
 
 from __future__ import annotations
@@ -247,14 +251,32 @@ class StabilizerChain:
 
 @dataclass
 class ElementTable:
-    """All group elements as a (N, degree) image matrix, row 0 = identity."""
+    """All group elements as a (N, degree) image matrix in canonical order.
+
+    Row 0 is the identity; the other rows follow by element order
+    descending, then image tuple ascending.  ``PermGroup.element_table``
+    is the only place that builds or orders a table, and every consumer
+    (conjugacy classes, Sylow growth, the abelian-subgroup search) reads
+    row positions in this order through ``index``, the one map from a
+    row's bytes to its position.
+    """
 
     matrix: np.ndarray
     index: dict[bytes, int]
     orders: np.ndarray
 
     def lookup(self, row: np.ndarray) -> int:
+        """Position of an image row given in the table's dtype."""
         return self.index[row.tobytes()]
+
+    def mul(self, i: int, j: int) -> int:
+        """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
+        return self.index[self.matrix[i][self.matrix[j]].tobytes()]
+
+    def centralizer_mask(self, row: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows that commute with ``row``."""
+        matrix = self.matrix
+        return np.all(matrix[:, row] == row[matrix], axis=1)
 
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.matrix[i].tolist())
@@ -329,6 +351,8 @@ class PermGroup:
     # ── element enumeration ─────────────────────────────────────────
 
     def element_table(self, cap: int = DEFAULT_ENUM_CAP) -> ElementTable:
+        """Every element, as products u_0 u_1 ... u_k of the chain's
+        transversals, sorted once into the canonical order."""
         if self._table is not None:
             return self._table
         n = self.order_value
@@ -337,23 +361,18 @@ class PermGroup:
                 f"group order {n} exceeds element-enumeration cap {cap}"
             )
         dtype = np.uint8 if self.degree <= 256 else np.uint16
-        gen_rows = [np.array(g.images, dtype=dtype) for g in self.generators]
-        matrix = np.empty((n, self.degree), dtype=dtype)
-        matrix[0] = np.arange(self.degree, dtype=dtype)
-        index = {matrix[0].tobytes(): 0}
-        lo, hi = 0, 1
-        while lo < hi:
-            for g in gen_rows:
-                products = g[matrix[lo:hi]]  # left-multiply each frontier row
-                for row in products:
-                    key = row.tobytes()
-                    if key not in index:
-                        index[key] = len(index)
-                        matrix[len(index) - 1] = row
-            lo, hi = hi, len(index)
+        matrix = np.arange(self.degree, dtype=dtype)[None, :]
+        for transversal in reversed(self.chain._transversals):
+            reps = np.array([u.images for u in transversal.values()], dtype=dtype)
+            # row (a, b) of the product is u_a * m_b
+            matrix = reps[:, matrix].reshape(-1, self.degree)
         orders = np.fromiter(
-            (_row_order(matrix[i].tolist()) for i in range(n)), dtype=np.int64, count=n
+            (_row_order(row) for row in matrix.tolist()), dtype=np.int64, count=n
         )
+        keys = tuple(matrix[:, i] for i in range(self.degree - 1, -1, -1))
+        canon = np.lexsort(keys + (-orders, orders > 1))
+        matrix, orders = matrix[canon], orders[canon]
+        index = {row.tobytes(): i for i, row in enumerate(matrix)}
         self._table = ElementTable(matrix, index, orders)
         return self._table
 
@@ -368,8 +387,9 @@ class PermGroup:
     ) -> tuple[list[int], list[np.ndarray]]:
         """Return (class representatives, classes) as element indices.
 
-        The representative of a class is its smallest element index;
-        classes are listed by representative index, identity first.
+        The representative of a class is its smallest element index,
+        i.e. its first member in the table's canonical order; classes
+        are listed by representative index, identity first.
         """
         if self._classes is not None:
             return self._classes
@@ -379,14 +399,12 @@ class PermGroup:
         # For each generator g, the index permutation i -> index(g x_i g^-1).
         conj_maps = []
         for g in self.generators:
-            garr = np.array(g.images)
+            garr = np.array(g.images, dtype=matrix.dtype)
             ginv = np.array(g.inverse().images)
-            conj_rows = garr[matrix[:, ginv]].astype(matrix.dtype)
+            conj_rows = garr[matrix[:, ginv]]
             conj_maps.append(
                 np.fromiter(
-                    (table.index[conj_rows[i].tobytes()] for i in range(n)),
-                    dtype=np.int64,
-                    count=n,
+                    (table.lookup(row) for row in conj_rows), dtype=np.int64, count=n
                 )
             )
         assigned = np.full(n, -1, dtype=np.int64)
@@ -418,11 +436,9 @@ class PermGroup:
         self, rows: list[np.ndarray], cap: int = DEFAULT_ENUM_CAP
     ) -> np.ndarray:
         table = self.element_table(cap)
-        matrix = table.matrix
         mask = np.ones(len(table), dtype=bool)
         for s in rows:
-            s = np.asarray(s)
-            mask &= np.all(matrix[:, s] == s[matrix], axis=1)
+            mask &= table.centralizer_mask(np.asarray(s))
         return mask
 
     def centralizer(
@@ -599,10 +615,8 @@ class PermGroup:
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            xrow = table.matrix[x]
             for gi in gen_idx:
-                prod = table.matrix[gi][xrow]  # g ∘ x
-                j = table.index[prod.tobytes()]
+                j = table.mul(gi, x)  # g ∘ x
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
@@ -616,18 +630,17 @@ class PermGroup:
         matrix = table.matrix
         n = len(table)
         inv_all = np.argsort(matrix, axis=1)
-        member_bytes = {matrix[i].tobytes() for i in member}
+        in_member = np.zeros(n, dtype=bool)
+        in_member[list(member)] = True
         mask = np.ones(n, dtype=bool)
         for h in sub_gens:
             harr = np.array(h.images)
             inner = harr[inv_all]  # h ∘ x^-1 per row
             conj = np.take_along_axis(matrix, inner.astype(np.int64), axis=1)
-            keep = np.fromiter(
-                (conj[i].tobytes() in member_bytes for i in range(n)),
-                dtype=bool,
-                count=n,
+            conj_idx = np.fromiter(
+                (table.lookup(row) for row in conj), dtype=np.int64, count=n
             )
-            mask &= keep
+            mask &= in_member[conj_idx]
         return mask
 
 

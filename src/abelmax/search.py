@@ -4,15 +4,18 @@
 branch-and-bound over abelian subgroups.  Each node holds a genuine
 subgroup (the closure of the elements adjoined so far, never a bare
 commuting set); children adjoin one element of the node's centralizer
-at a time, in a fixed canonical order (element order descending, then
-image tuple ascending), and each adjoined element must come later in
-that order than the previous choice, which eliminates permuted revisits
-of the same chain.  A subtree is cut when the centralizer of its
+at a time, in the canonical order of the group's ``ElementTable``
+(identity first, then element order descending, then image tuple
+ascending; ``perms`` owns that order and this module only reads row
+positions from it), and each adjoined element must come later in that
+order than the previous choice, which eliminates permuted revisits of
+the same chain.  A subtree is cut when the centralizer of its
 subgroup is no larger than the best order found so far, since every
 abelian overgroup of A lies inside C_G(A).  The walk is rooted once per
-conjugacy class (the quantity searched for is conjugation-invariant,
-and any abelian subgroup is reached from the class representative of
-one of its elements), and is seeded with the best cyclic order so the
+conjugacy class, at the class representatives ``conjugacy_classes``
+returns (the quantity searched for is conjugation-invariant, and any
+abelian subgroup is reached from the class representative of one of
+its elements), and is seeded with the best cyclic order so the
 bound bites immediately.
 
 ``max_abelian_brute`` is the independent oracle: a plain exhaustive
@@ -34,7 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .perms import DEFAULT_ENUM_CAP, PermGroup, Permutation, SubgroupHandle
+from .perms import (
+    DEFAULT_ENUM_CAP,
+    ElementTable,
+    PermGroup,
+    Permutation,
+    SubgroupHandle,
+)
 
 DEFAULT_BRUTE_CAP = 2000
 
@@ -75,64 +84,18 @@ class PGroupBoundReport:
     burnside_holds: bool
 
 
-class _SearchTables:
-    """Canonically ordered element matrix with index arithmetic."""
-
-    def __init__(self, group: PermGroup, enum_cap: int):
-        table = group.element_table(enum_cap)
-        matrix, orders = table.matrix, table.orders
-        n, d = matrix.shape
-        keys = tuple(matrix[:, i] for i in range(d - 1, -1, -1)) + (-orders,)
-        canon = np.lexsort(keys)
-        self.matrix = np.ascontiguousarray(matrix[canon])
-        self.orders = orders[canon]
-        self.index = {self.matrix[i].tobytes(): i for i in range(n)}
-        self.n = n
-        self.identity = self.index[
-            np.arange(d, dtype=matrix.dtype).tobytes()
-        ]
-        # conjugacy-class representatives, as minimal canonical indices
-        rank_of_enum = np.empty(n, dtype=np.int64)
-        rank_of_enum[canon] = np.arange(n)
-        _, classes = group.conjugacy_classes(enum_cap)
-        self.class_reps = sorted(int(rank_of_enum[cls].min()) for cls in classes)
-        self._cent_cache: dict[int, np.ndarray] = {}
-
-    def mul(self, i: int, j: int) -> int:
-        row = self.matrix[i][self.matrix[j]]
-        return self.index[row.tobytes()]
-
-    def centralizer_mask(self, i: int) -> np.ndarray:
-        cached = self._cent_cache.get(i)
-        if cached is None:
-            row = self.matrix[i]
-            cached = np.all(self.matrix[:, row] == row[self.matrix], axis=1)
-            self._cent_cache[i] = cached
-        return cached
-
-    def clear_cache(self) -> None:
-        self._cent_cache.clear()
-
-    def extend_closure(self, subgroup: set[int], x: int) -> set[int]:
-        """Closure of subgroup ∪ {x} when x centralizes the subgroup."""
-        powers = [x]
-        cur = self.mul(x, x)
-        while cur != self.identity:
-            powers.append(cur)
-            cur = self.mul(cur, x)
-        out = set(subgroup)
-        for a in subgroup:
-            for p in powers:
-                out.add(self.mul(a, p))
-        return out
-
-
-def _search_tables(group: PermGroup, enum_cap: int) -> _SearchTables:
-    cached = getattr(group, "_abelmax_tables", None)
-    if cached is None:
-        cached = _SearchTables(group, enum_cap)
-        group._abelmax_tables = cached
-    return cached
+def _extend_closure(table: ElementTable, subgroup: set[int], x: int) -> set[int]:
+    """Closure of subgroup ∪ {x} when x centralizes the subgroup."""
+    powers = [x]
+    cur = table.mul(x, x)
+    while cur != 0:
+        powers.append(cur)
+        cur = table.mul(cur, x)
+    out = set(subgroup)
+    for a in subgroup:
+        for p in powers:
+            out.add(table.mul(a, p))
+    return out
 
 
 class _AbelianDFS:
@@ -145,35 +108,42 @@ class _AbelianDFS:
     """
 
     def __init__(self, group, enum_cap, prune=True, on_closure=None):
-        self.group = group
-        self.tables = _search_tables(group, enum_cap)
+        self.table = group.element_table(enum_cap)
+        self.class_reps, _ = group.conjugacy_classes(enum_cap)
         self.prune = prune
         self.on_closure = on_closure
         self.nodes = 0
         self.best_order = 1
         self.best_chain: list[int] = []
+        # centralizer masks by element position, kept for one root's subtree
+        self._cent_cache: dict[int, np.ndarray] = {}
+
+    def _centralizer_mask(self, i: int) -> np.ndarray:
+        cached = self._cent_cache.get(i)
+        if cached is None:
+            cached = self.table.centralizer_mask(self.table.matrix[i])
+            self._cent_cache[i] = cached
+        return cached
 
     def run(self) -> None:
-        t = self.tables
-        if t.n == 1:
+        t = self.table
+        if len(t) == 1:
             return
         if self.prune:
             # seed: the best cyclic subgroup (first element of maximal order)
             self.best_order = int(t.orders.max())
             self.best_chain = [int(np.argmax(t.orders))]
-        all_idx = np.arange(t.n, dtype=np.int64)
-        for root in t.class_reps:
-            if int(t.orders[root]) == 1:
-                continue
-            cmask = t.centralizer_mask(root)
+        all_idx = np.arange(len(t), dtype=np.int64)
+        for root in self.class_reps[1:]:  # class 0 is the identity
+            cmask = self._centralizer_mask(root)
             if self.prune and int(np.count_nonzero(cmask)) <= self.best_order:
                 continue
-            closure = t.extend_closure({t.identity}, root)
+            closure = _extend_closure(t, {0}, root)
             self._visit(closure, [root])
             cand = all_idx[cmask]
             cand = cand[~np.isin(cand, np.fromiter(closure, dtype=np.int64))]
             self._expand(closure, [root], cmask, cand)
-            t.clear_cache()
+            self._cent_cache.clear()
 
     def _visit(self, closure: set[int], chain: list[int]) -> None:
         self.nodes += 1
@@ -184,13 +154,12 @@ class _AbelianDFS:
             self.on_closure(closure, chain)
 
     def _expand(self, closure, chain, cmask, cand) -> None:
-        t = self.tables
         for pos in range(len(cand)):
             x = int(cand[pos])
-            bmask = cmask & t.centralizer_mask(x)
+            bmask = cmask & self._centralizer_mask(x)
             if self.prune and int(np.count_nonzero(bmask)) <= self.best_order:
                 continue
-            bigger = t.extend_closure(closure, x)
+            bigger = _extend_closure(self.table, closure, x)
             self._visit(bigger, chain + [x])
             rest = cand[pos + 1 :]
             if rest.size:
@@ -202,11 +171,11 @@ class _AbelianDFS:
 
 
 def _witness_from_chain(
-    group: PermGroup, tables: _SearchTables, chain: list[int]
+    group: PermGroup, table: ElementTable, chain: list[int]
 ) -> AbelianWitness:
     if not chain:
         return AbelianWitness([], 1, True)
-    gens = [Permutation(tables.matrix[i].tolist()) for i in chain]
+    gens = [table.permutation(i) for i in chain]
     handle = SubgroupHandle(group, gens, PermGroup(gens).order_value)
     return AbelianWitness(gens, handle.order, group.is_normal(handle))
 
@@ -218,8 +187,7 @@ def max_abelian_order(
     t0 = time.perf_counter()
     dfs = _AbelianDFS(group, enum_cap, prune=True)
     dfs.run()
-    tables = dfs.tables
-    witness = _witness_from_chain(group, tables, dfs.best_chain)
+    witness = _witness_from_chain(group, dfs.table, dfs.best_chain)
     assert witness.order == dfs.best_order
     return MaxAbelianResult(
         dfs.best_order, witness, dfs.nodes, time.perf_counter() - t0
@@ -325,18 +293,19 @@ def max_abelian_normal(
         )
     if pgroup.is_abelian():
         return AbelianWitness(list(pgroup.generators), pgroup.order_value, True)
-    tables = _search_tables(pgroup, enum_cap)
-    gen_rows = [np.array(g.images) for g in pgroup.generators]
-    gen_inv_rows = [np.array(g.inverse().images) for g in pgroup.generators]
+    table = pgroup.element_table(enum_cap)
+    conjugators = [
+        (np.array(g.images, dtype=table.matrix.dtype), np.array(g.inverse().images))
+        for g in pgroup.generators
+    ]
 
     seen: dict[frozenset, bool] = {}
     best = {"order": 0, "chain": None}
 
     def is_normal_set(closure: frozenset) -> bool:
-        for garr, ginv in zip(gen_rows, gen_inv_rows):
+        for garr, ginv in conjugators:
             for i in closure:
-                conj = garr[tables.matrix[i][ginv]].astype(tables.matrix.dtype)
-                if tables.index[conj.tobytes()] not in closure:
+                if table.lookup(garr[table.matrix[i][ginv]]) not in closure:
                     return False
         return True
 
@@ -353,7 +322,7 @@ def max_abelian_normal(
     dfs = _AbelianDFS(pgroup, enum_cap, prune=False, on_closure=on_closure)
     dfs.run()
     assert best["chain"] is not None  # the center guarantees a hit
-    witness = _witness_from_chain(pgroup, tables, best["chain"])
+    witness = _witness_from_chain(pgroup, table, best["chain"])
     assert witness.order == best["order"] and witness.normal_in_parent
     return witness
 

@@ -32,7 +32,6 @@ import csv
 import io
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
@@ -98,15 +97,6 @@ def entry_max_abelian(
         result = max_abelian_order(entry.group, enum_cap)
         entry.cache["max_abelian"] = result
     return result
-
-
-def _precompute(entries, enum_cap: int, workers: int) -> None:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda e: entry_max_abelian(e, enum_cap), entries))
-    else:
-        for e in entries:
-            entry_max_abelian(e, enum_cap)
 
 
 # ── per-group checks ────────────────────────────────────────────────
@@ -277,10 +267,8 @@ def is_expected_two_prime_group(
 def two_large_prime_scan(
     entries: list[CatalogEntry],
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """Flag groups with two large primes; they must be exactly the expected set."""
-    _precompute(entries, enum_cap, workers)
     checks = []
     for entry in entries:
         rep = large_primes(entry, enum_cap)
@@ -309,10 +297,8 @@ _EQUALITY_FAMILIES = {("sym", (2,)), ("sym", (3,)), ("sym", (4,)), ("sym", (5,))
 def equality_scan(
     entries: list[CatalogEntry],
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """Test |G| = prime_power_product(m(G)) exactly; equality only at sym:2..5."""
-    _precompute(entries, enum_cap, workers)
     checks = []
     for entry in entries:
         m = entry_max_abelian(entry, enum_cap).m
@@ -416,34 +402,30 @@ def run_suite(
     suite: str,
     entries: list[CatalogEntry],
     enum_cap: int = DEFAULT_ENUM_CAP,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run one of the named suites: a, goh, lemma, twoprime, equality, all."""
     if suite == "a":
-        _precompute(entries, enum_cap, workers)
         return VerificationReport.from_checks(
             [divisibility_check(e, enum_cap) for e in entries]
         )
     if suite == "goh":
-        _precompute(entries, enum_cap, workers)
         return VerificationReport.from_checks(
             [refined_divisibility_check(e, enum_cap) for e in entries]
         )
     if suite == "twoprime":
-        return two_large_prime_scan(entries, enum_cap, workers)
+        return two_large_prime_scan(entries, enum_cap)
     if suite == "equality":
-        return equality_scan(entries, enum_cap, workers)
+        return equality_scan(entries, enum_cap)
     if suite == "lemma":
         return pgroup_bound_suite(catalog_pgroup_inputs(entries, enum_cap), enum_cap)
     if suite == "all":
-        _precompute(entries, enum_cap, workers)
         checks = []
         for report in (
-            run_suite("a", entries, enum_cap, workers),
-            run_suite("goh", entries, enum_cap, workers),
-            run_suite("twoprime", entries, enum_cap, workers),
-            run_suite("equality", entries, enum_cap, workers),
-            run_suite("lemma", entries, enum_cap, workers),
+            run_suite("a", entries, enum_cap),
+            run_suite("goh", entries, enum_cap),
+            run_suite("twoprime", entries, enum_cap),
+            run_suite("equality", entries, enum_cap),
+            run_suite("lemma", entries, enum_cap),
         ):
             checks.extend(report.checks)
         return VerificationReport.from_checks(checks)

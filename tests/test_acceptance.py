@@ -211,18 +211,16 @@ def test_acceptance_10_determinism(tmp_path):
         json_path = tmp_path / f"run{run}.json"
         assert (
             cli_main(
-                ["verify", "all", "--workers", "4", "--format", "csv",
-                 "--out", str(csv_path)]
+                ["verify", "all", "--format", "csv", "--out", str(csv_path)]
             )
             == 0
         )
         assert (
             cli_main(
-                ["verify", "all", "--workers", "4", "--format", "json",
-                 "--out", str(json_path)]
+                ["verify", "all", "--format", "json", "--out", str(json_path)]
             )
             == 0
         )
         outs.append((csv_path.read_bytes(), json_path.read_bytes()))
     ok = outs[0] == outs[1]
-    record(10, "verify all --workers 4 twice: byte-identical reports", ok)
+    record(10, "verify all twice: byte-identical reports", ok)

@@ -129,9 +129,9 @@ def test_cli_verify_csv_schema(tmp_path, capsys):
 def test_cli_verify_reports_are_byte_identical_across_runs(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(capsys, "verify", "all", "sym:4", "sym:5", "dihedral:8",
-            "--workers", "4", "--format", "csv", "--out", str(a))
+            "--format", "csv", "--out", str(a))
     run_cli(capsys, "verify", "all", "sym:4", "sym:5", "dihedral:8",
-            "--workers", "4", "--format", "csv", "--out", str(b))
+            "--format", "csv", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -140,9 +140,15 @@ def test_cli_verify_bad_suite_is_usage_error(capsys):
     assert code == 2
 
 
-def test_cli_workers_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "verify", "a", "sym:4", "--workers", "0")
+def test_cli_enum_cap_must_be_positive(capsys):
+    code, _, err = run_cli(capsys, "verify", "a", "sym:4", "--enum-cap", "0")
     assert code == 2 and "positive" in err
+
+
+def test_cli_removed_flags_are_usage_errors(capsys):
+    for flag in ("--workers", "--brute-cap"):
+        code, _, _ = run_cli(capsys, "verify", "a", "sym:4", flag, "2")
+        assert code == 2
 
 
 # ── series ──────────────────────────────────────────────────────────
@@ -193,9 +199,16 @@ def test_env_format_override(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ABELMAX_WORKERS", "many")
+    monkeypatch.setenv("ABELMAX_ENUM_CAP", "many")
     code, _, err = run_cli(capsys, "verify", "a", "sym:4")
-    assert code == 2 and "ABELMAX_WORKERS" in err
+    assert code == 2 and "ABELMAX_ENUM_CAP" in err
+
+
+def test_bad_env_format_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ABELMAX_FORMAT", "xml")
+    code, out, err = run_cli(capsys, "verify", "a", "sym:3")
+    assert code == 2 and out == ""
+    assert "ABELMAX_FORMAT" in err and "text|json|csv" in err
 
 
 # ── manifests and odd groups ────────────────────────────────────────

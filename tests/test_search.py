@@ -1,5 +1,8 @@
 """Tests for the abelian-subgroup search and its brute-force oracle."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from abelmax import CapacityError
@@ -59,6 +62,60 @@ def test_brute_witness_is_valid():
 )
 def test_search_goldens(spec, expected):
     assert max_abelian_order(cat.build_group(spec)).m == expected
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+_extended = [
+    pytest.mark.extended,
+    pytest.mark.skipif(
+        not os.environ.get("ABELMAX_EXTENDED"),
+        reason="extended target; set ABELMAX_EXTENDED=1 to run",
+    ),
+]
+
+
+# m and the node count of every search: the tree walked is a function of
+# the canonical element order, so any drift in that order shows here.
+@pytest.mark.parametrize(
+    "spec,m,nodes",
+    [
+        ("sym:2", 2, 0), ("sym:3", 3, 0), ("sym:4", 4, 1), ("sym:5", 6, 2),
+        ("sym:6", 9, 22), ("sym:7", 12, 88),
+        ("alt:4", 4, 2), ("alt:5", 5, 0), ("alt:6", 9, 2), ("alt:7", 12, 4),
+        ("alt:8", 16, 33),
+        ("cyclic:12", 12, 0), ("cyclic:30", 30, 0),
+        ("dihedral:8", 8, 1), ("dihedral:12", 12, 1),
+        ("elem_abelian:3:2", 9, 2), ("elem_abelian:2:4", 16, 4),
+        ("psl2:7", 7, 1), ("psl2:11", 11, 1), ("psl2:13", 13, 0),
+        ("pgl2:7", 8, 2),
+        ("frobenius:5:4", 5, 0), ("frobenius:7:3", 7, 0),
+        ("agammal1:3", 8, 3), ("agammal1:4", 16, 21), ("agl3_2", 16, 31),
+        pytest.param("file:groups/m11.gens", 11, 2, marks=_extended),
+        pytest.param("file:groups/m12.gens", 16, 47, marks=_extended),
+    ],
+)
+def test_search_node_counts_are_pinned(spec, m, nodes):
+    r = max_abelian_order(cat.build_group(spec, base_dir=_REPO))
+    assert (r.m, r.nodes_explored) == (m, nodes)
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "dihedral:12", "pgl2:7", "agammal1:3"])
+def test_element_table_is_in_canonical_order(spec):
+    group = cat.build_group(spec)
+    table = group.element_table()
+    matrix, orders = table.matrix, table.orders
+    # reference: the closure of the generators, grown one product at a time
+    closure = frontier = {group.identity()}
+    while frontier:
+        frontier = {g * x for x in frontier for g in group.generators} - closure
+        closure = closure | frontier
+    assert {tuple(row) for row in matrix.tolist()} == {p.images for p in closure}
+    assert matrix[0].tolist() == list(range(matrix.shape[1]))
+    assert orders.tolist() == [table.permutation(i).order() for i in range(len(table))]
+    keys = [(-int(o), tuple(row)) for o, row in zip(orders[1:], matrix[1:].tolist())]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(table.lookup(matrix[i]) == i for i in range(len(table)))
 
 
 def test_search_trivial_group():

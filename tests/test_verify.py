@@ -277,18 +277,6 @@ def test_run_suite_rejects_unknown(entries):
         vf.run_suite("everything", entries)
 
 
-def test_workers_do_not_change_results(entries):
-    seq = vf.run_suite("a", entries, workers=1)
-    par = vf.run_suite("a", entries, workers=4)
-    assert [
-        (c.theorem, c.group_id, c.passed, c.m, c.order, sorted(c.detail.items()))
-        for c in seq.checks
-    ] == [
-        (c.theorem, c.group_id, c.passed, c.m, c.order, sorted(c.detail.items()))
-        for c in par.checks
-    ]
-
-
 def test_json_report_schema(entries):
     report = vf.run_suite("twoprime", entries)
     payload = json.loads(vf.report_to_json(report))
