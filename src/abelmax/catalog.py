@@ -58,9 +58,6 @@ class GF2m:
         for i in range(self.size - 1, 2 * self.size - 2):
             self.exp_table[i] = self.exp_table[i - (self.size - 1)]
 
-    def add(self, x: int, y: int) -> int:
-        return x ^ y
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
@@ -73,16 +70,6 @@ class GF2m:
 
     def frobenius(self, x: int) -> int:
         return self.mul(x, x)
-
-    def element_order(self, x: int) -> int:
-        if x == 0:
-            raise ValueError("0 is not in the multiplicative group")
-        n = self.size - 1
-        k = self.log_table[x]
-        # order of g^k in a cyclic group of order n
-        import math
-
-        return n // math.gcd(n, k)
 
 
 # ── family constructors ─────────────────────────────────────────────

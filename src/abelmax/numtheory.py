@@ -121,20 +121,6 @@ def floor_log(p: int, n: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class XiProfile:
-    """For each prime p <= n, the largest exponent e with p**e <= n."""
-
-    n: int
-    entries: dict[int, int]
-
-
-def xi_profile(n: int) -> XiProfile:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return XiProfile(n, {p: floor_log(p, n) for p in sieve_primes(n)})
-
-
 @dataclass
 class FactoredInteger:
     """An exact nonnegative integer carried together with its factorization.
@@ -304,20 +290,3 @@ def two_prime_interval_exceptions(limit: int) -> list[int]:
     ms = np.arange(3, limit + 1)
     counts = _prime_counts[ms] - _prime_counts[ms // 2]
     return ms[counts < 2].tolist()
-
-
-def nagura_interval_flags(limit: int, start: int = 25) -> list[int]:
-    """Integers x in [start, limit] with no prime strictly inside (x, 6x/5).
-
-    The classical statement guarantees a prime in the interval for
-    x >= 25 but leaves the endpoints ambiguous; this scan uses the open
-    interval and reports boundary-only cases for inspection instead of
-    asserting them away.
-    """
-    if limit < start:
-        return []
-    _ensure_sieve(6 * limit // 5 + 1)
-    xs = np.arange(start, limit + 1)
-    upper = (6 * xs - 1) // 5  # largest integer strictly below 6x/5
-    counts = _prime_counts[upper] - _prime_counts[xs]
-    return xs[counts < 1].tolist()

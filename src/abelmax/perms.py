@@ -360,7 +360,7 @@ class PermGroup:
             raise CapacityError(
                 f"group order {n} exceeds element-enumeration cap {cap}"
             )
-        dtype = np.uint8 if self.degree <= 256 else np.uint16
+        dtype = np.min_scalar_type(self.degree - 1)
         matrix = np.arange(self.degree, dtype=dtype)[None, :]
         for transversal in reversed(self.chain._transversals):
             reps = np.array([u.images for u in transversal.values()], dtype=dtype)
@@ -382,6 +382,27 @@ class PermGroup:
 
     # ── conjugacy classes ───────────────────────────────────────────
 
+    def conjugation_maps(self, cap: int = DEFAULT_ENUM_CAP) -> list[np.ndarray]:
+        """For each generator g, the index map i -> index(g x_i g^-1).
+
+        Built on every call rather than cached, so that a large group
+        holds no per-generator arrays beside its element table.
+        """
+        table = self.element_table(cap)
+        maps = []
+        for g in self.generators:
+            garr = np.array(g.images, dtype=table.matrix.dtype)
+            ginv = np.array(g.inverse().images)
+            conj_rows = garr[table.matrix[:, ginv]]
+            maps.append(
+                np.fromiter(
+                    (table.lookup(row) for row in conj_rows),
+                    dtype=np.int64,
+                    count=len(table),
+                )
+            )
+        return maps
+
     def conjugacy_classes(
         self, cap: int = DEFAULT_ENUM_CAP
     ) -> tuple[list[int], list[np.ndarray]]:
@@ -393,20 +414,8 @@ class PermGroup:
         """
         if self._classes is not None:
             return self._classes
-        table = self.element_table(cap)
-        n = len(table)
-        matrix = table.matrix
-        # For each generator g, the index permutation i -> index(g x_i g^-1).
-        conj_maps = []
-        for g in self.generators:
-            garr = np.array(g.images, dtype=matrix.dtype)
-            ginv = np.array(g.inverse().images)
-            conj_rows = garr[matrix[:, ginv]]
-            conj_maps.append(
-                np.fromiter(
-                    (table.lookup(row) for row in conj_rows), dtype=np.int64, count=n
-                )
-            )
+        n = len(self.element_table(cap))
+        conj_maps = self.conjugation_maps(cap)
         assigned = np.full(n, -1, dtype=np.int64)
         reps: list[int] = []
         classes: list[np.ndarray] = []
@@ -432,15 +441,6 @@ class PermGroup:
 
     # ── centralizers ────────────────────────────────────────────────
 
-    def _centralizer_mask(
-        self, rows: list[np.ndarray], cap: int = DEFAULT_ENUM_CAP
-    ) -> np.ndarray:
-        table = self.element_table(cap)
-        mask = np.ones(len(table), dtype=bool)
-        for s in rows:
-            mask &= table.centralizer_mask(np.asarray(s))
-        return mask
-
     def centralizer(
         self, elements, cap: int = DEFAULT_ENUM_CAP
     ) -> "SubgroupHandle":
@@ -449,7 +449,10 @@ class PermGroup:
         for p in elems:
             if not self.contains(p):
                 raise ValueError(f"{p!r} is not a member of the group")
-        mask = self._centralizer_mask([np.array(p.images) for p in elems], cap)
+        table = self.element_table(cap)
+        mask = np.ones(len(table), dtype=bool)
+        for p in elems:
+            mask &= table.centralizer_mask(np.array(p.images))
         indices = np.nonzero(mask)[0]
         gens, order = self._reduce_generators(indices, cap)
         return SubgroupHandle(self, gens, order)
@@ -680,6 +683,3 @@ class SubgroupHandle:
 
     def is_abelian(self) -> bool:
         return self.group().is_abelian()
-
-    def is_normal_in_parent(self) -> bool:
-        return self.parent.is_normal(self)

@@ -18,6 +18,12 @@ abelian subgroup is reached from the class representative of one of
 its elements), and is seeded with the best cyclic order so the
 bound bites immediately.
 
+``max_abelian_normal`` runs the same walk on a p-group and shares the
+centralizer bound: only normal subgroups count as found, and a subtree
+is cut when its centralizer is no larger than the best normal order so
+far.  A normal subgroup is a union of conjugacy classes, so it contains
+the class representatives at which the walk is rooted.
+
 ``max_abelian_brute`` is the independent oracle: a plain exhaustive
 depth-first enumeration from the trivial subgroup over all elements,
 with no conjugacy shortcuts and no pruning, visiting every abelian
@@ -99,19 +105,22 @@ def _extend_closure(table: ElementTable, subgroup: set[int], x: int) -> set[int]
 
 
 class _AbelianDFS:
-    """Shared depth-first walk over abelian-subgroup chains.
+    """The pruned depth-first walk over abelian-subgroup chains.
 
-    With ``prune`` the walk is the branch-and-bound described in the
-    module docstring.  Without it the walk is exhaustive and invokes
-    ``on_closure`` for every subgroup node constructed, which is what
-    the normal-subgroup variant needs.
+    Only a subgroup that ``accept`` admits (by default, every abelian
+    subgroup) can become the best, and the centralizer bound cuts
+    against the best accepted order: every abelian overgroup of A lies
+    in C_G(A), so a subtree whose centralizer is no larger than that
+    order holds no larger subgroup, accepted or not.  The cyclic seed
+    (row 1, an element of maximal order) is taken only if accepted.
+    ``accept`` must agree on conjugate subgroups, because the walk is
+    rooted only at class representatives.
     """
 
-    def __init__(self, group, enum_cap, prune=True, on_closure=None):
+    def __init__(self, group, enum_cap, accept=lambda closure: True):
         self.table = group.element_table(enum_cap)
         self.class_reps, _ = group.conjugacy_classes(enum_cap)
-        self.prune = prune
-        self.on_closure = on_closure
+        self.accept = accept
         self.nodes = 0
         self.best_order = 1
         self.best_chain: list[int] = []
@@ -129,14 +138,14 @@ class _AbelianDFS:
         t = self.table
         if len(t) == 1:
             return
-        if self.prune:
-            # seed: the best cyclic subgroup (first element of maximal order)
-            self.best_order = int(t.orders.max())
-            self.best_chain = [int(np.argmax(t.orders))]
+        seed = _extend_closure(t, {0}, 1)
+        if self.accept(seed):
+            self.best_order = len(seed)
+            self.best_chain = [1]
         all_idx = np.arange(len(t), dtype=np.int64)
         for root in self.class_reps[1:]:  # class 0 is the identity
             cmask = self._centralizer_mask(root)
-            if self.prune and int(np.count_nonzero(cmask)) <= self.best_order:
+            if int(np.count_nonzero(cmask)) <= self.best_order:
                 continue
             closure = _extend_closure(t, {0}, root)
             self._visit(closure, [root])
@@ -147,17 +156,15 @@ class _AbelianDFS:
 
     def _visit(self, closure: set[int], chain: list[int]) -> None:
         self.nodes += 1
-        if len(closure) > self.best_order:
+        if len(closure) > self.best_order and self.accept(closure):
             self.best_order = len(closure)
             self.best_chain = list(chain)
-        if self.on_closure is not None:
-            self.on_closure(closure, chain)
 
     def _expand(self, closure, chain, cmask, cand) -> None:
         for pos in range(len(cand)):
             x = int(cand[pos])
             bmask = cmask & self._centralizer_mask(x)
-            if self.prune and int(np.count_nonzero(bmask)) <= self.best_order:
+            if int(np.count_nonzero(bmask)) <= self.best_order:
                 continue
             bigger = _extend_closure(self.table, closure, x)
             self._visit(bigger, chain + [x])
@@ -185,7 +192,7 @@ def max_abelian_order(
 ) -> MaxAbelianResult:
     """Exact maximal abelian subgroup order, by pruned branch-and-bound."""
     t0 = time.perf_counter()
-    dfs = _AbelianDFS(group, enum_cap, prune=True)
+    dfs = _AbelianDFS(group, enum_cap)
     dfs.run()
     witness = _witness_from_chain(group, dfs.table, dfs.best_chain)
     assert witness.order == dfs.best_order
@@ -282,9 +289,10 @@ def max_abelian_normal(
 ) -> AbelianWitness:
     """An abelian normal subgroup of maximal order in a p-group.
 
-    Exhaustive over abelian-subgroup chains (normality cannot be
-    bounded the way plain order can), with the normality test memoized
-    per distinct subgroup.  Abelian input is returned whole.
+    The same pruned walk as ``max_abelian_order``, accepting only
+    subgroups that every generator's conjugation map sends into
+    themselves; the centralizer bound cuts against the best normal
+    order found.  Abelian input is returned whole.
     """
     factors = pgroup.order.factors
     if len(factors) != 1:
@@ -293,37 +301,16 @@ def max_abelian_normal(
         )
     if pgroup.is_abelian():
         return AbelianWitness(list(pgroup.generators), pgroup.order_value, True)
-    table = pgroup.element_table(enum_cap)
-    conjugators = [
-        (np.array(g.images, dtype=table.matrix.dtype), np.array(g.inverse().images))
-        for g in pgroup.generators
-    ]
+    conj_maps = pgroup.conjugation_maps(enum_cap)
 
-    seen: dict[frozenset, bool] = {}
-    best = {"order": 0, "chain": None}
+    def is_normal(closure: set[int]) -> bool:
+        return all(int(cmap[i]) in closure for cmap in conj_maps for i in closure)
 
-    def is_normal_set(closure: frozenset) -> bool:
-        for garr, ginv in conjugators:
-            for i in closure:
-                if table.lookup(garr[table.matrix[i][ginv]]) not in closure:
-                    return False
-        return True
-
-    def on_closure(closure, chain):
-        key = frozenset(closure)
-        normal = seen.get(key)
-        if normal is None:
-            normal = is_normal_set(key)
-            seen[key] = normal
-        if normal and len(closure) > best["order"]:
-            best["order"] = len(closure)
-            best["chain"] = list(chain)
-
-    dfs = _AbelianDFS(pgroup, enum_cap, prune=False, on_closure=on_closure)
+    dfs = _AbelianDFS(pgroup, enum_cap, accept=is_normal)
     dfs.run()
-    assert best["chain"] is not None  # the center guarantees a hit
-    witness = _witness_from_chain(pgroup, table, best["chain"])
-    assert witness.order == best["order"] and witness.normal_in_parent
+    assert dfs.best_chain  # the center guarantees a hit
+    witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain)
+    assert witness.order == dfs.best_order and witness.normal_in_parent
     return witness
 
 

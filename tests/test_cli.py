@@ -59,6 +59,14 @@ def test_cli_mgroup_sym6(capsys):
     assert code == 0 and "m: 9" in out
 
 
+def test_cli_mgroup_degree_above_uint16(tmp_path, capsys):
+    # points up to 69999 do not fit the 16-bit rows of smaller degrees
+    path = tmp_path / "big.gens"
+    path.write_text("degree 70000\ngen (1,70000)\nexpect_order 2\n")
+    code, out, _ = run_cli(capsys, "mgroup", f"file:{path}")
+    assert code == 0 and "m: 2" in out
+
+
 def test_cli_mgroup_file_spec(capsys):
     code, out, _ = run_cli(capsys, "mgroup", "file:groups/m11.gens")
     assert code == 0 and "m: 11" in out

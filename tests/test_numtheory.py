@@ -81,13 +81,6 @@ def test_floor_log_bounds(p, n):
     assert e <= math.log(n) / math.log(p) + 1e-9
 
 
-def test_xi_profile_invariant():
-    prof = nt.xi_profile(1000)
-    assert prof.entries[2] == 9 and prof.entries[31] == 2 and prof.entries[997] == 1
-    for p, e in prof.entries.items():
-        assert p**e <= 1000 < p ** (e + 1)
-
-
 # ── FactoredInteger ─────────────────────────────────────────────────
 
 def test_factored_integer_roundtrip():
@@ -227,12 +220,6 @@ def test_two_prime_interval_exceptions():
 
 def test_two_prime_interval_exceptions_large():
     assert nt.two_prime_interval_exceptions(10**6) == [4, 6, 10]
-
-
-def test_nagura_open_interval_has_no_flags():
-    # Scanned, not assumed: the open-interval reading produces no
-    # counterexamples in range; boundary cases would be listed, not fail.
-    assert nt.nagura_interval_flags(10**6) == []
 
 
 # ── asymptotics ─────────────────────────────────────────────────────

@@ -14,6 +14,7 @@ from abelmax.search import (
     max_abelian_order,
     pgroup_bound_check,
 )
+from abelmax.verify import catalog_pgroup_inputs
 
 
 def quaternion_group():
@@ -202,6 +203,94 @@ def test_normal_abelian_contains_center():
 def test_normal_abelian_rejects_non_pgroup():
     with pytest.raises(ValueError, match="not a p-group"):
         max_abelian_normal(cat.sym_group(3))
+
+
+# (input id, |P|, order of a maximal abelian normal subgroup, |Z(P)|) for
+# every p-group the lemma suite checks on the default catalog.
+_NORMAL_SEARCH_PINS = [
+    ('sylow(sym:2,2)', 2, 2, 2),
+    ('sylow(sym:3,2)', 2, 2, 2),
+    ('sylow(sym:3,3)', 3, 3, 3),
+    ('sylow(sym:4,2)', 8, 4, 2),
+    ('sylow(sym:4,3)', 3, 3, 3),
+    ('sylow(sym:5,2)', 8, 4, 2),
+    ('sylow(sym:5,3)', 3, 3, 3),
+    ('sylow(sym:5,5)', 5, 5, 5),
+    ('sylow(sym:6,2)', 16, 8, 4),
+    ('sylow(sym:6,3)', 9, 9, 9),
+    ('sylow(sym:6,5)', 5, 5, 5),
+    ('sylow(sym:7,2)', 16, 8, 4),
+    ('sylow(sym:7,3)', 9, 9, 9),
+    ('sylow(sym:7,5)', 5, 5, 5),
+    ('sylow(sym:7,7)', 7, 7, 7),
+    ('sylow(alt:4,2)', 4, 4, 4),
+    ('sylow(alt:4,3)', 3, 3, 3),
+    ('sylow(alt:5,2)', 4, 4, 4),
+    ('sylow(alt:5,3)', 3, 3, 3),
+    ('sylow(alt:5,5)', 5, 5, 5),
+    ('sylow(alt:6,2)', 8, 4, 2),
+    ('sylow(alt:6,3)', 9, 9, 9),
+    ('sylow(alt:6,5)', 5, 5, 5),
+    ('sylow(alt:7,2)', 8, 4, 2),
+    ('sylow(alt:7,3)', 9, 9, 9),
+    ('sylow(alt:7,5)', 5, 5, 5),
+    ('sylow(alt:7,7)', 7, 7, 7),
+    ('sylow(cyclic:12,2)', 4, 4, 4),
+    ('sylow(cyclic:12,3)', 3, 3, 3),
+    ('sylow(cyclic:30,2)', 2, 2, 2),
+    ('sylow(cyclic:30,3)', 3, 3, 3),
+    ('sylow(cyclic:30,5)', 5, 5, 5),
+    ('sylow(dihedral:8,2)', 16, 8, 2),
+    ('sylow(dihedral:12,2)', 8, 4, 2),
+    ('sylow(dihedral:12,3)', 3, 3, 3),
+    ('sylow(elem_abelian:3:2,3)', 9, 9, 9),
+    ('sylow(elem_abelian:2:4,2)', 16, 16, 16),
+    ('sylow(psl2:7,2)', 8, 4, 2),
+    ('sylow(psl2:7,3)', 3, 3, 3),
+    ('sylow(psl2:7,7)', 7, 7, 7),
+    ('sylow(psl2:11,2)', 4, 4, 4),
+    ('sylow(psl2:11,3)', 3, 3, 3),
+    ('sylow(psl2:11,5)', 5, 5, 5),
+    ('sylow(psl2:11,11)', 11, 11, 11),
+    ('sylow(psl2:13,2)', 4, 4, 4),
+    ('sylow(psl2:13,3)', 3, 3, 3),
+    ('sylow(psl2:13,7)', 7, 7, 7),
+    ('sylow(psl2:13,13)', 13, 13, 13),
+    ('sylow(pgl2:7,2)', 16, 8, 2),
+    ('sylow(pgl2:7,3)', 3, 3, 3),
+    ('sylow(pgl2:7,7)', 7, 7, 7),
+    ('sylow(frobenius:5:4,2)', 4, 4, 4),
+    ('sylow(frobenius:5:4,5)', 5, 5, 5),
+    ('sylow(frobenius:7:3,3)', 3, 3, 3),
+    ('sylow(frobenius:7:3,7)', 7, 7, 7),
+    ('sylow(agammal1:3,2)', 8, 8, 8),
+    ('sylow(agammal1:3,3)', 3, 3, 3),
+    ('sylow(agammal1:3,7)', 7, 7, 7),
+    ('sylow(agammal1:4,2)', 64, 16, 2),
+    ('sylow(agammal1:4,3)', 3, 3, 3),
+    ('sylow(agammal1:4,5)', 5, 5, 5),
+    ('sylow(agl3_2,2)', 64, 16, 2),
+    ('sylow(agl3_2,3)', 3, 3, 3),
+    ('sylow(agl3_2,7)', 7, 7, 7),
+    ('dihedral:4', 8, 4, 2),
+    ('dihedral:8', 16, 8, 2),
+    ('dihedral:16', 32, 16, 2),
+    ('dihedral:32', 64, 32, 2),
+    ('sylow(sym:8,2)', 128, 16, 2),
+    ('sylow(sym:8,3)', 9, 9, 9),
+    ('elem_abelian:2:4', 16, 16, 16),
+    ('elem_abelian:3:2', 9, 9, 9),
+    ('elem_abelian:5:2', 25, 25, 25),
+]
+
+
+def test_normal_search_orders_are_pinned():
+    entries = cat.build_catalog(cat.default_catalog_specs())
+    got = [
+        (gid, pg.order_value, max_abelian_normal(pg).order, pg.center().order)
+        for gid, pg in catalog_pgroup_inputs(entries)
+    ]
+    assert got == _NORMAL_SEARCH_PINS
 
 
 # ── p-group bound reports ───────────────────────────────────────────
