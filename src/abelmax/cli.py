@@ -6,14 +6,19 @@ Subcommands:
   prime-power product g, the upper-half prime product h, the bound
   f = n*g/h, the log-bound ratio, and the scan for intervals (m/2, m]
   holding fewer than two primes.
-* ``mgroup SPEC``  - maximal abelian subgroup order of one group.
+* ``mgroup SPEC [--enum-cap N]`` - maximal abelian subgroup order of
+  one group.
 * ``verify {a|goh|lemma|twoprime|equality|all} [SPEC ...]`` - run a
-  check suite over the given groups (default: the pinned catalog).
-* ``series N [N ...]`` - CSV of bound-ratio samples for plotting.
+  check suite over the given groups (default: the pinned catalog);
+  takes ``--enum-cap N``, ``--format text|json|csv``, ``--out PATH``
+  and ``--manifest PATH``.
+* ``series N [N ...] [--out PATH]`` - CSV of bound-ratio samples for
+  plotting.
 
 Group specs use the catalog DSL (`sym:5`, `psl2:13`, `frobenius:5:4`,
 `agammal1:3`, `agl3_2`, `file:groups/m11.gens`); file paths resolve
-against the working directory.  Flags may also be set through
+against the working directory.  A flag given to a subcommand that does
+not take it is a usage error.  Flags may also be set through
 environment variables with the ``ABELMAX_`` prefix (ABELMAX_ENUM_CAP,
 ABELMAX_FORMAT, ABELMAX_OUT); a command-line flag wins over its
 environment variable, and a bad environment value is a usage error.
@@ -61,23 +66,19 @@ def _env_format() -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each flag is attached only to the subcommands that act on it
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--enum-cap",
         type=int,
         default=_env_int("ABELMAX_ENUM_CAP", DEFAULT_ENUM_CAP),
         help="largest group order that may be enumerated",
     )
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--out",
         default=os.environ.get("ABELMAX_OUT"),
         help="write the report/series to this path instead of stdout",
-    )
-    common.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=_env_format(),
-        help="report format for verify (series is always CSV)",
     )
     parser = argparse.ArgumentParser(
         prog="abelmax",
@@ -85,26 +86,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_nt = sub.add_parser(
-        "numtheory", parents=[common], help="evaluate the arithmetic functions"
-    )
+    p_nt = sub.add_parser("numtheory", help="evaluate the arithmetic functions")
     p_nt.add_argument("func", choices=["g", "h", "f", "ratio", "exceptions"])
     p_nt.add_argument("n", type=int)
 
     p_mg = sub.add_parser(
-        "mgroup", parents=[common], help="maximal abelian order of one group"
+        "mgroup", parents=[cap], help="maximal abelian order of one group"
     )
     p_mg.add_argument("spec")
 
-    p_vf = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_vf = sub.add_parser("verify", parents=[cap, out], help="run a verification suite")
     p_vf.add_argument("suite", choices=["a", "goh", "lemma", "twoprime", "equality", "all"])
     p_vf.add_argument("specs", nargs="*", help="group specs (default: pinned catalog)")
+    p_vf.add_argument(
+        "--format", choices=_FORMATS, default=_env_format(), help="report format"
+    )
     p_vf.add_argument(
         "--manifest",
         help="read group specs from a manifest file (one per line, # comments)",
     )
 
-    p_se = sub.add_parser("series", parents=[common], help="CSV of bound-ratio samples")
+    p_se = sub.add_parser("series", parents=[out], help="CSV of bound-ratio samples")
     p_se.add_argument("ns", type=int, nargs="*")
     return parser
 
@@ -204,7 +206,7 @@ def main(argv=None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    if args.enum_cap < 1:
+    if getattr(args, "enum_cap", 1) < 1:
         print("abelmax: --enum-cap must be positive", file=sys.stderr)
         return 2
     try:

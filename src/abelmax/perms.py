@@ -122,7 +122,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def cycle_string(self, one_indexed: bool = False) -> str:
         shift = 1 if one_indexed else 0
@@ -258,7 +258,9 @@ class ElementTable:
     is the only place that builds or orders a table, and every consumer
     (conjugacy classes, Sylow growth, the abelian-subgroup search) reads
     row positions in this order through ``index``, the one map from a
-    row's bytes to its position.
+    row's bytes to its position.  Subgroups are sets of positions, and
+    Sylow growth and the search grow them with the same closure step,
+    ``extend``.
     """
 
     matrix: np.ndarray
@@ -272,6 +274,20 @@ class ElementTable:
     def mul(self, i: int, j: int) -> int:
         """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
         return self.index[self.matrix[i][self.matrix[j]].tobytes()]
+
+    def extend(self, subgroup: set[int], x: int) -> set[int]:
+        """Positions of <H, x> for the subgroup H at ``subgroup``, when x
+        normalizes H: then <H, x> = H<x>, the products h x^i."""
+        powers = [x]
+        cur = self.mul(x, x)
+        while cur != 0:
+            powers.append(cur)
+            cur = self.mul(cur, x)
+        out = set(subgroup)
+        for a in subgroup:
+            for p in powers:
+                out.add(self.mul(a, p))
+        return out
 
     def centralizer_mask(self, row: np.ndarray) -> np.ndarray:
         """Boolean mask of the rows that commute with ``row``."""
@@ -571,80 +587,48 @@ class PermGroup:
     def sylow_subgroup(self, p: int, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":
         """A Sylow p-subgroup, grown cyclically through normalizers.
 
-        Starts from the p-part of the first element of order divisible
-        by p and repeatedly adjoins a p-element of the normalizer until
-        the full p-part of the group order is reached; every step is a
-        deterministic scan in element-index order.
+        P is kept as a set of positions in the element table.  It starts
+        as the p-part of the first element of order divisible by p and
+        adjoins, until |P| is the p-part of the group order, the first
+        p-element outside P (in the table's canonical order) that
+        conjugates every generator of P into P.  That element normalizes
+        P, so ``ElementTable.extend``, the search's closure step, gives
+        the larger subgroup.
         """
         e = self.order.factors.get(p, 0)
         if e == 0:
             raise ValueError(f"{p} does not divide the group order {self.order_value}")
         target = p**e
         table = self.element_table(cap)
-        orders = table.orders
+        matrix, orders = table.matrix, table.orders
         seed_idx = int(np.nonzero(orders % p == 0)[0][0])
-        seed = table.permutation(seed_idx)
-        k = seed.order()
+        k = int(orders[seed_idx])
         while k % p == 0:
             k //= p
-        gens = [seed**k]
-        chain = StabilizerChain(gens, self.degree)
-        while chain.order_int() < target:
-            member = self._element_index_set(gens, cap)
-            norm_mask = self._normalizer_mask(gens, member, cap)
-            for i in np.nonzero(norm_mask)[0]:
-                i = int(i)
-                if i in member:
-                    continue
-                o = int(orders[i])
-                while o % p == 0:
-                    o //= p
-                if o != 1:
-                    continue
-                gens.append(table.permutation(i))
-                chain = StabilizerChain(gens, self.degree)
-                break
-            else:
-                raise AssertionError("normalizer growth stalled; this is a bug")
+        gens = [table.permutation(seed_idx) ** k]
+        gen_idx = [table.lookup(np.array(gens[0].images, dtype=matrix.dtype))]
+        member = table.extend({0}, gen_idx[0])
+        # the p-elements are those whose order divides p^e
+        p_orders = [o for o in np.unique(orders).tolist() if target % o == 0]
+        candidates = np.nonzero(np.isin(orders, p_orders))[0].tolist()
+        conj = np.empty_like(matrix[0])
+
+        def normalizes(i: int) -> bool:
+            x = matrix[i]
+            for h in gen_idx:
+                conj[x] = x[matrix[h]]  # conj = x h x^-1
+                if table.lookup(conj) not in member:
+                    return False
+            return True
+
+        while len(member) < target:
+            i = next((i for i in candidates if i not in member and normalizes(i)), None)
+            assert i is not None, "normalizer growth stalled; this is a bug"
+            gens.append(table.permutation(i))
+            gen_idx.append(i)
+            member = table.extend(member, i)
+        assert len(member) == target
         return SubgroupHandle(self, gens, target)
-
-    def _element_index_set(self, gens: list[Permutation], cap: int) -> set[int]:
-        """Indices (in this group's table) of the subgroup generated by gens."""
-        table = self.element_table(cap)
-        seen = {0}
-        queue = [0]
-        gen_idx = [table.lookup(np.array(g.images, dtype=table.matrix.dtype)) for g in gens]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for gi in gen_idx:
-                j = table.mul(gi, x)  # g ∘ x
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return seen
-
-    def _normalizer_mask(
-        self, sub_gens: list[Permutation], member: set[int], cap: int
-    ) -> np.ndarray:
-        """Boolean mask of elements x with x H x^-1 = H (H given by sub_gens)."""
-        table = self.element_table(cap)
-        matrix = table.matrix
-        n = len(table)
-        inv_all = np.argsort(matrix, axis=1)
-        in_member = np.zeros(n, dtype=bool)
-        in_member[list(member)] = True
-        mask = np.ones(n, dtype=bool)
-        for h in sub_gens:
-            harr = np.array(h.images)
-            inner = harr[inv_all]  # h ∘ x^-1 per row
-            conj = np.take_along_axis(matrix, inner.astype(np.int64), axis=1)
-            conj_idx = np.fromiter(
-                (table.lookup(row) for row in conj), dtype=np.int64, count=n
-            )
-            mask &= in_member[conj_idx]
-        return mask
 
 
 def _handle_leq(a: "SubgroupHandle", b: "SubgroupHandle") -> bool:

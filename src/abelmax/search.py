@@ -9,9 +9,10 @@ at a time, in the canonical order of the group's ``ElementTable``
 ascending; ``perms`` owns that order and this module only reads row
 positions from it), and each adjoined element must come later in that
 order than the previous choice, which eliminates permuted revisits of
-the same chain.  A subtree is cut when the centralizer of its
-subgroup is no larger than the best order found so far, since every
-abelian overgroup of A lies inside C_G(A).  The walk is rooted once per
+the same chain.  Adjoining is ``ElementTable.extend``, the closure step
+that Sylow growth in ``perms`` uses as well.  A subtree is cut when the
+centralizer of its subgroup is no larger than the best order found so
+far, since every abelian overgroup of A lies inside C_G(A).  The walk is rooted once per
 conjugacy class, at the class representatives ``conjugacy_classes``
 returns (the quantity searched for is conjugation-invariant, and any
 abelian subgroup is reached from the class representative of one of
@@ -90,20 +91,6 @@ class PGroupBoundReport:
     burnside_holds: bool
 
 
-def _extend_closure(table: ElementTable, subgroup: set[int], x: int) -> set[int]:
-    """Closure of subgroup ∪ {x} when x centralizes the subgroup."""
-    powers = [x]
-    cur = table.mul(x, x)
-    while cur != 0:
-        powers.append(cur)
-        cur = table.mul(cur, x)
-    out = set(subgroup)
-    for a in subgroup:
-        for p in powers:
-            out.add(table.mul(a, p))
-    return out
-
-
 class _AbelianDFS:
     """The pruned depth-first walk over abelian-subgroup chains.
 
@@ -138,7 +125,7 @@ class _AbelianDFS:
         t = self.table
         if len(t) == 1:
             return
-        seed = _extend_closure(t, {0}, 1)
+        seed = t.extend({0}, 1)
         if self.accept(seed):
             self.best_order = len(seed)
             self.best_chain = [1]
@@ -147,7 +134,7 @@ class _AbelianDFS:
             cmask = self._centralizer_mask(root)
             if int(np.count_nonzero(cmask)) <= self.best_order:
                 continue
-            closure = _extend_closure(t, {0}, root)
+            closure = t.extend({0}, root)
             self._visit(closure, [root])
             cand = all_idx[cmask]
             cand = cand[~np.isin(cand, np.fromiter(closure, dtype=np.int64))]
@@ -166,7 +153,7 @@ class _AbelianDFS:
             bmask = cmask & self._centralizer_mask(x)
             if int(np.count_nonzero(bmask)) <= self.best_order:
                 continue
-            bigger = _extend_closure(self.table, closure, x)
+            bigger = self.table.extend(closure, x)
             self._visit(bigger, chain + [x])
             rest = cand[pos + 1 :]
             if rest.size:
@@ -183,7 +170,8 @@ def _witness_from_chain(
     if not chain:
         return AbelianWitness([], 1, True)
     gens = [table.permutation(i) for i in chain]
-    handle = SubgroupHandle(group, gens, PermGroup(gens).order_value)
+    sub = PermGroup(gens)
+    handle = SubgroupHandle(group, gens, sub.order_value, _group=sub)
     return AbelianWitness(gens, handle.order, group.is_normal(handle))
 
 

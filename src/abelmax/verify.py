@@ -21,8 +21,9 @@ The checks:
                               are tagged as the named exceptions.
 * ``two_prime``             - the groups with two prime divisors above
                               m/2 are exactly the expected ones.
-* ``equality``              - |G| = g(m(G)) exactly for sym:2..sym:5 and
-                              nothing else.
+* ``equality``              - |G| = g(m(G)) exactly for the symmetric
+                              groups S2..S5 and nothing else, recognised
+                              by order and element-order profile.
 * ``pgroup_bound``/``burnside`` - exponent bounds on p-groups.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -291,14 +293,23 @@ def two_large_prime_scan(
     return VerificationReport.from_checks(checks)
 
 
-_EQUALITY_FAMILIES = {("sym", (2,)), ("sym", (3,)), ("sym", (4,)), ("sym", (5,))}
+def _is_small_symmetric(group: PermGroup, cap: int) -> bool:
+    """Whether the group is S_n for some n in 2..5.
+
+    Among the groups of order n!, S_n is the only one with its
+    element-order profile, so the verdict depends on the group alone.
+    """
+    for n in range(2, 6):
+        if group.order_value == math.factorial(n):
+            return _order_profile(group, cap) == _order_profile(sym_group(n), cap)
+    return False
 
 
 def equality_scan(
     entries: list[CatalogEntry],
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VerificationReport:
-    """Test |G| = prime_power_product(m(G)) exactly; equality only at sym:2..5."""
+    """Test |G| = prime_power_product(m(G)) exactly; equality only at S2..S5."""
     checks = []
     for entry in entries:
         m = entry_max_abelian(entry, enum_cap).m
@@ -306,8 +317,8 @@ def equality_scan(
         equal = entry.group.order_value == g_m.value
         # the equality statement concerns nontrivial groups; |G| = 1 = g(1)
         # vacuously and is not counted against the expected set
-        expected = entry.group.order_value == 1 or (
-            (entry.spec.family, entry.spec.params) in _EQUALITY_FAMILIES
+        expected = entry.group.order_value == 1 or _is_small_symmetric(
+            entry.group, enum_cap
         )
         checks.append(
             TheoremCheck(
@@ -357,8 +368,9 @@ def catalog_pgroup_inputs(
             inputs.append((f"sylow({entry.group_id},{p})", handle.group()))
     for n in (4, 8, 16, 32):
         inputs.append((f"dihedral:{n}", dihedral_group(n)))
-    inputs.append(("sylow(sym:8,2)", sym_group(8).sylow_subgroup(2, enum_cap).group()))
-    inputs.append(("sylow(sym:8,3)", sym_group(8).sylow_subgroup(3, enum_cap).group()))
+    s8 = sym_group(8)
+    for p in (2, 3):
+        inputs.append((f"sylow(sym:8,{p})", s8.sylow_subgroup(p, enum_cap).group()))
     inputs.append(("elem_abelian:2:4", elem_abelian_group(2, 4)))
     inputs.append(("elem_abelian:3:2", elem_abelian_group(3, 2)))
     inputs.append(("elem_abelian:5:2", elem_abelian_group(5, 2)))

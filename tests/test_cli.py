@@ -159,6 +159,22 @@ def test_cli_removed_flags_are_usage_errors(capsys):
         assert code == 2
 
 
+def test_cli_flags_only_where_they_act(tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    for argv in (
+        ("numtheory", "g", "6", "--out", str(path)),
+        ("numtheory", "g", "6", "--enum-cap", "10"),
+        ("numtheory", "g", "6", "--format", "json"),
+        ("mgroup", "sym:4", "--out", str(path)),
+        ("mgroup", "sym:4", "--format", "json"),
+        ("series", "1000", "--enum-cap", "10"),
+        ("series", "1000", "--format", "csv"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+    assert not path.exists()
+
+
 # ── series ──────────────────────────────────────────────────────────
 
 def test_cli_series_rows(capsys):

@@ -303,6 +303,38 @@ def test_sylow_rejects_non_divisor(s4):
         s4.sylow_subgroup(5)
 
 
+def test_sylow_generators_are_pinned():
+    # the lemma reports do not change between Sylow subgroups, so the
+    # choice itself is pinned
+    from abelmax.catalog import build_group
+
+    pinned = {
+        ("sym:8", 2): ["(4,7,6,5)", "(2,3)(4,5,6,7)", "(0,1)(4,5,6,7)",
+                       "(0,2)(1,3)(4,5,6,7)", "(0,2,1,3)(5,7)",
+                       "(0,4,2,5,1,6,3,7)"],
+        ("sym:8", 3): ["(0,2,1)", "(5,6,7)"],
+        ("sym:7", 2): ["(3,6,5,4)", "(1,2)(3,4,5,6)", "(4,6)"],
+        ("agl3_2", 2): ["(0,1)(2,3)(4,5)(6,7)", "(2,3)(4,6,5,7)",
+                        "(0,2,1,3)(6,7)", "(0,2,1,3)(4,6,5,7)",
+                        "(0,4,1,5)(2,6,3,7)"],
+    }
+    groups = {}
+    for (spec, p), gens in pinned.items():
+        g = groups.setdefault(spec, build_group(spec))
+        assert [x.cycle_string() for x in g.sylow_subgroup(p).generators] == gens
+
+
+def test_element_table_extend_by_normalizing_element(s4):
+    # A4 is normal but not centralized by a transposition; H<x> is all of S4
+    table = s4.element_table()
+    alt4 = PermGroup([cycles(4, (0, 1, 2)), cycles(4, (1, 2, 3))])
+    a4 = {i for i in range(len(table)) if alt4.contains(table.permutation(i))}
+    assert len(a4) == 12
+    t = table.lookup(np.array(cycles(4, (0, 1)).images, dtype=table.matrix.dtype))
+    assert table.extend(a4, t) == set(range(24))
+    assert table.extend({0}, t) == {0, t}
+
+
 def test_sylow_orders_match_p_part():
     g = PermGroup([cycles(7, (0, 1, 2, 3, 4, 5, 6)), cycles(7, (1, 2, 4))])
     for p in g.order.factors:

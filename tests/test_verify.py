@@ -226,6 +226,18 @@ def test_equality_scan(entries):
     assert len(open_items) == 1 and open_items[0].m == 10
 
 
+def test_isomorphic_aliases_pass_every_suite():
+    # S2, S3, S3, S4 and S5 under other family names, and two groups of
+    # order n! that are not S_n; the equality verdict follows the group
+    ids = ["cyclic:2", "dihedral:3", "frobenius:3:2", "agammal1:2", "pgl2:5",
+           "cyclic:6", "dihedral:12"]
+    report = vf.run_suite("all", cat.build_catalog(ids))
+    assert report.all_passed
+    expected = {c.group_id: c.detail["expected"]
+                for c in report.checks if c.theorem == "equality" and "expected" in c.detail}
+    assert expected == {gid: gid not in ("cyclic:6", "dihedral:12") for gid in ids}
+
+
 # ── p-group suite ───────────────────────────────────────────────────
 
 def test_pgroup_suite_small():
