@@ -21,7 +21,9 @@ against the working directory.  A flag given to a subcommand that does
 not take it is a usage error.  Flags may also be set through
 environment variables with the ``ABELMAX_`` prefix (ABELMAX_ENUM_CAP,
 ABELMAX_FORMAT, ABELMAX_OUT); a command-line flag wins over its
-environment variable, and a bad environment value is a usage error.
+environment variable.  A variable is read only by the subcommands that
+take its flag: there a bad value is a usage error, elsewhere it is
+ignored.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error, 3 capacity error.
@@ -65,19 +67,32 @@ def _env_format() -> str:
     return raw
 
 
+def _resolve_env_defaults(args: argparse.Namespace) -> None:
+    """Fill each flag that the chosen subcommand takes and that was not
+    given from its ABELMAX_ variable.  A subcommand never reads the
+    variable of a flag it does not take, so a bad value there is not an
+    error."""
+    given = vars(args)
+    if "enum_cap" in given and args.enum_cap is None:
+        args.enum_cap = _env_int("ABELMAX_ENUM_CAP", DEFAULT_ENUM_CAP)
+    if "format" in given and args.format is None:
+        args.format = _env_format()
+    if "out" in given and args.out is None:
+        args.out = os.environ.get("ABELMAX_OUT")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    # each flag is attached only to the subcommands that act on it
+    # each flag is attached only to the subcommands that act on it; the
+    # defaults of unset flags come from _resolve_env_defaults
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
         "--enum-cap",
         type=int,
-        default=_env_int("ABELMAX_ENUM_CAP", DEFAULT_ENUM_CAP),
         help="largest group order that may be enumerated",
     )
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument(
         "--out",
-        default=os.environ.get("ABELMAX_OUT"),
         help="write the report/series to this path instead of stdout",
     )
     parser = argparse.ArgumentParser(
@@ -98,9 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("verify", parents=[cap, out], help="run a verification suite")
     p_vf.add_argument("suite", choices=["a", "goh", "lemma", "twoprime", "equality", "all"])
     p_vf.add_argument("specs", nargs="*", help="group specs (default: pinned catalog)")
-    p_vf.add_argument(
-        "--format", choices=_FORMATS, default=_env_format(), help="report format"
-    )
+    p_vf.add_argument("--format", choices=_FORMATS, help="report format")
     p_vf.add_argument(
         "--manifest",
         help="read group specs from a manifest file (one per line, # comments)",
@@ -198,6 +211,7 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
+        _resolve_env_defaults(args)
     except _UsageError as exc:
         print(f"abelmax: {exc}", file=sys.stderr)
         return 2

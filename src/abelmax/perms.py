@@ -260,7 +260,9 @@ class ElementTable:
     row positions in this order through ``index``, the one map from a
     row's bytes to its position.  Subgroups are sets of positions, and
     Sylow growth and the search grow them with the same closure step,
-    ``extend``.
+    ``extend``.  Centralizers, in the search and in
+    ``PermGroup.centralizer``, come from one primitive, ``commuting``,
+    which narrows a given set of positions rather than the whole table.
     """
 
     matrix: np.ndarray
@@ -289,10 +291,12 @@ class ElementTable:
                 out.add(self.mul(a, p))
         return out
 
-    def centralizer_mask(self, row: np.ndarray) -> np.ndarray:
-        """Boolean mask of the rows that commute with ``row``."""
-        matrix = self.matrix
-        return np.all(matrix[:, row] == row[matrix], axis=1)
+    def commuting(self, i: int, members: np.ndarray) -> np.ndarray:
+        """The positions in ``members`` (ascending) whose rows commute
+        with row i; only the rows at ``members`` are compared."""
+        row = self.matrix[i]
+        sub = self.matrix[members]
+        return members[np.all(sub[:, row] == row[sub], axis=1)]
 
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.matrix[i].tolist())
@@ -466,11 +470,11 @@ class PermGroup:
             if not self.contains(p):
                 raise ValueError(f"{p!r} is not a member of the group")
         table = self.element_table(cap)
-        mask = np.ones(len(table), dtype=bool)
+        members = np.arange(len(table), dtype=np.int64)
         for p in elems:
-            mask &= table.centralizer_mask(np.array(p.images))
-        indices = np.nonzero(mask)[0]
-        gens, order = self._reduce_generators(indices, cap)
+            i = table.lookup(np.array(p.images, dtype=table.matrix.dtype))
+            members = table.commuting(i, members)
+        gens, order = self._reduce_generators(members, cap)
         return SubgroupHandle(self, gens, order)
 
     def center(self, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":

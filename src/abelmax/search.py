@@ -19,6 +19,13 @@ abelian subgroup is reached from the class representative of one of
 its elements), and is seeded with the best cyclic order so the
 bound bites immediately.
 
+Centralizers are computed inside the parent's centralizer.  A root is
+skipped on its class size alone, since |C(x)| = |G| / |x^G|; a root
+that survives gets its centralizer over the whole table once, and a
+child's is C(<A, x>) = C(A) ∩ C(x), found by ``ElementTable.commuting``
+over the rows of C(A) only.  Candidates are elements of C(A), so the
+work per node shrinks with the centralizer instead of staying |G|.
+
 ``max_abelian_normal`` runs the same walk on a p-group and shares the
 centralizer bound: only normal subgroups count as found, and a subtree
 is cut when its centralizer is no larger than the best normal order so
@@ -98,48 +105,43 @@ class _AbelianDFS:
     subgroup) can become the best, and the centralizer bound cuts
     against the best accepted order: every abelian overgroup of A lies
     in C_G(A), so a subtree whose centralizer is no larger than that
-    order holds no larger subgroup, accepted or not.  The cyclic seed
-    (row 1, an element of maximal order) is taken only if accepted.
-    ``accept`` must agree on conjugate subgroups, because the walk is
-    rooted only at class representatives.
+    order holds no larger subgroup, accepted or not.  A root is skipped
+    on its class size alone, since |C(x)| = |G| / |x^G|; a root that
+    survives gets its centralizer over the whole table once, and each
+    child's centralizer is computed inside its parent's, as
+    C(<A, x>) = C(A) ∩ C(x).  The cyclic seed (row 1, an element of
+    maximal order) is taken only if accepted.  ``accept`` must agree on
+    conjugate subgroups, because the walk is rooted only at class
+    representatives.
     """
 
     def __init__(self, group, enum_cap, accept=lambda closure: True):
         self.table = group.element_table(enum_cap)
-        self.class_reps, _ = group.conjugacy_classes(enum_cap)
+        self.class_reps, self.classes = group.conjugacy_classes(enum_cap)
         self.accept = accept
         self.nodes = 0
         self.best_order = 1
         self.best_chain: list[int] = []
-        # centralizer masks by element position, kept for one root's subtree
-        self._cent_cache: dict[int, np.ndarray] = {}
-
-    def _centralizer_mask(self, i: int) -> np.ndarray:
-        cached = self._cent_cache.get(i)
-        if cached is None:
-            cached = self.table.centralizer_mask(self.table.matrix[i])
-            self._cent_cache[i] = cached
-        return cached
 
     def run(self) -> None:
         t = self.table
-        if len(t) == 1:
+        n = len(t)
+        if n == 1:
             return
         seed = t.extend({0}, 1)
         if self.accept(seed):
             self.best_order = len(seed)
             self.best_chain = [1]
-        all_idx = np.arange(len(t), dtype=np.int64)
-        for root in self.class_reps[1:]:  # class 0 is the identity
-            cmask = self._centralizer_mask(root)
-            if int(np.count_nonzero(cmask)) <= self.best_order:
+        all_idx = np.arange(n, dtype=np.int64)
+        # class 0 is the identity
+        for root, conj_class in zip(self.class_reps[1:], self.classes[1:]):
+            if n // len(conj_class) <= self.best_order:
                 continue
+            cent = t.commuting(root, all_idx)
             closure = t.extend({0}, root)
             self._visit(closure, [root])
-            cand = all_idx[cmask]
-            cand = cand[~np.isin(cand, np.fromiter(closure, dtype=np.int64))]
-            self._expand(closure, [root], cmask, cand)
-            self._cent_cache.clear()
+            cand = cent[~np.isin(cent, np.fromiter(closure, dtype=np.int64))]
+            self._expand(closure, [root], cent, cand)
 
     def _visit(self, closure: set[int], chain: list[int]) -> None:
         self.nodes += 1
@@ -147,21 +149,24 @@ class _AbelianDFS:
             self.best_order = len(closure)
             self.best_chain = list(chain)
 
-    def _expand(self, closure, chain, cmask, cand) -> None:
+    def _expand(self, closure, chain, cent, cand) -> None:
+        """Children of the subgroup ``closure`` with centralizer ``cent``
+        (ascending positions); ``cand`` are the elements of ``cent``
+        outside ``closure`` that may still be adjoined, ascending."""
         for pos in range(len(cand)):
             x = int(cand[pos])
-            bmask = cmask & self._centralizer_mask(x)
-            if int(np.count_nonzero(bmask)) <= self.best_order:
+            bcent = self.table.commuting(x, cent)
+            if len(bcent) <= self.best_order:
                 continue
             bigger = self.table.extend(closure, x)
             self._visit(bigger, chain + [x])
             rest = cand[pos + 1 :]
             if rest.size:
-                sub = rest[bmask[rest]]
+                sub = rest[np.isin(rest, bcent, assume_unique=True)]
                 if sub.size:
                     sub = sub[~np.isin(sub, np.fromiter(bigger, dtype=np.int64))]
                 if sub.size:
-                    self._expand(bigger, chain + [x], bmask, sub)
+                    self._expand(bigger, chain + [x], bcent, sub)
 
 
 def _witness_from_chain(

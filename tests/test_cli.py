@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 from abelmax.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +238,20 @@ def test_bad_env_format_is_usage_error(capsys, monkeypatch):
     assert "ABELMAX_FORMAT" in err and "text|json|csv" in err
 
 
+def test_env_read_only_where_its_flag_acts(capsys, monkeypatch):
+    monkeypatch.setenv("ABELMAX_FORMAT", "xml")
+    monkeypatch.setenv("ABELMAX_ENUM_CAP", "many")
+    code, out, err = run_cli(capsys, "numtheory", "g", "6")
+    assert (code, out, err) == (0, "120\n", "")
+    code, out, err = run_cli(capsys, "series", "1000")
+    assert code == 0 and out.startswith("n,log_f,ratio\n1000,") and err == ""
+    code, out, err = run_cli(capsys, "mgroup", "sym:4")
+    assert code == 2 and out == "" and "ABELMAX_ENUM_CAP" in err
+    monkeypatch.delenv("ABELMAX_ENUM_CAP")
+    code, out, err = run_cli(capsys, "mgroup", "sym:4")
+    assert code == 0 and "m: 4" in out
+
+
 # ── manifests and odd groups ────────────────────────────────────────
 
 def test_cli_verify_manifest(tmp_path, capsys):
@@ -242,6 +259,14 @@ def test_cli_verify_manifest(tmp_path, capsys):
     manifest.write_text("# tiny catalog\nsym:4\nalt:5\n")
     code, out, _ = run_cli(capsys, "verify", "a", "--manifest", str(manifest))
     assert code == 0 and "summary: 2 checks, 2 passed" in out
+
+
+def test_cli_verify_alias_manifest(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "all", "--manifest", str(DATA / "aliases.txt")
+    )
+    assert code == 0, err
+    assert "0 failed" in out
 
 
 def test_cli_verify_manifest_and_specs_conflict(capsys, tmp_path):

@@ -173,6 +173,34 @@ def test_centralizer_is_subgroup(s4):
             assert a * b in eset
 
 
+@pytest.mark.parametrize("spec", ["sym:5", "agl3_2", "alt:6"])
+def test_element_table_commuting_against_products(spec):
+    from abelmax.catalog import build_group
+
+    g = build_group(spec)
+    table = g.element_table()
+    n = len(table)
+    elems = [table.permutation(i) for i in range(n)]
+
+    def reference(i, members):
+        x = elems[i]
+        return [j for j in members if x * elems[j] == elems[j] * x]
+
+    everything = np.arange(n, dtype=np.int64)
+    sparse = everything[1::3]
+    reps, classes = g.conjugacy_classes()
+    for k, (r, cls) in enumerate(zip(reps, classes)):
+        cent = table.commuting(r, everything)
+        assert cent.tolist() == reference(r, range(n))
+        assert len(cent) == n // len(cls)
+        # narrowed inputs: the centralizer of another class's
+        # representative, and a set that is not a subgroup
+        other = reps[(k + 1) % len(reps)]
+        narrowed = table.commuting(other, cent)
+        assert narrowed.tolist() == reference(other, cent.tolist())
+        assert table.commuting(r, sparse).tolist() == reference(r, sparse.tolist())
+
+
 def test_centralizer_rejects_non_member():
     with pytest.raises(ValueError):
         PermGroup([cycles(4, (0, 1, 2))]).centralizer([cycles(4, (0, 1))])
