@@ -208,6 +208,9 @@ def _cmd_series(args) -> int:
 
 
 def main(argv=None) -> int:
+    # g, h and f are printed exactly, past CPython's 4300-digit str() limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)

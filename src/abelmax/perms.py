@@ -5,16 +5,17 @@ tuples.  Groups are built from generators; the order and membership
 tests come from a deterministic stabilizer chain (base points are
 chosen as the smallest moved point at each level, orbits are explored
 breadth-first with the generators in list order, so identical inputs
-always produce identical chains).
+always produce identical chains), built once per group.
 
-Bulk element work (centralizers, conjugation, normalizer scans, the
+Bulk element work (centralizers, conjugation, normal closures, the
 abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
 matrix holding one image row per element, in a single canonical order
 that this module owns (identity first, then element order descending,
 then image tuple ascending), with one ``tobytes()`` index from row to
-position.  Groups are enumerated only when their order fits under an
-explicit cap, and the cap is enforced with a CapacityError rather than
-truncation.
+position.  A subgroup is a set of positions in its parent's table, grown
+by Dimino's coset step ``ElementTable.extend``.  Groups are enumerated
+only when their order fits under an explicit cap, and the cap is
+enforced with a CapacityError rather than truncation.
 """
 
 from __future__ import annotations
@@ -233,9 +234,6 @@ class StabilizerChain:
                     return level
         return None
 
-    def order_int(self) -> int:
-        return math.prod(len(t) for t in self._transversals)
-
     def order(self) -> FactoredInteger:
         result = FactoredInteger.one()
         for t in self._transversals:
@@ -256,13 +254,14 @@ class ElementTable:
     Row 0 is the identity; the other rows follow by element order
     descending, then image tuple ascending.  ``PermGroup.element_table``
     is the only place that builds or orders a table, and every consumer
-    (conjugacy classes, Sylow growth, the abelian-subgroup search) reads
+    (conjugacy classes, subgroups, the abelian-subgroup search) reads
     row positions in this order through ``index``, the one map from a
-    row's bytes to its position.  Subgroups are sets of positions, and
-    Sylow growth and the search grow them with the same closure step,
-    ``extend``.  Centralizers, in the search and in
-    ``PermGroup.centralizer``, come from one primitive, ``commuting``,
-    which narrows a given set of positions rather than the whole table.
+    row's bytes to its position.  A subgroup is a set of positions, and
+    every subgroup (Sylow growth, the search's nodes, generated and
+    centralizing subgroups) is grown by one closure step, ``extend``.
+    Centralizers, in the search and in ``PermGroup.centralizer``, come
+    from one primitive, ``commuting``, which narrows a given set of
+    positions rather than the whole table.
     """
 
     matrix: np.ndarray
@@ -273,23 +272,53 @@ class ElementTable:
         """Position of an image row given in the table's dtype."""
         return self.index[row.tobytes()]
 
+    def positions(self, rows: np.ndarray) -> list[int]:
+        """Positions of the rows of a (k, degree) array in the table's dtype."""
+        b, w = rows.tobytes(), rows.itemsize * rows.shape[1]
+        return [self.index[b[k : k + w]] for k in range(0, len(b), w)]
+
+    def position(self, p: Permutation) -> int:
+        """Position of the permutation p; ValueError if it is not a row."""
+        if p.degree == self.matrix.shape[1]:
+            key = np.array(p.images, dtype=self.matrix.dtype).tobytes()
+            if key in self.index:
+                return self.index[key]
+        raise ValueError(f"{p!r} is not a member of the group")
+
     def mul(self, i: int, j: int) -> int:
         """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
         return self.index[self.matrix[i][self.matrix[j]].tobytes()]
 
-    def extend(self, subgroup: set[int], x: int) -> set[int]:
-        """Positions of <H, x> for the subgroup H at ``subgroup``, when x
-        normalizes H: then <H, x> = H<x>, the products h x^i."""
-        powers = [x]
-        cur = self.mul(x, x)
-        while cur != 0:
-            powers.append(cur)
-            cur = self.mul(cur, x)
+    def extend(self, subgroup: set[int], x: int, gens=()) -> set[int]:
+        """Positions of <H, x> for the subgroup H at ``subgroup``, by
+        Dimino's coset step: the union of the right cosets H r, where a
+        product r s of a coset representative and a generator starts a
+        new coset when it lies outside those found so far.  Valid for
+        any x when the positions ``gens`` generate H; with no ``gens``,
+        valid when x normalizes H, for then <H, x> = H<x>."""
         out = set(subgroup)
-        for a in subgroup:
-            for p in powers:
-                out.add(self.mul(a, p))
+        if x in out:
+            return out
+        rows = self.matrix[list(subgroup)]
+        reps = [0]
+        for r in reps:
+            for s in (*gens, x):
+                y = self.mul(r, s)
+                if y not in out:
+                    out.update(self.positions(rows[:, self.matrix[y]]))
+                    reps.append(y)
         return out
+
+    def closure(self, positions) -> tuple[set[int], list[int]]:
+        """The subgroup generated by ``positions``, and the positions it
+        took: Dimino's algorithm, one ``extend`` for each position
+        outside the closure so far."""
+        members, gens = {0}, []
+        for i in positions:
+            if i not in members:
+                members = self.extend(members, i, gens)
+                gens.append(i)
+        return members, gens
 
     def commuting(self, i: int, members: np.ndarray) -> np.ndarray:
         """The positions in ``members`` (ascending) whose rows commute
@@ -361,12 +390,7 @@ class PermGroup:
         return self.chain.contains(p)
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            (a * b).images == (b * a).images
-            for i, a in enumerate(gens)
-            for b in gens[i + 1 :]
-        )
+        return _commute(self.generators)
 
     # ── element enumeration ─────────────────────────────────────────
 
@@ -413,14 +437,7 @@ class PermGroup:
         for g in self.generators:
             garr = np.array(g.images, dtype=table.matrix.dtype)
             ginv = np.array(g.inverse().images)
-            conj_rows = garr[table.matrix[:, ginv]]
-            maps.append(
-                np.fromiter(
-                    (table.lookup(row) for row in conj_rows),
-                    dtype=np.int64,
-                    count=len(table),
-                )
-            )
+            maps.append(np.array(table.positions(garr[table.matrix[:, ginv]])))
         return maps
 
     def conjugacy_classes(
@@ -465,84 +482,59 @@ class PermGroup:
         self, elements, cap: int = DEFAULT_ENUM_CAP
     ) -> "SubgroupHandle":
         """The subgroup of all elements commuting with every one given."""
-        elems = list(elements)
-        for p in elems:
-            if not self.contains(p):
-                raise ValueError(f"{p!r} is not a member of the group")
         table = self.element_table(cap)
         members = np.arange(len(table), dtype=np.int64)
-        for p in elems:
-            i = table.lookup(np.array(p.images, dtype=table.matrix.dtype))
+        for i in [table.position(p) for p in elements]:
             members = table.commuting(i, members)
-        gens, order = self._reduce_generators(members, cap)
-        return SubgroupHandle(self, gens, order)
+        return self._subgroup(members)
 
     def center(self, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":
         return self.centralizer(self.generators, cap)
 
-    def _reduce_generators(
-        self, indices, cap: int = DEFAULT_ENUM_CAP
-    ) -> tuple[list[Permutation], int]:
-        """Greedy generating set for the subgroup formed by `indices`.
-
-        The indices must be closed under the group operation; elements
-        are scanned in index order, which makes the result
-        deterministic.
-        """
-        table = self.element_table(cap)
-        target = len(indices)
-        if target == 1:
-            return [], 1
-        gens: list[Permutation] = []
-        chain = None
-        for i in indices:
-            if i == 0:
-                continue
-            p = table.permutation(int(i))
-            if chain is not None and chain.contains(p):
-                continue
-            gens.append(p)
-            chain = StabilizerChain(gens, self.degree)
-            if chain.order_int() == target:
-                break
-        assert chain is not None and chain.order_int() == target
-        return gens, target
+    def _subgroup(self, members) -> "SubgroupHandle":
+        """The subgroup at the positions ``members``, which must be
+        closed under the group operation, with its greedy generating
+        set: each member, in ascending position, that lies outside the
+        closure of those chosen before it."""
+        table = self.element_table()
+        closure, gens = table.closure(sorted(map(int, members)))
+        perms = [table.permutation(i) for i in gens]
+        return SubgroupHandle(self, perms, len(members), closure)
 
     # ── normal-structure queries ────────────────────────────────────
 
     def is_normal(self, sub: "SubgroupHandle") -> bool:
         """Whether g H g^-1 = H for every generator g (hence for all of G)."""
-        hgroup = sub.group()
-        for g in self.generators:
-            ginv = g.inverse()
-            for h in sub.generators:
-                if not hgroup.contains(g * h * ginv):
-                    return False
-        return True
+        return all(
+            sub.contains(g * h * g.inverse())
+            for g in self.generators
+            for h in sub.generators
+        )
 
-    def normal_closure(self, elements) -> "SubgroupHandle":
+    def normal_closure(self, elements, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":
         """Smallest normal subgroup of G containing the given elements."""
-        gens: list[Permutation] = []
-        for p in elements:
-            if not self.contains(p):
-                raise ValueError(f"{p!r} is not a member of the group")
-            if not p.is_identity():
-                gens.append(p)
-        if not gens:
-            return SubgroupHandle(self, [], 1)
-        chain = StabilizerChain(gens, self.degree)
-        queue = list(gens)
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for g in self.generators:
-                c = g * x * g.inverse()
-                if not chain.contains(c):
-                    gens.append(c)
-                    queue.append(c)
-                    chain = StabilizerChain(gens, self.degree)
-        return SubgroupHandle(self, gens, chain.order_int())
+        table = self.element_table(cap)
+        return self._subgroup(
+            self._class_closure([table.position(p) for p in elements], cap)
+        )
+
+    def _class_closure(self, positions: list[int], cap: int) -> frozenset[int]:
+        """Positions of the normal closure of the given positions: their
+        classes, grown by right multiplication by them a whole class at a
+        time.  A union N of classes with N s = N for each given s is closed
+        under their conjugates, as n g s g^-1 = g (g^-1 n g) s g^-1."""
+        table = self.element_table(cap)
+        _, classes = self.conjugacy_classes(cap)
+        class_of = np.empty(len(table), dtype=np.int64)
+        for c, cls in enumerate(classes):
+            class_of[cls] = c
+        found = list(dict.fromkeys([0, *class_of[positions].tolist()]))
+        for c in found:  # grows as classes join
+            for s in positions:
+                rows = table.matrix[classes[c]][:, table.matrix[s]]
+                new = np.unique(class_of[table.positions(rows)]).tolist()
+                found += [d for d in new if d not in found]
+        return frozenset(np.concatenate([classes[c] for c in found]).tolist())
 
     def minimal_normal_subgroups(
         self, cap: int = DEFAULT_ENUM_CAP
@@ -551,40 +543,23 @@ class PermGroup:
 
         Each minimal normal subgroup is the normal closure of any of
         its non-identity elements, and closures are constant on
-        conjugacy classes, so one closure per class suffices.
+        conjugacy classes, so one closure per class suffices; only the
+        minimal member sets among them become handles.
         """
         reps, _ = self.conjugacy_classes(cap)
-        table = self.element_table(cap)
-        closures: list[SubgroupHandle] = []
-        for r in reps:
-            if r == 0:
-                continue
-            n = self.normal_closure([table.permutation(r)])
-            if any(
-                n.order == m.order and _handle_leq(m, n) for m in closures
-            ):
-                continue
-            closures.append(n)
+        closures = {self._class_closure([r], cap) for r in reps[1:]}
         minimal = [
-            n
-            for n in closures
-            if not any(m.order < n.order and _handle_leq(m, n) for m in closures)
+            self._subgroup(n) for n in closures if not any(m < n for m in closures)
         ]
         minimal.sort(key=lambda h: (h.order, [g.images for g in h.generators]))
         return minimal
 
     def is_simple(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
         """True when the only normal subgroups are trivial and the whole group."""
-        if self.order_value == 1:
-            return False
         reps, _ = self.conjugacy_classes(cap)
-        table = self.element_table(cap)
-        for r in reps:
-            if r == 0:
-                continue
-            if self.normal_closure([table.permutation(r)]).order != self.order_value:
-                return False
-        return True
+        return self.order_value > 1 and all(
+            len(self._class_closure([r], cap)) == self.order_value for r in reps[1:]
+        )
 
     # ── Sylow subgroups ─────────────────────────────────────────────
 
@@ -609,8 +584,7 @@ class PermGroup:
         k = int(orders[seed_idx])
         while k % p == 0:
             k //= p
-        gens = [table.permutation(seed_idx) ** k]
-        gen_idx = [table.lookup(np.array(gens[0].images, dtype=matrix.dtype))]
+        gen_idx = [table.position(table.permutation(seed_idx) ** k)]
         member = table.extend({0}, gen_idx[0])
         # the p-elements are those whose order divides p^e
         p_orders = [o for o in np.unique(orders).tolist() if target % o == 0]
@@ -628,46 +602,59 @@ class PermGroup:
         while len(member) < target:
             i = next((i for i in candidates if i not in member and normalizes(i)), None)
             assert i is not None, "normalizer growth stalled; this is a bug"
-            gens.append(table.permutation(i))
             gen_idx.append(i)
             member = table.extend(member, i)
-        assert len(member) == target
-        return SubgroupHandle(self, gens, target)
+        gens = [table.permutation(i) for i in gen_idx]
+        return SubgroupHandle(self, gens, target, member)
 
 
-def _handle_leq(a: "SubgroupHandle", b: "SubgroupHandle") -> bool:
-    bg = b.group()
-    return all(bg.contains(g) for g in a.generators)
+def _commute(gens: list[Permutation]) -> bool:
+    return all(
+        (a * b).images == (b * a).images
+        for i, a in enumerate(gens)
+        for b in gens[i + 1 :]
+    )
 
 
 @dataclass
 class SubgroupHandle:
-    """A subgroup of a parent group, carried as generators plus order."""
+    """A subgroup of a parent group: generators, order, and ``members``,
+    its positions in the parent's element table.
+
+    Given only generators, ``members`` is their closure in the parent's
+    table (``ElementTable.closure``); a generator the table lacks raises
+    ValueError, and a wrong ``order`` fails the assertion.  Membership,
+    elements and normality read ``members`` and the generators, so a
+    handle needs no stabilizer chain; ``group()`` builds a separate
+    PermGroup for a caller that needs a group of its own.
+    """
 
     parent: PermGroup
     generators: list[Permutation]
     order: int
-    _group: PermGroup | None = field(default=None, repr=False, compare=False)
+    members: set[int] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for g in self.generators:
-            if not self.parent.contains(g):
-                raise ValueError(f"generator {g!r} is not in the parent group")
+        if self.members is None:
+            table = self.parent.element_table()
+            self.members = table.closure(map(table.position, self.generators))[0]
+        assert len(self.members) == self.order
 
     def group(self) -> PermGroup:
-        if self._group is None:
-            if self.generators:
-                self._group = PermGroup(self.generators)
-            else:
-                self._group = PermGroup.trivial(self.parent.degree)
-            assert self._group.order_value == self.order
-        return self._group
+        group = PermGroup(self.generators or [self.parent.identity()])
+        assert group.order_value == self.order
+        return group
 
     def contains(self, p: Permutation) -> bool:
-        return self.group().contains(p)
+        try:
+            return self.parent.element_table().position(p) in self.members
+        except ValueError:
+            return False
 
-    def elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
-        return self.group().enumerate_elements(cap)
+    def elements(self) -> list[Permutation]:
+        """The members in the parent table's canonical order."""
+        table = self.parent.element_table()
+        return [table.permutation(i) for i in sorted(self.members)]
 
     def is_abelian(self) -> bool:
-        return self.group().is_abelian()
+        return _commute(self.generators)

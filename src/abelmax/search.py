@@ -170,14 +170,10 @@ class _AbelianDFS:
 
 
 def _witness_from_chain(
-    group: PermGroup, table: ElementTable, chain: list[int]
+    group: PermGroup, table: ElementTable, chain: list[int], order: int
 ) -> AbelianWitness:
-    if not chain:
-        return AbelianWitness([], 1, True)
-    gens = [table.permutation(i) for i in chain]
-    sub = PermGroup(gens)
-    handle = SubgroupHandle(group, gens, sub.order_value, _group=sub)
-    return AbelianWitness(gens, handle.order, group.is_normal(handle))
+    handle = SubgroupHandle(group, [table.permutation(i) for i in chain], order)
+    return AbelianWitness(handle.generators, order, group.is_normal(handle))
 
 
 def max_abelian_order(
@@ -187,8 +183,7 @@ def max_abelian_order(
     t0 = time.perf_counter()
     dfs = _AbelianDFS(group, enum_cap)
     dfs.run()
-    witness = _witness_from_chain(group, dfs.table, dfs.best_chain)
-    assert witness.order == dfs.best_order
+    witness = _witness_from_chain(group, dfs.table, dfs.best_chain, dfs.best_order)
     return MaxAbelianResult(
         dfs.best_order, witness, dfs.nodes, time.perf_counter() - t0
     )
@@ -302,8 +297,8 @@ def max_abelian_normal(
     dfs = _AbelianDFS(pgroup, enum_cap, accept=is_normal)
     dfs.run()
     assert dfs.best_chain  # the center guarantees a hit
-    witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain)
-    assert witness.order == dfs.best_order and witness.normal_in_parent
+    witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain, dfs.best_order)
+    assert witness.normal_in_parent
     return witness
 
 

@@ -38,13 +38,13 @@ from dataclasses import dataclass, field
 
 from . import numtheory as nt
 from .catalog import CatalogEntry, dihedral_group, elem_abelian_group, sym_group
-from .perms import DEFAULT_ENUM_CAP, PermGroup
+from .perms import DEFAULT_ENUM_CAP, PermGroup, Permutation
 from .search import MaxAbelianResult, max_abelian_order, pgroup_bound_check
 
 PGROUP_SUITE_ORDER_BOUND = 10_000
 
-# Orders of the sporadic groups that belong on the two-large-prime list;
-# only reachable through optional generator files.
+# Orders of the sporadic groups J1 and J3, which belong on the
+# two-large-prime list; each is the only simple group of its order.
 SPORADIC_TWO_PRIME_ORDERS = {175_560, 50_232_960}
 
 
@@ -189,40 +189,34 @@ def classify_large_prime_case(
     rep = large_primes(entry, enum_cap)
     if not rep.large_primes:
         raise ValueError(f"{entry.group_id} has no large prime divisor")
-    G = entry.group
-    if G.order_value == 6 and not G.is_abelian():
-        rep.case = "case2_s3"
-        return rep
-    for p in sorted(rep.large_primes, reverse=True):
-        if G.order.factors.get(p) != 1:
-            continue
-        sylow = G.sylow_subgroup(p, enum_cap)
-        if G.is_normal(sylow) and G.centralizer(sylow.generators, enum_cap).order == p:
-            rep.case = "case1_frobenius"
-            return rep
-    minimals = G.minimal_normal_subgroups(enum_cap)
-    for handle in minimals:
-        o = handle.order
-        if o > 1 and o & (o - 1) == 0:  # power of two
-            sub = handle.group()
-            if sub.is_abelian() and all(
-                e.order() <= 2 for e in sub.enumerate_elements(enum_cap)
-            ):
-                mersenne = o - 1
-                if mersenne in rep.large_primes:
-                    rep.case = "case3_agammal"
-                    return rep
-    if len(minimals) == 1:
-        sub = minimals[0].group()
-        if (
-            not sub.is_abelian()
-            and sub.is_simple(enum_cap)
-            and G.centralizer(minimals[0].generators, enum_cap).order == 1
-        ):
-            rep.case = "case4_almost_simple"
-            return rep
-    rep.case = "unclassified"
+    rep.case = _large_prime_case(entry.group, rep.large_primes, enum_cap)
     return rep
+
+
+def _large_prime_case(G: PermGroup, primes: list[int], enum_cap: int) -> str:
+    if G.order_value == 6 and not G.is_abelian():
+        return "case2_s3"
+    for p in sorted(primes, reverse=True):
+        if G.order.factors.get(p) == 1:
+            P = G.sylow_subgroup(p, enum_cap)
+            if G.is_normal(P) and G.centralizer(P.generators, enum_cap).order == p:
+                return "case1_frobenius"
+    minimals = G.minimal_normal_subgroups(enum_cap)
+    for N in minimals:
+        # elementary abelian of order 2^a, where 2^a - 1 is a large prime
+        o = N.order
+        if o - 1 in primes and o & (o - 1) == 0 and N.is_abelian():
+            if all(e.order() <= 2 for e in N.elements()):
+                return "case3_agammal"
+    if len(minimals) == 1:
+        (N,) = minimals
+        if (
+            not N.is_abelian()
+            and N.group().is_simple(enum_cap)
+            and G.centralizer(N.generators, enum_cap).order == 1
+        ):
+            return "case4_almost_simple"
+    return "unclassified"
 
 
 # ── fingerprints for the expected two-large-prime set ───────────────
@@ -241,7 +235,7 @@ def is_expected_two_prime_group(
 
     Matches the order-6 nonabelian group, the order-60 simple group,
     the projective groups psl2:p with p > 5 prime and (p+1)/2 prime,
-    and the two sporadic orders reachable via generator files.
+    and the nonabelian simple groups of the two sporadic orders.
     """
     G = entry.group
     n = G.order_value
@@ -250,7 +244,7 @@ def is_expected_two_prime_group(
     if n == 60:
         return _order_profile(G, enum_cap) == _A5_ORDER_PROFILE
     if n in SPORADIC_TWO_PRIME_ORDERS:
-        return True
+        return not G.is_abelian() and G.is_simple(enum_cap)
     if G.order.factors:
         p = max(G.order.factors)
         if (
@@ -368,9 +362,12 @@ def catalog_pgroup_inputs(
             inputs.append((f"sylow({entry.group_id},{p})", handle.group()))
     for n in (4, 8, 16, 32):
         inputs.append((f"dihedral:{n}", dihedral_group(n)))
-    s8 = sym_group(8)
-    for p in (2, 3):
-        inputs.append((f"sylow(sym:8,{p})", s8.sylow_subgroup(p, enum_cap).group()))
+    # the Sylow subgroups of sym:8 from explicit generators rather than
+    # an enumeration of its 40320 elements: C2 wr C2 wr C2 and C3 x C3
+    wreath = [[(0, 1)], [(0, 2), (1, 3)], [(0, 4), (1, 5), (2, 6), (3, 7)]]
+    for p, cycles in ((2, wreath), (3, [[(0, 1, 2)], [(3, 4, 5)]])):
+        gens = [Permutation.from_cycles(8, c) for c in cycles]
+        inputs.append((f"sylow(sym:8,{p})", PermGroup(gens)))
     inputs.append(("elem_abelian:2:4", elem_abelian_group(2, 4)))
     inputs.append(("elem_abelian:3:2", elem_abelian_group(3, 2)))
     inputs.append(("elem_abelian:5:2", elem_abelian_group(5, 2)))
@@ -385,26 +382,12 @@ def pgroup_bound_suite(
     for gid, pg in pgroups:
         rep = pgroup_bound_check(pg, enum_cap)
         base = {"p": rep.p, "k": rep.k, "s": rep.s, "c": rep.c, "v": rep.v}
-        checks.append(
-            TheoremCheck(
-                "pgroup_bound",
-                gid,
-                rep.bound_holds,
-                rep.p**rep.s,
-                pg.order_value,
-                dict(base),
-            )
-        )
-        checks.append(
-            TheoremCheck(
-                "burnside",
-                gid,
-                rep.burnside_holds,
-                rep.p**rep.s,
-                pg.order_value,
-                dict(base),
-            )
-        )
+        for theorem, holds in (
+            ("pgroup_bound", rep.bound_holds),
+            ("burnside", rep.burnside_holds),
+        ):
+            m, order = rep.p**rep.s, pg.order_value
+            checks.append(TheoremCheck(theorem, gid, holds, m, order, dict(base)))
     return VerificationReport.from_checks(checks)
 
 

@@ -3,6 +3,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from abelmax import numtheory as nt
 from abelmax.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +27,19 @@ def test_cli_g(capsys):
 def test_cli_h_and_f(capsys):
     assert run_cli(capsys, "numtheory", "h", "10")[1] == "7\n"
     assert run_cli(capsys, "numtheory", "f", "10")[1] == "86400\n"
+
+
+@pytest.mark.parametrize("func, n, value", [
+    ("g", 9677, nt.prime_power_product),
+    ("f", 100000, nt.order_bound),
+])
+def test_cli_numtheory_prints_past_the_str_digit_limit(capsys, func, n, value):
+    # both values have more than CPython's default 4300 str() digits;
+    # main lifts that limit for the process, so str() below works too
+    code, out, err = run_cli(capsys, "numtheory", func, str(n))
+    assert code == 0, err
+    assert out == f"{value(n).value}\n"
+    assert len(out) > 4301
 
 
 def test_cli_exceptions(capsys):

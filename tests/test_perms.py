@@ -363,6 +363,94 @@ def test_element_table_extend_by_normalizing_element(s4):
     assert table.extend({0}, t) == {0, t}
 
 
+@pytest.mark.parametrize("spec", ["sym:5", "agl3_2"])
+def test_element_table_extend_with_generators_against_products(spec):
+    # adjoining an x that does not normalize H = <h>, or H = <h, y>,
+    # needs H's generators; compared with a closure of Permutation products
+    from abelmax.catalog import build_group
+
+    g = build_group(spec)
+    table = g.element_table()
+
+    def reference(gens):
+        seen = {g.identity()}
+        queue = list(seen)
+        for a in queue:
+            for c in (a * b for b in gens):
+                if c not in seen:
+                    seen.add(c)
+                    queue.append(c)
+        return {table.position(p) for p in seen}
+
+    elems = [table.permutation(i) for i in range(len(table))]
+    reps, _ = g.conjugacy_classes()
+    checked = 0
+    for h in reps[1:]:
+        for gens in ([h], [h, reps[-1]]):
+            sub = table.closure(gens)[0]
+            assert sub == reference([elems[i] for i in gens])
+            outside = [
+                i for i, y in enumerate(elems)
+                if table.position(y * elems[h] * y.inverse()) not in sub
+            ]
+            if outside:  # H is not normal; adjoin the first x outside N(H)
+                x = outside[0]
+                expected = reference([elems[i] for i in gens + [x]])
+                assert table.extend(sub, x, gens) == expected
+                checked += 1
+    assert checked >= 6
+
+
+def test_subgroup_handle_members_are_the_generated_subgroup(s4):
+    from abelmax.perms import SubgroupHandle
+
+    table = s4.element_table()
+    h = SubgroupHandle(s4, [cycles(4, (0, 1)), cycles(4, (2, 3))], 4)
+    # elements come in the parent's canonical order
+    assert [table.position(p) for p in h.elements()] == sorted(h.members)
+    assert {p.images for p in h.elements()} == {
+        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
+    }
+    assert h.contains(cycles(4, (0, 1), (2, 3))) and not h.contains(cycles(4, (0, 2)))
+    assert not h.contains(cycles(5, (0, 1)))
+    with pytest.raises(AssertionError):
+        SubgroupHandle(s4, [cycles(4, (0, 1))], 3)
+
+
+@pytest.mark.parametrize(
+    "spec, expected_minimal, expected_m", [("sym:5", 60, 6), ("agl3_2", 8, 16)]
+)
+def test_subgroup_queries_build_no_stabilizer_chain(
+    spec, expected_minimal, expected_m, monkeypatch
+):
+    # on a built group, subgroups live in its element table: none of
+    # these queries constructs a chain of its own
+    from abelmax import perms
+    from abelmax.catalog import build_group
+    from abelmax.search import max_abelian_order
+
+    g = build_group(spec)
+    built = []
+    init = perms.StabilizerChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perms.StabilizerChain, "__init__", counting_init)
+    table = g.element_table()
+    x = table.permutation(1)
+    g.centralizer([x, table.permutation(2)])
+    assert g.is_normal(g.center())
+    closure = g.normal_closure([x])
+    assert g.is_normal(closure) and closure.contains(x)
+    assert [m.order for m in g.minimal_normal_subgroups()] == [expected_minimal]
+    assert not g.is_simple()
+    assert g.sylow_subgroup(2).order == g.order.p_part(2)
+    assert max_abelian_order(g).m == expected_m
+    assert built == []
+
+
 def test_sylow_orders_match_p_part():
     g = PermGroup([cycles(7, (0, 1, 2, 3, 4, 5, 6)), cycles(7, (1, 2, 4))])
     for p in g.order.factors:

@@ -1,6 +1,8 @@
 """Tests for the verification harness and report serialization."""
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,15 @@ def test_two_prime_fingerprints_catch_aliases():
     assert all(c.detail["flagged"] and c.detail["expected"] for c in report.checks)
 
 
+def test_cyclic_group_of_a_sporadic_order_is_not_expected():
+    # order 175560 = |J1|, but abelian: only a simple group of that order
+    # is J1, so the order alone must not put a group on the expected list
+    data = Path(__file__).parent / "data"
+    (entry,) = cat.build_catalog(["file:cyclic_175560.gens"], base_dir=data)
+    assert entry.group.order_value == 175_560
+    assert not vf.is_expected_two_prime_group(entry)
+
+
 def test_equality_scan(entries):
     report = vf.equality_scan(entries)
     assert report.all_passed
@@ -254,6 +265,14 @@ def test_pgroup_suite_small():
         if c.group_id == "dihedral:4" and c.theorem == "pgroup_bound"
     )
     assert d8_bound.detail["k"] == 3 and d8_bound.detail["s"] == 2
+
+
+def test_sym8_sylow_inputs_have_the_sylow_orders():
+    # built from explicit generators; |S8| = 8! = 2^7 * 3^2 * 5 * 7
+    inputs = dict(vf.catalog_pgroup_inputs([]))
+    s8 = nt.FactoredInteger.from_int(math.factorial(8))
+    assert inputs["sylow(sym:8,2)"].order_value == s8.p_part(2) == 128
+    assert inputs["sylow(sym:8,3)"].order_value == s8.p_part(3) == 9
 
 
 def test_catalog_pgroup_inputs_respect_bound(entries):
