@@ -11,15 +11,20 @@ Bulk element work (centralizers, conjugation, normal closures, the
 abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
 matrix holding one image row per element, in a single canonical order
 that this module owns (identity first, then element order descending,
-then image tuple ascending), with one ``tobytes()`` index from row to
-position.  A subgroup is a set of positions in its parent's table, grown
-by Dimino's coset step ``ElementTable.extend``.  Groups are enumerated
-only when their order fits under an explicit cap, and the cap is
-enforced with a CapacityError rather than truncation.
+then image tuple ascending).  A row is found from its images of the
+chain's base alone, since those fix the element: ``BaseImageIndex``
+keeps one sorted array of base-image keys and resolves rows with
+``np.searchsorted``.  Conjugacy classes come from the conjugation maps
+by min-label propagation, before the canonical sort, so that element
+orders are computed once per class.  A subgroup is a set of positions in
+its parent's table, grown by Dimino's coset step ``ElementTable.extend``.
+Groups are enumerated only when their order fits under an explicit cap,
+and the cap is enforced with a CapacityError rather than truncation.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -247,6 +252,61 @@ class StabilizerChain:
         return residue.is_identity()
 
 
+class BaseImageIndex:
+    """Row positions of an element table, keyed by images of the base.
+
+    An element is fixed by its images of a stabilizer chain's base, so a
+    row's key is built from ``row[base]`` alone.  When every key fits in
+    63 bits, the base images are read as the digits of one base-``degree``
+    int64; otherwise a key is the bytes of the base images as one void
+    scalar.  ``keys`` holds the keys sorted and ``at`` the row position
+    of each, so a lookup is one ``np.searchsorted`` and the index holds
+    O(rows) memory.  A key is unique among the group's elements only: a
+    permutation outside the group can share one, so a caller holding an
+    arbitrary permutation compares the whole row it gets back.
+    """
+
+    def __init__(self, matrix: np.ndarray, base):
+        degree = matrix.shape[1]
+        self.base = np.array(base, dtype=np.intp)
+        self._weights = None
+        if len(self.base) * (degree - 1).bit_length() <= 63:
+            powers = [degree**e for e in range(len(self.base) - 1, -1, -1)]
+            self._weights = np.array(powers, dtype=np.int64)
+        keys = self.key(matrix[:, self.base])
+        self.at = np.argsort(keys, kind="stable")
+        self.keys = keys[self.at]
+
+    def key(self, images: np.ndarray) -> np.ndarray:
+        """Keys of the rows of a (k, len(base)) array of base images."""
+        if self._weights is not None:
+            return images @ self._weights
+        images = np.ascontiguousarray(images)
+        return images.view(np.dtype((np.void, images.itemsize * images.shape[1])))[:, 0]
+
+    def search(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row positions for a (k, len(base)) array of base images, and
+        whether each key is present; where it is not, the position is
+        that of some other row."""
+        keys = self.key(images)
+        k = self.keys.searchsorted(keys)
+        return self.at.take(k, mode="clip"), self.keys.take(k, mode="clip") == keys
+
+    def find(self, images: np.ndarray) -> np.ndarray:
+        """Row positions of group elements given by their base images."""
+        positions, found = self.search(images)
+        assert found.all(), "base images of no row in the table"
+        return positions
+
+    def reordered(self, order: np.ndarray) -> "BaseImageIndex":
+        """The index of the rows reordered so that row i is former row order[i]."""
+        moved = copy.copy(self)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
+        moved.at = inverse[self.at]
+        return moved
+
+
 @dataclass
 class ElementTable:
     """All group elements as a (N, degree) image matrix in canonical order.
@@ -255,8 +315,8 @@ class ElementTable:
     descending, then image tuple ascending.  ``PermGroup.element_table``
     is the only place that builds or orders a table, and every consumer
     (conjugacy classes, subgroups, the abelian-subgroup search) reads
-    row positions in this order through ``index``, the one map from a
-    row's bytes to its position.  A subgroup is a set of positions, and
+    row positions in this order through ``index``, which finds a row
+    from its base images.  A subgroup is a set of positions, and
     every subgroup (Sylow growth, the search's nodes, generated and
     centralizing subgroups) is grown by one closure step, ``extend``.
     Centralizers, in the search and in ``PermGroup.centralizer``, come
@@ -265,29 +325,30 @@ class ElementTable:
     """
 
     matrix: np.ndarray
-    index: dict[bytes, int]
+    index: BaseImageIndex
     orders: np.ndarray
 
     def lookup(self, row: np.ndarray) -> int:
-        """Position of an image row given in the table's dtype."""
-        return self.index[row.tobytes()]
+        """Position of an element's image row."""
+        return int(self.index.find(row[None, self.index.base])[0])
 
     def positions(self, rows: np.ndarray) -> list[int]:
-        """Positions of the rows of a (k, degree) array in the table's dtype."""
-        b, w = rows.tobytes(), rows.itemsize * rows.shape[1]
-        return [self.index[b[k : k + w]] for k in range(0, len(b), w)]
+        """Positions of the elements given as the rows of a (k, degree) array."""
+        return self.index.find(rows[:, self.index.base]).tolist()
 
     def position(self, p: Permutation) -> int:
         """Position of the permutation p; ValueError if it is not a row."""
         if p.degree == self.matrix.shape[1]:
-            key = np.array(p.images, dtype=self.matrix.dtype).tobytes()
-            if key in self.index:
-                return self.index[key]
+            row = np.array(p.images, dtype=self.matrix.dtype)
+            i = int(self.index.search(row[None, self.index.base])[0][0])
+            if np.array_equal(self.matrix[i], row):
+                return i
         raise ValueError(f"{p!r} is not a member of the group")
 
     def mul(self, i: int, j: int) -> int:
         """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
-        return self.index[self.matrix[i][self.matrix[j]].tobytes()]
+        base_images = self.matrix[i, self.matrix[j, self.index.base]]
+        return int(self.index.find(base_images[None])[0])
 
     def extend(self, subgroup: set[int], x: int, gens=()) -> set[int]:
         """Positions of <H, x> for the subgroup H at ``subgroup``, by
@@ -300,12 +361,14 @@ class ElementTable:
         if x in out:
             return out
         rows = self.matrix[list(subgroup)]
+        base = self.index.base
         reps = [0]
         for r in reps:
             for s in (*gens, x):
                 y = self.mul(r, s)
                 if y not in out:
-                    out.update(self.positions(rows[:, self.matrix[y]]))
+                    # the base images of h y for every h in H
+                    out.update(self.index.find(rows[:, self.matrix[y, base]]).tolist())
                     reps.append(y)
         return out
 
@@ -348,6 +411,47 @@ def _row_order(row) -> int:
             length += 1
         result = math.lcm(result, length)
     return result
+
+
+def _conjugation_maps(matrix, index: BaseImageIndex, generators) -> list[np.ndarray]:
+    """For each generator g, the map from the row x_i of ``matrix`` to the
+    position of g x_i g^-1.  Only its base images g[x_i[g^-1[base]]] are
+    built, since they fix the element."""
+    maps = []
+    for g in generators:
+        garr = np.array(g.images, dtype=matrix.dtype)
+        ginv = np.array(g.inverse().images)
+        maps.append(index.find(garr[matrix[:, ginv[index.base]]]))
+    return maps
+
+
+def _class_labels(conj_maps: list[np.ndarray]) -> np.ndarray:
+    """Each position's smallest conjugate position, by min-label
+    propagation: each label takes the smaller of its own and its image's
+    under every map, then the label of its label, until nothing changes.
+    The labels then agree along every map, so on every class."""
+    label = np.arange(len(conj_maps[0]))
+    while True:
+        new = label
+        for cmap in conj_maps:
+            new = np.minimum(new, new[cmap])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _classes_by_label(labels: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """(representatives, classes) of the positions grouped by equal
+    label: a representative is its class's smallest position, and classes
+    are listed by representative, each ascending."""
+    n = len(labels)
+    first = np.full(n, n, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(n))
+    rep = first[labels]
+    members = np.argsort(rep, kind="stable")
+    starts = np.flatnonzero(np.diff(rep[members], prepend=-1))
+    return members[starts].tolist(), np.split(members, starts[1:])
 
 
 class PermGroup:
@@ -396,7 +500,14 @@ class PermGroup:
 
     def element_table(self, cap: int = DEFAULT_ENUM_CAP) -> ElementTable:
         """Every element, as products u_0 u_1 ... u_k of the chain's
-        transversals, sorted once into the canonical order."""
+        transversals, sorted once into the canonical order.
+
+        Conjugacy classes are found on the product order, before the
+        sort: element order is a class invariant, so ``_row_order`` runs
+        once per class and its value is broadcast to the members.  The
+        classes are carried through the sort and cached for
+        ``conjugacy_classes``.
+        """
         if self._table is not None:
             return self._table
         n = self.order_value
@@ -410,14 +521,16 @@ class PermGroup:
             reps = np.array([u.images for u in transversal.values()], dtype=dtype)
             # row (a, b) of the product is u_a * m_b
             matrix = reps[:, matrix].reshape(-1, self.degree)
-        orders = np.fromiter(
-            (_row_order(row) for row in matrix.tolist()), dtype=np.int64, count=n
-        )
+        index = BaseImageIndex(matrix, self.chain.base)
+        labels = _class_labels(_conjugation_maps(matrix, index, self.generators))
+        class_reps = np.flatnonzero(labels == np.arange(n))
+        orders = np.zeros(n, dtype=np.int64)
+        orders[class_reps] = [_row_order(row) for row in matrix[class_reps].tolist()]
+        orders = orders[labels]
         keys = tuple(matrix[:, i] for i in range(self.degree - 1, -1, -1))
         canon = np.lexsort(keys + (-orders, orders > 1))
-        matrix, orders = matrix[canon], orders[canon]
-        index = {row.tobytes(): i for i, row in enumerate(matrix)}
-        self._table = ElementTable(matrix, index, orders)
+        self._table = ElementTable(matrix[canon], index.reordered(canon), orders[canon])
+        self._classes = _classes_by_label(labels[canon])
         return self._table
 
     def enumerate_elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
@@ -433,12 +546,7 @@ class PermGroup:
         holds no per-generator arrays beside its element table.
         """
         table = self.element_table(cap)
-        maps = []
-        for g in self.generators:
-            garr = np.array(g.images, dtype=table.matrix.dtype)
-            ginv = np.array(g.inverse().images)
-            maps.append(np.array(table.positions(garr[table.matrix[:, ginv]])))
-        return maps
+        return _conjugation_maps(table.matrix, table.index, self.generators)
 
     def conjugacy_classes(
         self, cap: int = DEFAULT_ENUM_CAP
@@ -447,33 +555,10 @@ class PermGroup:
 
         The representative of a class is its smallest element index,
         i.e. its first member in the table's canonical order; classes
-        are listed by representative index, identity first.
+        are listed by representative index, identity first.  They are
+        computed with the element table, by ``element_table``.
         """
-        if self._classes is not None:
-            return self._classes
-        n = len(self.element_table(cap))
-        conj_maps = self.conjugation_maps(cap)
-        assigned = np.full(n, -1, dtype=np.int64)
-        reps: list[int] = []
-        classes: list[np.ndarray] = []
-        for start in range(n):
-            if assigned[start] >= 0:
-                continue
-            cid = len(reps)
-            members = [start]
-            assigned[start] = cid
-            qi = 0
-            while qi < len(members):
-                x = members[qi]
-                qi += 1
-                for cmap in conj_maps:
-                    y = int(cmap[x])
-                    if assigned[y] < 0:
-                        assigned[y] = cid
-                        members.append(y)
-            reps.append(start)
-            classes.append(np.array(sorted(members), dtype=np.int64))
-        self._classes = (reps, classes)
+        self.element_table(cap)
         return self._classes
 
     # ── centralizers ────────────────────────────────────────────────

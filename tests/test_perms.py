@@ -306,6 +306,39 @@ def test_conjugacy_classes_s4(s4):
         assert len({int(table.orders[i]) for i in cls}) == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["sym:5", "agl3_2", "dihedral:12", "cyclic:30", "elem_abelian:2:4", "agammal1:4"],
+)
+def test_conjugacy_classes_against_products(spec):
+    # reference: each element's orbit under conjugation by the generators,
+    # closed one Permutation product at a time
+    from abelmax.catalog import build_group
+
+    g = build_group(spec)
+    table = g.element_table()
+    conj = [(s, s.inverse()) for s in g.generators]
+    expected, seen = set(), set()
+    for i in range(len(table)):
+        if i in seen:
+            continue
+        orbit = [table.permutation(i)]
+        members = {i}
+        for x in orbit:
+            for s, s_inv in conj:
+                y = s * x * s_inv
+                j = table.position(y)
+                if j not in members:
+                    members.add(j)
+                    orbit.append(y)
+        seen |= members
+        expected.add(frozenset(members))
+    reps, classes = g.conjugacy_classes()
+    assert {frozenset(c.tolist()) for c in classes} == expected
+    assert all(c.tolist() == sorted(c.tolist()) for c in classes)
+    assert reps == [min(c.tolist()) for c in classes] == sorted(reps)
+
+
 # ── Sylow subgroups ─────────────────────────────────────────────────
 
 def test_sylow_s4(s4):
@@ -399,6 +432,38 @@ def test_element_table_extend_with_generators_against_products(spec):
                 assert table.extend(sub, x, gens) == expected
                 checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize(
+    "spec, base, transposition",
+    [("alt:5", [0, 2, 1], (3, 4)), ("alt:4", [0, 1], (2, 3))],
+)
+def test_position_rejects_non_member_sharing_base_images(spec, base, transposition):
+    # the transposition fixes the base, so its base-image key is the
+    # identity's; only the full-row comparison tells it apart
+    from abelmax.catalog import build_group
+    from abelmax.perms import SubgroupHandle
+
+    g = build_group(spec)
+    assert g.chain.base == base
+    table = g.element_table()
+    t = cycles(g.degree, transposition)
+    row = np.array(t.images, dtype=table.matrix.dtype)
+    assert table.index.search(row[None, table.index.base])[1].all()
+    with pytest.raises(ValueError):
+        table.position(t)
+    assert not SubgroupHandle(g, list(g.generators), g.order_value).contains(t)
+    assert table.position(g.identity()) == 0
+
+
+def test_lookup_of_absent_base_images_fails_loudly(d8):
+    # base [0, 1]; no symmetry of the square fixes 0 and sends 1 to 2
+    table = d8.element_table()
+    row = np.array(cycles(4, (1, 2)).images, dtype=table.matrix.dtype)
+    with pytest.raises(AssertionError):
+        table.lookup(row)
+    with pytest.raises(AssertionError):
+        table.positions(np.stack([table.matrix[1], row]))
 
 
 def test_subgroup_handle_members_are_the_generated_subgroup(s4):

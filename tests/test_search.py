@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abelmax import CapacityError
@@ -101,7 +102,11 @@ def test_search_node_counts_are_pinned(spec, m, nodes):
     assert (r.m, r.nodes_explored) == (m, nodes)
 
 
-@pytest.mark.parametrize("spec", ["sym:5", "dihedral:12", "pgl2:7", "agammal1:3"])
+@pytest.mark.parametrize(
+    "spec",
+    ["sym:5", "dihedral:12", "pgl2:7", "agammal1:3",
+     "cyclic:30", "elem_abelian:2:4", "agammal1:4"],
+)
 def test_element_table_is_in_canonical_order(spec):
     group = cat.build_group(spec)
     table = group.element_table()
@@ -117,6 +122,19 @@ def test_element_table_is_in_canonical_order(spec):
     keys = [(-int(o), tuple(row)) for o, row in zip(orders[1:], matrix[1:].tolist())]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(table.lookup(matrix[i]) == i for i in range(len(table)))
+
+
+def test_element_table_wide_keys():
+    # ten disjoint transpositions at degree 300: uint16 rows and a base of
+    # ten points, so a key is 160 bits and takes the void-view path
+    g = PermGroup([Permutation.from_cycles(300, [(i, i + 1)]) for i in range(0, 20, 2)])
+    table = g.element_table()
+    assert table.matrix.dtype == np.uint16 and len(g.chain.base) == 10
+    assert table.index.keys.dtype.kind == "V"
+    assert len(table) == 1024
+    assert all(table.lookup(table.matrix[i]) == i for i in range(len(table)))
+    assert len(g.conjugacy_classes()[1]) == 1024
+    assert max_abelian_order(g).m == 1024
 
 
 def test_search_trivial_group():
