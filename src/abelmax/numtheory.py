@@ -59,26 +59,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Read-mostly shared sieve table, grown on demand.  Rebuilding is
-# idempotent, so concurrent first use is harmless.
-_sieve_limit = 0
-_sieve_flags = np.zeros(1, dtype=bool)
-_prime_counts = np.zeros(1, dtype=np.int64)
-
-
-def _ensure_sieve(limit: int) -> None:
-    global _sieve_limit, _sieve_flags, _prime_counts
-    if limit <= _sieve_limit:
-        return
-    limit = max(limit, 2 * _sieve_limit, 1 << 10)
+def _prime_flags(limit: int) -> np.ndarray:
+    """Primality of 0..limit (limit >= 1), by the sieve of Eratosthenes."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    _sieve_flags = flags
-    _prime_counts = np.cumsum(flags, dtype=np.int64)
-    _sieve_limit = limit
+    return flags
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -87,8 +75,7 @@ def sieve_primes(limit: int) -> list[int]:
         raise ValueError("limit must be nonnegative")
     if limit < 2:
         return []
-    _ensure_sieve(limit)
-    return np.nonzero(_sieve_flags[: limit + 1])[0].tolist()
+    return np.flatnonzero(_prime_flags(limit)).tolist()
 
 
 def primes_in_halfopen(a: float, b: float) -> list[int]:
@@ -98,8 +85,7 @@ def primes_in_halfopen(a: float, b: float) -> list[int]:
     hi = math.floor(b)
     if hi < 2:
         return []
-    _ensure_sieve(hi)
-    ps = np.nonzero(_sieve_flags[: hi + 1])[0]
+    ps = np.flatnonzero(_prime_flags(hi))
     return ps[ps > a].tolist()
 
 
@@ -253,8 +239,7 @@ def order_bound_log(n: int) -> float:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0.0
-    _ensure_sieve(n)
-    ps = np.nonzero(_sieve_flags[: n + 1])[0]
+    ps = np.flatnonzero(_prime_flags(n))
     exps = np.ones(len(ps))
     # Only primes <= sqrt(n) can have floor_log > 1.
     root = math.isqrt(n)
@@ -286,7 +271,7 @@ def two_prime_interval_exceptions(limit: int) -> list[int]:
     """All m in [3, limit] whose interval (m/2, m] holds fewer than two primes."""
     if limit < 3:
         raise ValueError("need limit >= 3")
-    _ensure_sieve(limit)
+    prime_counts = np.cumsum(_prime_flags(limit), dtype=np.int64)
     ms = np.arange(3, limit + 1)
-    counts = _prime_counts[ms] - _prime_counts[ms // 2]
+    counts = prime_counts[ms] - prime_counts[ms // 2]
     return ms[counts < 2].tolist()

@@ -14,12 +14,18 @@ that this module owns (identity first, then element order descending,
 then image tuple ascending).  A row is found from its images of the
 chain's base alone, since those fix the element: ``BaseImageIndex``
 keeps one sorted array of base-image keys and resolves rows with
-``np.searchsorted``.  Conjugacy classes come from the conjugation maps
-by min-label propagation, before the canonical sort, so that element
-orders are computed once per class.  A subgroup is a set of positions in
-its parent's table, grown by Dimino's coset step ``ElementTable.extend``.
-Groups are enumerated only when their order fits under an explicit cap,
-and the cap is enforced with a CapacityError rather than truncation.
+``np.searchsorted``.  Conjugacy classes come from the generators'
+conjugation maps by min-label propagation, before the canonical sort,
+so that element orders are computed once per class; the table records
+each position's class number.  A subgroup is a set of positions in its
+parent's table, grown by Dimino's coset step ``ElementTable.extend``,
+and it is normal exactly when those positions are a union of whole
+classes (``ElementTable.is_class_union``).
+
+The enumeration cap is checked in one place, ``PermGroup.element_table``,
+with a CapacityError rather than truncation; every other method reads
+the cached table, so a caller that may enumerate a group first passes
+its cap to ``element_table`` itself.
 """
 
 from __future__ import annotations
@@ -316,9 +322,13 @@ class ElementTable:
     is the only place that builds or orders a table, and every consumer
     (conjugacy classes, subgroups, the abelian-subgroup search) reads
     row positions in this order through ``index``, which finds a row
-    from its base images.  A subgroup is a set of positions, and
-    every subgroup (Sylow growth, the search's nodes, generated and
-    centralizing subgroups) is grown by one closure step, ``extend``.
+    from its base images.  ``orders`` and ``class_of`` hold each
+    position's element order and conjugacy class number (classes are
+    numbered as ``PermGroup.conjugacy_classes`` lists them).  A subgroup
+    is a set of positions, and every subgroup (Sylow growth, the
+    search's nodes, generated and centralizing subgroups) is grown by
+    one closure step, ``extend``; it is normal exactly when its
+    positions are a union of whole classes, ``is_class_union``.
     Centralizers, in the search and in ``PermGroup.centralizer``, come
     from one primitive, ``commuting``, which narrows a given set of
     positions rather than the whole table.
@@ -327,10 +337,7 @@ class ElementTable:
     matrix: np.ndarray
     index: BaseImageIndex
     orders: np.ndarray
-
-    def lookup(self, row: np.ndarray) -> int:
-        """Position of an element's image row."""
-        return int(self.index.find(row[None, self.index.base])[0])
+    class_of: np.ndarray
 
     def positions(self, rows: np.ndarray) -> list[int]:
         """Positions of the elements given as the rows of a (k, degree) array."""
@@ -344,6 +351,12 @@ class ElementTable:
             if np.array_equal(self.matrix[i], row):
                 return i
         raise ValueError(f"{p!r} is not a member of the group")
+
+    def is_class_union(self, members) -> bool:
+        """Whether the distinct positions ``members`` make up whole
+        conjugacy classes; a subgroup is normal exactly when they do."""
+        touched = np.unique(self.class_of[list(members)])
+        return int(np.bincount(self.class_of)[touched].sum()) == len(members)
 
     def mul(self, i: int, j: int) -> int:
         """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
@@ -441,17 +454,18 @@ def _class_labels(conj_maps: list[np.ndarray]) -> np.ndarray:
         label = new
 
 
-def _classes_by_label(labels: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
-    """(representatives, classes) of the positions grouped by equal
-    label: a representative is its class's smallest position, and classes
-    are listed by representative, each ascending."""
+def _classes_by_label(labels: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray]:
+    """(representatives, classes, class_of) of the positions grouped by
+    equal label: a representative is its class's smallest position,
+    classes are listed by representative, each ascending, and
+    ``class_of`` gives each position's class number in that list."""
     n = len(labels)
     first = np.full(n, n, dtype=np.int64)
     np.minimum.at(first, labels, np.arange(n))
-    rep = first[labels]
-    members = np.argsort(rep, kind="stable")
-    starts = np.flatnonzero(np.diff(rep[members], prepend=-1))
-    return members[starts].tolist(), np.split(members, starts[1:])
+    reps, class_of = np.unique(first[labels], return_inverse=True)
+    members = np.argsort(class_of, kind="stable")
+    starts = np.flatnonzero(np.diff(class_of[members], prepend=-1))
+    return reps.tolist(), np.split(members, starts[1:]), class_of
 
 
 class PermGroup:
@@ -505,8 +519,10 @@ class PermGroup:
         Conjugacy classes are found on the product order, before the
         sort: element order is a class invariant, so ``_row_order`` runs
         once per class and its value is broadcast to the members.  The
-        classes are carried through the sort and cached for
-        ``conjugacy_classes``.
+        classes are carried through the sort; the table records each
+        position's class number and the group caches the classes for
+        ``conjugacy_classes``.  The first call checks ``cap``; later
+        calls return the cached table whatever their cap.
         """
         if self._table is not None:
             return self._table
@@ -529,8 +545,11 @@ class PermGroup:
         orders = orders[labels]
         keys = tuple(matrix[:, i] for i in range(self.degree - 1, -1, -1))
         canon = np.lexsort(keys + (-orders, orders > 1))
-        self._table = ElementTable(matrix[canon], index.reordered(canon), orders[canon])
-        self._classes = _classes_by_label(labels[canon])
+        reps, classes, class_of = _classes_by_label(labels[canon])
+        self._table = ElementTable(
+            matrix[canon], index.reordered(canon), orders[canon], class_of
+        )
+        self._classes = reps, classes
         return self._table
 
     def enumerate_elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
@@ -539,18 +558,7 @@ class PermGroup:
 
     # ── conjugacy classes ───────────────────────────────────────────
 
-    def conjugation_maps(self, cap: int = DEFAULT_ENUM_CAP) -> list[np.ndarray]:
-        """For each generator g, the index map i -> index(g x_i g^-1).
-
-        Built on every call rather than cached, so that a large group
-        holds no per-generator arrays beside its element table.
-        """
-        table = self.element_table(cap)
-        return _conjugation_maps(table.matrix, table.index, self.generators)
-
-    def conjugacy_classes(
-        self, cap: int = DEFAULT_ENUM_CAP
-    ) -> tuple[list[int], list[np.ndarray]]:
+    def conjugacy_classes(self) -> tuple[list[int], list[np.ndarray]]:
         """Return (class representatives, classes) as element indices.
 
         The representative of a class is its smallest element index,
@@ -558,23 +566,21 @@ class PermGroup:
         are listed by representative index, identity first.  They are
         computed with the element table, by ``element_table``.
         """
-        self.element_table(cap)
+        self.element_table()
         return self._classes
 
     # ── centralizers ────────────────────────────────────────────────
 
-    def centralizer(
-        self, elements, cap: int = DEFAULT_ENUM_CAP
-    ) -> "SubgroupHandle":
+    def centralizer(self, elements) -> "SubgroupHandle":
         """The subgroup of all elements commuting with every one given."""
-        table = self.element_table(cap)
+        table = self.element_table()
         members = np.arange(len(table), dtype=np.int64)
         for i in [table.position(p) for p in elements]:
             members = table.commuting(i, members)
         return self._subgroup(members)
 
-    def center(self, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":
-        return self.centralizer(self.generators, cap)
+    def center(self) -> "SubgroupHandle":
+        return self.centralizer(self.generators)
 
     def _subgroup(self, members) -> "SubgroupHandle":
         """The subgroup at the positions ``members``, which must be
@@ -589,30 +595,27 @@ class PermGroup:
     # ── normal-structure queries ────────────────────────────────────
 
     def is_normal(self, sub: "SubgroupHandle") -> bool:
-        """Whether g H g^-1 = H for every generator g (hence for all of G)."""
-        return all(
-            sub.contains(g * h * g.inverse())
-            for g in self.generators
-            for h in sub.generators
-        )
+        """Whether the subgroup is normal, i.e. a union of conjugacy
+        classes; ValueError for a subgroup of another group."""
+        if sub.parent is not self:
+            raise ValueError("is_normal needs a subgroup of this group")
+        return self.element_table().is_class_union(sub.members)
 
-    def normal_closure(self, elements, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":
+    def normal_closure(self, elements) -> "SubgroupHandle":
         """Smallest normal subgroup of G containing the given elements."""
-        table = self.element_table(cap)
+        table = self.element_table()
         return self._subgroup(
-            self._class_closure([table.position(p) for p in elements], cap)
+            self._class_closure([table.position(p) for p in elements])
         )
 
-    def _class_closure(self, positions: list[int], cap: int) -> frozenset[int]:
+    def _class_closure(self, positions: list[int]) -> frozenset[int]:
         """Positions of the normal closure of the given positions: their
         classes, grown by right multiplication by them a whole class at a
         time.  A union N of classes with N s = N for each given s is closed
         under their conjugates, as n g s g^-1 = g (g^-1 n g) s g^-1."""
-        table = self.element_table(cap)
-        _, classes = self.conjugacy_classes(cap)
-        class_of = np.empty(len(table), dtype=np.int64)
-        for c, cls in enumerate(classes):
-            class_of[cls] = c
+        table = self.element_table()
+        _, classes = self.conjugacy_classes()
+        class_of = table.class_of
         found = list(dict.fromkeys([0, *class_of[positions].tolist()]))
         for c in found:  # grows as classes join
             for s in positions:
@@ -621,9 +624,7 @@ class PermGroup:
                 found += [d for d in new if d not in found]
         return frozenset(np.concatenate([classes[c] for c in found]).tolist())
 
-    def minimal_normal_subgroups(
-        self, cap: int = DEFAULT_ENUM_CAP
-    ) -> list["SubgroupHandle"]:
+    def minimal_normal_subgroups(self) -> list["SubgroupHandle"]:
         """Minimal nontrivial normal subgroups.
 
         Each minimal normal subgroup is the normal closure of any of
@@ -631,24 +632,24 @@ class PermGroup:
         conjugacy classes, so one closure per class suffices; only the
         minimal member sets among them become handles.
         """
-        reps, _ = self.conjugacy_classes(cap)
-        closures = {self._class_closure([r], cap) for r in reps[1:]}
+        reps, _ = self.conjugacy_classes()
+        closures = {self._class_closure([r]) for r in reps[1:]}
         minimal = [
             self._subgroup(n) for n in closures if not any(m < n for m in closures)
         ]
         minimal.sort(key=lambda h: (h.order, [g.images for g in h.generators]))
         return minimal
 
-    def is_simple(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    def is_simple(self) -> bool:
         """True when the only normal subgroups are trivial and the whole group."""
-        reps, _ = self.conjugacy_classes(cap)
+        reps, _ = self.conjugacy_classes()
         return self.order_value > 1 and all(
-            len(self._class_closure([r], cap)) == self.order_value for r in reps[1:]
+            len(self._class_closure([r])) == self.order_value for r in reps[1:]
         )
 
     # ── Sylow subgroups ─────────────────────────────────────────────
 
-    def sylow_subgroup(self, p: int, cap: int = DEFAULT_ENUM_CAP) -> "SubgroupHandle":
+    def sylow_subgroup(self, p: int) -> "SubgroupHandle":
         """A Sylow p-subgroup, grown cyclically through normalizers.
 
         P is kept as a set of positions in the element table.  It starts
@@ -657,13 +658,14 @@ class PermGroup:
         p-element outside P (in the table's canonical order) that
         conjugates every generator of P into P.  That element normalizes
         P, so ``ElementTable.extend``, the search's closure step, gives
-        the larger subgroup.
+        the larger subgroup.  Each step tests all the p-elements outside P
+        at once, one generator of P at a time.
         """
         e = self.order.factors.get(p, 0)
         if e == 0:
             raise ValueError(f"{p} does not divide the group order {self.order_value}")
         target = p**e
-        table = self.element_table(cap)
+        table = self.element_table()
         matrix, orders = table.matrix, table.orders
         seed_idx = int(np.nonzero(orders % p == 0)[0][0])
         k = int(orders[seed_idx])
@@ -671,22 +673,23 @@ class PermGroup:
             k //= p
         gen_idx = [table.position(table.permutation(seed_idx) ** k)]
         member = table.extend({0}, gen_idx[0])
-        # the p-elements are those whose order divides p^e
-        p_orders = [o for o in np.unique(orders).tolist() if target % o == 0]
-        candidates = np.nonzero(np.isin(orders, p_orders))[0].tolist()
-        conj = np.empty_like(matrix[0])
-
-        def normalizes(i: int) -> bool:
-            x = matrix[i]
-            for h in gen_idx:
-                conj[x] = x[matrix[h]]  # conj = x h x^-1
-                if table.lookup(conj) not in member:
-                    return False
-            return True
-
+        if len(member) < target:
+            # the p-elements are those whose order divides p^e
+            p_orders = [o for o in np.unique(orders).tolist() if target % o == 0]
+            candidates = np.flatnonzero(np.isin(orders, p_orders))
+            rows = matrix[candidates]
+            # x^-1(base) for each candidate x; a permutation's argsort is its inverse
+            inv_base = rows.argsort(axis=1)[:, table.index.base]
         while len(member) < target:
-            i = next((i for i in candidates if i not in member and normalizes(i)), None)
-            assert i is not None, "normalizer growth stalled; this is a bug"
+            inside = np.fromiter(member, dtype=np.int64)
+            live = np.flatnonzero(~np.isin(candidates, inside))
+            for h in gen_idx:
+                # base images x(h(x^-1(base))) of x h x^-1 for each x left
+                images = matrix[h][inv_base[live]]
+                conj = np.take_along_axis(rows[live], images, axis=1)
+                live = live[np.isin(table.index.find(conj), inside)]
+            assert live.size, "normalizer growth stalled; this is a bug"
+            i = int(candidates[live[0]])
             gen_idx.append(i)
             member = table.extend(member, i)
         gens = [table.permutation(i) for i in gen_idx]
@@ -709,8 +712,8 @@ class SubgroupHandle:
     Given only generators, ``members`` is their closure in the parent's
     table (``ElementTable.closure``); a generator the table lacks raises
     ValueError, and a wrong ``order`` fails the assertion.  Membership,
-    elements and normality read ``members`` and the generators, so a
-    handle needs no stabilizer chain; ``group()`` builds a separate
+    elements and normality (``PermGroup.is_normal``) read ``members``, so
+    a handle needs no stabilizer chain; ``group()`` builds a separate
     PermGroup for a caller that needs a group of its own.
     """
 

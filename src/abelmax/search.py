@@ -29,8 +29,11 @@ work per node shrinks with the centralizer instead of staying |G|.
 ``max_abelian_normal`` runs the same walk on a p-group and shares the
 centralizer bound: only normal subgroups count as found, and a subtree
 is cut when its centralizer is no larger than the best normal order so
-far.  A normal subgroup is a union of conjugacy classes, so it contains
-the class representatives at which the walk is rooted.
+far.  A subgroup is normal exactly when its positions are a union of
+whole conjugacy classes (``ElementTable.is_class_union``), so it
+contains the class representatives at which the walk is rooted.  The
+walk builds its group's element table under the caller's ``enum_cap``,
+the one place that cap is checked.
 
 ``max_abelian_brute`` is the independent oracle: a plain exhaustive
 depth-first enumeration from the trivial subgroup over all elements,
@@ -117,7 +120,7 @@ class _AbelianDFS:
 
     def __init__(self, group, enum_cap, accept=lambda closure: True):
         self.table = group.element_table(enum_cap)
-        self.class_reps, self.classes = group.conjugacy_classes(enum_cap)
+        self.class_reps, self.classes = group.conjugacy_classes()
         self.accept = accept
         self.nodes = 0
         self.best_order = 1
@@ -278,9 +281,9 @@ def max_abelian_normal(
     """An abelian normal subgroup of maximal order in a p-group.
 
     The same pruned walk as ``max_abelian_order``, accepting only
-    subgroups that every generator's conjugation map sends into
-    themselves; the centralizer bound cuts against the best normal
-    order found.  Abelian input is returned whole.
+    subgroups whose positions are a union of whole conjugacy classes;
+    the centralizer bound cuts against the best normal order found.
+    Abelian input is returned whole.
     """
     factors = pgroup.order.factors
     if len(factors) != 1:
@@ -289,12 +292,8 @@ def max_abelian_normal(
         )
     if pgroup.is_abelian():
         return AbelianWitness(list(pgroup.generators), pgroup.order_value, True)
-    conj_maps = pgroup.conjugation_maps(enum_cap)
-
-    def is_normal(closure: set[int]) -> bool:
-        return all(int(cmap[i]) in closure for cmap in conj_maps for i in closure)
-
-    dfs = _AbelianDFS(pgroup, enum_cap, accept=is_normal)
+    table = pgroup.element_table(enum_cap)
+    dfs = _AbelianDFS(pgroup, enum_cap, accept=table.is_class_union)
     dfs.run()
     assert dfs.best_chain  # the center guarantees a hit
     witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain, dfs.best_order)
@@ -310,9 +309,10 @@ def pgroup_bound_check(
     if len(factors) != 1 or pgroup.order_value == 1:
         raise ValueError("input must be a nontrivial p-group")
     (p, k), = factors.items()
+    pgroup.element_table(enum_cap)
     witness = max_abelian_normal(pgroup, enum_cap)
     s = _pgroup_exponent(witness.order, p)
-    c = _pgroup_exponent(pgroup.center(enum_cap).order, p)
+    c = _pgroup_exponent(pgroup.center().order, p)
     v = s
     return PGroupBoundReport(
         p=p,

@@ -186,34 +186,35 @@ def classify_large_prime_case(
     the predicates under the caps is reported ``unclassified`` rather
     than guessed.
     """
+    # m(G) enumerates G under enum_cap; the structural tests read that table
     rep = large_primes(entry, enum_cap)
     if not rep.large_primes:
         raise ValueError(f"{entry.group_id} has no large prime divisor")
-    rep.case = _large_prime_case(entry.group, rep.large_primes, enum_cap)
+    rep.case = _large_prime_case(entry.group, rep.large_primes)
     return rep
 
 
-def _large_prime_case(G: PermGroup, primes: list[int], enum_cap: int) -> str:
+def _large_prime_case(G: PermGroup, primes: list[int]) -> str:
     if G.order_value == 6 and not G.is_abelian():
         return "case2_s3"
     for p in sorted(primes, reverse=True):
         if G.order.factors.get(p) == 1:
-            P = G.sylow_subgroup(p, enum_cap)
-            if G.is_normal(P) and G.centralizer(P.generators, enum_cap).order == p:
+            P = G.sylow_subgroup(p)
+            if G.is_normal(P) and G.centralizer(P.generators).order == p:
                 return "case1_frobenius"
-    minimals = G.minimal_normal_subgroups(enum_cap)
+    minimals = G.minimal_normal_subgroups()
     for N in minimals:
         # elementary abelian of order 2^a, where 2^a - 1 is a large prime
         o = N.order
         if o - 1 in primes and o & (o - 1) == 0 and N.is_abelian():
-            if all(e.order() <= 2 for e in N.elements()):
+            if (G.element_table().orders[list(N.members)] <= 2).all():
                 return "case3_agammal"
     if len(minimals) == 1:
         (N,) = minimals
         if (
             not N.is_abelian()
-            and N.group().is_simple(enum_cap)
-            and G.centralizer(N.generators, enum_cap).order == 1
+            and N.group().is_simple()
+            and G.centralizer(N.generators).order == 1
         ):
             return "case4_almost_simple"
     return "unclassified"
@@ -244,7 +245,10 @@ def is_expected_two_prime_group(
     if n == 60:
         return _order_profile(G, enum_cap) == _A5_ORDER_PROFILE
     if n in SPORADIC_TWO_PRIME_ORDERS:
-        return not G.is_abelian() and G.is_simple(enum_cap)
+        if G.is_abelian():
+            return False
+        G.element_table(enum_cap)
+        return G.is_simple()
     if G.order.factors:
         p = max(G.order.factors)
         if (
@@ -357,8 +361,9 @@ def catalog_pgroup_inputs(
     for entry in entries:
         if entry.group.order_value > order_bound or entry.group.order_value == 1:
             continue
+        entry.group.element_table(enum_cap)
         for p in entry.group.order.factors:
-            handle = entry.group.sylow_subgroup(p, enum_cap)
+            handle = entry.group.sylow_subgroup(p)
             inputs.append((f"sylow({entry.group_id},{p})", handle.group()))
     for n in (4, 8, 16, 32):
         inputs.append((f"dihedral:{n}", dihedral_group(n)))

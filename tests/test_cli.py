@@ -103,6 +103,15 @@ def test_cli_mgroup_capacity_names_cap_and_order(capsys):
     assert "362880" in err and "10000" in err
 
 
+def test_cli_lemma_cap_covers_the_order_128_wreath_product(capsys):
+    # sym:3's lemma inputs include C2 wr C2 wr C2, of order 128
+    code, _, err = run_cli(capsys, "verify", "lemma", "sym:3", "--enum-cap", "127")
+    assert code == 3
+    assert "128" in err and "127" in err
+    code, _, err = run_cli(capsys, "verify", "lemma", "sym:3", "--enum-cap", "128")
+    assert code == 0, err
+
+
 def test_cli_mgroup_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "mgroup", "sym:6")
     _, out2, _ = run_cli(capsys, "mgroup", "sym:6")

@@ -227,6 +227,37 @@ def test_two_cycle_subgroup_not_normal(s3):
     assert not s3.is_normal(h)
 
 
+@pytest.mark.parametrize("spec", ["sym:4", "agl3_2", "frobenius:5:4", "dihedral:12"])
+def test_is_normal_against_the_definition(spec):
+    # H = <gens> is normal when g h g^-1 lies in H for every generator g
+    # of G and h of H; H's own stabilizer chain decides membership
+    from abelmax.catalog import build_group
+    from abelmax.perms import SubgroupHandle
+
+    g = build_group(spec)
+    table = g.element_table()
+    reps = [table.permutation(r) for r in g.conjugacy_classes()[0]]
+    gen_sets = [[a] for a in reps]
+    gen_sets += [[a, b] for i, a in enumerate(reps) for b in reps[i + 1 :]]
+    verdicts = set()
+    for gens in gen_sets:
+        h = PermGroup(gens)
+        expected = all(
+            h.contains(x * y * x.inverse()) for x in g.generators for y in gens
+        )
+        assert g.is_normal(SubgroupHandle(g, gens, h.order_value)) == expected, gens
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_is_normal_rejects_a_subgroup_of_another_group(s3):
+    other = PermGroup(list(s3.generators))
+    a3 = other.centralizer([cycles(3, (0, 1, 2))])
+    assert other.is_normal(a3)
+    with pytest.raises(ValueError):
+        s3.is_normal(a3)
+
+
 def test_normal_closure_v4(s4):
     v4 = s4.normal_closure([cycles(4, (0, 1), (2, 3))])
     assert v4.order == 4
@@ -391,7 +422,8 @@ def test_element_table_extend_by_normalizing_element(s4):
     alt4 = PermGroup([cycles(4, (0, 1, 2)), cycles(4, (1, 2, 3))])
     a4 = {i for i in range(len(table)) if alt4.contains(table.permutation(i))}
     assert len(a4) == 12
-    t = table.lookup(np.array(cycles(4, (0, 1)).images, dtype=table.matrix.dtype))
+    row = np.array([cycles(4, (0, 1)).images], dtype=table.matrix.dtype)
+    (t,) = table.positions(row)
     assert table.extend(a4, t) == set(range(24))
     assert table.extend({0}, t) == {0, t}
 
@@ -461,7 +493,7 @@ def test_lookup_of_absent_base_images_fails_loudly(d8):
     table = d8.element_table()
     row = np.array(cycles(4, (1, 2)).images, dtype=table.matrix.dtype)
     with pytest.raises(AssertionError):
-        table.lookup(row)
+        table.positions(row[None])
     with pytest.raises(AssertionError):
         table.positions(np.stack([table.matrix[1], row]))
 

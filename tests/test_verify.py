@@ -303,6 +303,29 @@ def test_run_suite_all(entries):
     }
 
 
+def test_every_table_is_built_under_the_suite_cap(monkeypatch):
+    # the cap is checked only when a table is built, so every build in a
+    # suite run must come from a call that passes the suite's cap
+    from abelmax.perms import DEFAULT_ENUM_CAP, PermGroup
+
+    original = PermGroup.element_table
+    tables, caps = [], []
+
+    def recording(self, cap=DEFAULT_ENUM_CAP):
+        table = original(self, cap)
+        if not any(t is table for t in tables):
+            tables.append(table)
+            caps.append(cap)
+        return table
+
+    monkeypatch.setattr(PermGroup, "element_table", recording)
+    # fresh groups per suite, so that each suite may be the first to enumerate
+    for suite in ("all", "lemma", "twoprime", "equality"):
+        entries = cat.build_catalog(cat.default_catalog_specs())
+        vf.run_suite(suite, entries, enum_cap=150_000)
+    assert caps and set(caps) == {150_000}
+
+
 def test_run_suite_rejects_unknown(entries):
     with pytest.raises(ValueError, match="unknown suite"):
         vf.run_suite("everything", entries)
