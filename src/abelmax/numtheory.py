@@ -14,7 +14,15 @@ package:
 
 Everything is exact big-integer arithmetic except ``order_bound_log``,
 which sums exponent * log(p) so the bound can be evaluated far beyond
-the range where the exact product is practical.
+the range where the exact product is practical.  g, h and f take their
+primes from one sieve, which is their primality proof, and multiply
+their prime powers as a balanced product tree.
+
+``two_prime_interval_exceptions(limit)`` holds the sieve of 0..limit
+(one byte per number) and, besides it, int32 prime counts for one block
+of ``_SCAN_BLOCK`` values of m at a time: about limit + 22 * _SCAN_BLOCK
+bytes of arrays in all (15 MB at limit 10^7, by tracemalloc), where
+counts over the whole range would take several bytes per number.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Exact order_bound values above this are refused; use order_bound_log.
 EXACT_BOUND_CAP = 100_000
+
+# two_prime_interval_exceptions scans m in blocks of this many values.
+_SCAN_BLOCK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -157,6 +168,18 @@ class FactoredInteger:
             merged[p] = merged.get(p, 0) + e
         return FactoredInteger(dict(sorted(merged.items())), self.value * other.value)
 
+    @classmethod
+    def _from_sieve(cls, factors: dict[int, int]) -> "FactoredInteger":
+        """From an ascending map of sieved primes to positive exponents.
+        The sieve proved the keys prime, so unlike ``from_factors`` this
+        does not test them again; the prime powers are multiplied as a
+        balanced product tree, which keeps the big operands even."""
+        values = [p**e for p, e in factors.items()] or [1]
+        while len(values) > 1:
+            odd = values[-1:] if len(values) % 2 else []
+            values = [a * b for a, b in zip(values[::2], values[1::2])] + odd
+        return cls(factors, values[0])
+
     def exact_div(self, other: "FactoredInteger") -> "FactoredInteger":
         """Quotient self/other; raises unless the division is exact."""
         out = dict(self.factors)
@@ -188,6 +211,20 @@ class FactoredInteger:
         return str(self.value)
 
 
+def _prime_power_exponents(n: int) -> dict[int, int]:
+    """The factor map of prime_power_product(n), n >= 1: each prime p <= n,
+    ascending, to e*(e+1)/2 for e = floor_log(p, n), which exceeds 1
+    only for p <= sqrt(n)."""
+    factors = dict.fromkeys(sieve_primes(n), 1)
+    root = math.isqrt(n)
+    for p in factors:
+        if p > root:
+            break
+        e = floor_log(p, n)
+        factors[p] = e * (e + 1) // 2
+    return factors
+
+
 def prime_power_product(n: int) -> FactoredInteger:
     """Product of all prime powers <= n; 1 for n = 1 (empty product).
 
@@ -197,26 +234,23 @@ def prime_power_product(n: int) -> FactoredInteger:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    factors = {}
-    for p in sieve_primes(n):
-        e = floor_log(p, n)
-        factors[p] = e * (e + 1) // 2
-    return FactoredInteger.from_factors(factors)
+    return FactoredInteger._from_sieve(_prime_power_exponents(n))
 
 
 def upper_half_prime_product(n: int) -> FactoredInteger:
     """Product of the primes p with n/2 < p <= n; 1 for n = 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return FactoredInteger.from_factors({p: 1 for p in primes_in_halfopen(n / 2, n)})
+    return FactoredInteger._from_sieve(dict.fromkeys(primes_in_halfopen(n / 2, n), 1))
 
 
 def order_bound(n: int) -> FactoredInteger:
     """Exact n * prime_power_product(n) / upper_half_prime_product(n).
 
     Integral because each prime in (n/2, n] has floor_log 1 and so
-    divides the prime-power product exactly once.  Capped at
-    EXACT_BOUND_CAP; beyond that use order_bound_log.
+    divides the prime-power product exactly once: the quotient's
+    exponents are the product's on the primes <= n/2, plus n's own.
+    Capped at EXACT_BOUND_CAP; beyond that use order_bound_log.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -225,8 +259,13 @@ def order_bound(n: int) -> FactoredInteger:
             f"exact order_bound capped at n <= {EXACT_BOUND_CAP} (got {n}); "
             "use order_bound_log"
         )
-    num = FactoredInteger.from_int(n) * prime_power_product(n)
-    return num.exact_div(upper_half_prime_product(n))
+    half = n // 2
+    factors = {p: e for p, e in _prime_power_exponents(n).items() if p <= half}
+    # n's prime factors are keys already, except n itself when it is a
+    # prime, which then goes last: the map stays ascending
+    for p, e in FactoredInteger.from_int(n).factors.items():
+        factors[p] = factors.get(p, 0) + e
+    return FactoredInteger._from_sieve(factors)
 
 
 def order_bound_log(n: int) -> float:
@@ -267,11 +306,35 @@ def asymptotic_ratio(n: int) -> AsymptoticSample:
     return AsymptoticSample(n, lf, lf / (n / 2))
 
 
+def _half_interval_prime_counts(flags: np.ndarray):
+    """For m = 3, ..., len(flags) - 1, the number of primes in (m/2, m],
+    pi(m) - pi(m // 2), from the prime flags of 0..len(flags) - 1.
+
+    Yields (a, counts) for consecutive blocks [a, b) of ``_SCAN_BLOCK``
+    values of m, with counts[i] the count at m = a + i: int32 running
+    sums over flags[a:b] and over flags[a//2 : (b-1)//2 + 1], each offset
+    by the primes below the start of its slice.
+    """
+    below_a = below_lo = 0  # primes below a, and below a // 2
+    prev_a = prev_lo = 0
+    for a in range(3, len(flags), _SCAN_BLOCK):
+        b = min(a + _SCAN_BLOCK, len(flags))
+        lo = a // 2
+        below_a += int(np.count_nonzero(flags[prev_a:a]))
+        below_lo += int(np.count_nonzero(flags[prev_lo:lo]))
+        prev_a, prev_lo = a, lo
+        upper = np.cumsum(flags[a:b], dtype=np.int32)
+        lower = np.cumsum(flags[lo : (b - 1) // 2 + 1], dtype=np.int32)
+        # (m // 2) - lo for m = a, ..., b - 1
+        half = (np.arange(b - a, dtype=np.int32) + a % 2) >> 1
+        yield a, upper - lower[half] + (below_a - below_lo)
+
+
 def two_prime_interval_exceptions(limit: int) -> list[int]:
     """All m in [3, limit] whose interval (m/2, m] holds fewer than two primes."""
     if limit < 3:
         raise ValueError("need limit >= 3")
-    prime_counts = np.cumsum(_prime_flags(limit), dtype=np.int64)
-    ms = np.arange(3, limit + 1)
-    counts = prime_counts[ms] - prime_counts[ms // 2]
-    return ms[counts < 2].tolist()
+    out: list[int] = []
+    for a, counts in _half_interval_prime_counts(_prime_flags(limit)):
+        out.extend((a + np.flatnonzero(counts < 2)).tolist())
+    return out

@@ -410,20 +410,32 @@ class ElementTable:
         return self.matrix.shape[0]
 
 
-def _row_order(row) -> int:
-    seen = [False] * len(row)
-    result = 1
-    for start in range(len(row)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = row[j]
-            length += 1
-        result = math.lcm(result, length)
-    return result
+# _row_orders takes rows in blocks of about this many entries.
+_ORDER_BLOCK = 1 << 16
+
+
+def _row_orders(rows: np.ndarray) -> np.ndarray:
+    """The order of each permutation row of a (k, degree) array: the lcm
+    of its cycle lengths.  Pointer doubling labels each point with the
+    smallest point of its cycle (after t rounds a label is the minimum
+    of 2^t successive points); a bincount of the labels gives the cycle
+    lengths.  Rows go in blocks of about _ORDER_BLOCK entries, so the
+    int64 temporaries stay that small whatever the table's size."""
+    k, degree = rows.shape
+    orders = np.empty(k, dtype=np.int64)
+    per_block = max(1, _ORDER_BLOCK // degree)
+    for s in range(0, k, per_block):
+        block = rows[s : s + per_block]
+        size = block.size
+        # the images as positions in the flattened block
+        ptr = (block + np.arange(0, size, degree)[:, None]).ravel()
+        label = np.arange(size)
+        for _ in range((degree - 1).bit_length()):
+            label = np.minimum(label, label[ptr])
+            ptr = ptr[ptr]
+        lengths = np.bincount(label, minlength=size).reshape(-1, degree)
+        orders[s : s + len(block)] = np.lcm.reduce(np.maximum(lengths, 1), axis=1)
+    return orders
 
 
 def _conjugation_maps(matrix, index: BaseImageIndex, generators) -> list[np.ndarray]:
@@ -517,12 +529,12 @@ class PermGroup:
         transversals, sorted once into the canonical order.
 
         Conjugacy classes are found on the product order, before the
-        sort: element order is a class invariant, so ``_row_order`` runs
-        once per class and its value is broadcast to the members.  The
-        classes are carried through the sort; the table records each
-        position's class number and the group caches the classes for
-        ``conjugacy_classes``.  The first call checks ``cap``; later
-        calls return the cached table whatever their cap.
+        sort: element order is a class invariant, so ``_row_orders``
+        takes one row per class and its value is broadcast to the
+        members.  The classes are carried through the sort; the table
+        records each position's class number and the group caches the
+        classes for ``conjugacy_classes``.  The first call checks
+        ``cap``; later calls return the cached table whatever their cap.
         """
         if self._table is not None:
             return self._table
@@ -541,7 +553,7 @@ class PermGroup:
         labels = _class_labels(_conjugation_maps(matrix, index, self.generators))
         class_reps = np.flatnonzero(labels == np.arange(n))
         orders = np.zeros(n, dtype=np.int64)
-        orders[class_reps] = [_row_order(row) for row in matrix[class_reps].tolist()]
+        orders[class_reps] = _row_orders(matrix[class_reps])
         orders = orders[labels]
         keys = tuple(matrix[:, i] for i in range(self.degree - 1, -1, -1))
         canon = np.lexsort(keys + (-orders, orders > 1))

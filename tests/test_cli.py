@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,35 @@ def test_cli_numtheory_prints_past_the_str_digit_limit(capsys, func, n, value):
 def test_cli_exceptions(capsys):
     code, out, _ = run_cli(capsys, "numtheory", "exceptions", "1000000")
     assert code == 0 and out == "4 6 10\n"
+
+
+# Runs argv and prints the child's exit code and its own peak RSS (KiB),
+# read from os.wait4, to stderr.  Linux starts a child's ru_maxrss at the
+# high-water RSS of the process that spawned it, so the CLI is spawned
+# from this small process rather than from the test process, whose peak
+# depends on the tests that ran before.
+_PEAK_RSS_LAUNCHER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_cli_exceptions_at_ten_million_in_bounded_memory():
+    # the scan holds the sieve and one block of counts, not whole-range arrays
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "abelmax.cli", "numtheory", "exceptions", "10000000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
+    assert (code, proc.stdout) == (0, "4 6 10\n"), proc.stderr
+    assert peak_kib / 1024 < 150, f"peak RSS {peak_kib / 1024:.0f} MB"
 
 
 def test_cli_ratio(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +172,31 @@ def test_upper_half_divides_prime_power_product(n):
     assert all(e == 1 for e in h.factors.values())
 
 
+EQUIVALENCE_NS = [1, 2, 3, 4, 8, 9, 97, 1024, 9677, 100000]
+
+
+@pytest.mark.parametrize("n", EQUIVALENCE_NS)
+def test_g_and_h_match_from_factors(n):
+    # built from the sieve without re-testing primality, and multiplied
+    # as a product tree; from_factors tests every key and multiplies in turn
+    for value in (nt.prime_power_product, nt.upper_half_prime_product):
+        got = value(n)
+        ref = nt.FactoredInteger.from_factors(dict(got.factors))
+        assert list(got.factors.items()) == list(ref.factors.items())
+        assert got.value == ref.value
+        assert all(type(p) is int and type(e) is int for p, e in got.factors.items())
+
+
+@pytest.mark.parametrize("n", EQUIVALENCE_NS)
+def test_order_bound_matches_product_then_exact_division(n):
+    g = nt.prime_power_product(n)
+    h = nt.upper_half_prime_product(n)
+    ref = (nt.FactoredInteger.from_int(n) * g).exact_div(h)
+    got = nt.order_bound(n)
+    assert list(got.factors.items()) == list(ref.factors.items())
+    assert got.value == ref.value
+
+
 # ── order bound f ───────────────────────────────────────────────────
 
 def test_order_bound_examples():
@@ -220,6 +246,34 @@ def test_two_prime_interval_exceptions():
 
 def test_two_prime_interval_exceptions_large():
     assert nt.two_prime_interval_exceptions(10**6) == [4, 6, 10]
+
+
+def direct_half_interval_counts(limit):
+    """pi(m) - pi(m // 2) for m = 3..limit, from whole-range prime counts."""
+    flags = np.zeros(limit + 1, dtype=np.int64)
+    flags[nt.sieve_primes(limit)] = 1
+    pi = np.cumsum(flags)
+    ms = np.arange(3, limit + 1)
+    return pi[ms] - pi[ms // 2]
+
+
+BLOCK = nt._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("limit", [
+    3, 4, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3,
+    2 * BLOCK + 1, 2 * BLOCK + 2, 2 * BLOCK + 3, 6 * BLOCK + 3,
+])
+def test_two_prime_scan_at_block_edges(limit):
+    # blocks of m start at 3, so a block ends exactly at limit
+    # k * BLOCK + 2, and limit k * BLOCK + 3 starts a one-value block;
+    # the seventh block's m // 2 slice starts at a prime (786433)
+    expected = direct_half_interval_counts(limit)
+    blocks = list(nt._half_interval_prime_counts(nt._prime_flags(limit)))
+    assert [a for a, _ in blocks] == list(range(3, limit + 1, BLOCK))
+    assert np.array_equal(np.concatenate([c for _, c in blocks]), expected)
+    ms = np.arange(3, limit + 1)
+    assert nt.two_prime_interval_exceptions(limit) == ms[expected < 2].tolist()
 
 
 # ── asymptotics ─────────────────────────────────────────────────────

@@ -370,6 +370,28 @@ def test_conjugacy_classes_against_products(spec):
     assert reps == [min(c.tolist()) for c in classes] == sorted(reps)
 
 
+def _degree_300_group():
+    # S4 on 0..3, a 5-cycle and a disjoint 7-cycle near the top of 300
+    # points: order 840, cycles of lengths 2 to 7 in one row
+    return PermGroup([
+        cycles(300, (0, 1, 2, 3)),
+        cycles(300, (0, 1)),
+        cycles(300, (150, 151, 152, 153, 154), tuple(range(290, 297))),
+    ])
+
+
+@pytest.mark.parametrize("spec", ["cyclic:2000", "sym:6", "agl3_2", "degree-300"])
+def test_element_table_orders_are_lcms_of_cycle_lengths(spec):
+    # the table's orders come from vectorised pointer doubling over one
+    # row per class; the reference walks each Permutation's cycles
+    from abelmax.catalog import build_group
+
+    g = _degree_300_group() if spec == "degree-300" else build_group(spec)
+    table = g.element_table()
+    expected = [table.permutation(i).order() for i in range(len(table))]
+    assert table.orders.tolist() == expected
+
+
 # ── Sylow subgroups ─────────────────────────────────────────────────
 
 def test_sylow_s4(s4):
