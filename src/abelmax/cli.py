@@ -149,7 +149,8 @@ def _cmd_numtheory(args) -> int:
 def _cmd_mgroup(args) -> int:
     spec = catalog.parse_spec(args.spec)
     group = catalog.build_group(spec, base_dir=Path.cwd())
-    result = max_abelian_order(group, enum_cap=args.enum_cap)
+    group.element_table(args.enum_cap)
+    result = max_abelian_order(group)
     print(f"group: {spec.spec_string()}")
     print(f"order: {group.order_value} = {group.order.factored_str()}")
     print(f"m: {result.m}")

@@ -23,9 +23,10 @@ and it is normal exactly when those positions are a union of whole
 classes (``ElementTable.is_class_union``).
 
 The enumeration cap is checked in one place, ``PermGroup.element_table``,
-with a CapacityError rather than truncation; every other method reads
-the cached table, so a caller that may enumerate a group first passes
-its cap to ``element_table`` itself.
+with a CapacityError rather than truncation.  Every other method, and
+every search and check built on them, reads the cached table; a cap is
+passed only where a run starts enumerating (``verify.run_suite``,
+``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).
 """
 
 from __future__ import annotations

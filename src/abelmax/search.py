@@ -31,9 +31,11 @@ centralizer bound: only normal subgroups count as found, and a subtree
 is cut when its centralizer is no larger than the best normal order so
 far.  A subgroup is normal exactly when its positions are a union of
 whole conjugacy classes (``ElementTable.is_class_union``), so it
-contains the class representatives at which the walk is rooted.  The
-walk builds its group's element table under the caller's ``enum_cap``,
-the one place that cap is checked.
+contains the class representatives at which the walk is rooted.
+
+The pruned searches take no enumeration cap: the walk reads its group's
+element table, which ``PermGroup.element_table`` checks against the
+default cap unless the caller has already built it under its own.
 
 ``max_abelian_brute`` is the independent oracle: a plain exhaustive
 depth-first enumeration from the trivial subgroup over all elements,
@@ -54,13 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .perms import (
-    DEFAULT_ENUM_CAP,
-    ElementTable,
-    PermGroup,
-    Permutation,
-    SubgroupHandle,
-)
+from .perms import ElementTable, PermGroup, Permutation, SubgroupHandle
 
 DEFAULT_BRUTE_CAP = 2000
 
@@ -118,8 +114,8 @@ class _AbelianDFS:
     representatives.
     """
 
-    def __init__(self, group, enum_cap, accept=lambda closure: True):
-        self.table = group.element_table(enum_cap)
+    def __init__(self, group, accept=lambda closure: True):
+        self.table = group.element_table()
         self.class_reps, self.classes = group.conjugacy_classes()
         self.accept = accept
         self.nodes = 0
@@ -157,6 +153,10 @@ class _AbelianDFS:
         (ascending positions); ``cand`` are the elements of ``cent``
         outside ``closure`` that may still be adjoined, ascending."""
         for pos in range(len(cand)):
+            # every child's centralizer lies inside ``cent``, so once the
+            # best order reaches it no remaining child can pass the bound
+            if len(cent) <= self.best_order:
+                return
             x = int(cand[pos])
             bcent = self.table.commuting(x, cent)
             if len(bcent) <= self.best_order:
@@ -179,12 +179,10 @@ def _witness_from_chain(
     return AbelianWitness(handle.generators, order, group.is_normal(handle))
 
 
-def max_abelian_order(
-    group: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
-) -> MaxAbelianResult:
+def max_abelian_order(group: PermGroup) -> MaxAbelianResult:
     """Exact maximal abelian subgroup order, by pruned branch-and-bound."""
     t0 = time.perf_counter()
-    dfs = _AbelianDFS(group, enum_cap)
+    dfs = _AbelianDFS(group)
     dfs.run()
     witness = _witness_from_chain(group, dfs.table, dfs.best_chain, dfs.best_order)
     return MaxAbelianResult(
@@ -275,9 +273,7 @@ def _pgroup_exponent(order: int, p: int) -> int:
     return k
 
 
-def max_abelian_normal(
-    pgroup: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
-) -> AbelianWitness:
+def max_abelian_normal(pgroup: PermGroup) -> AbelianWitness:
     """An abelian normal subgroup of maximal order in a p-group.
 
     The same pruned walk as ``max_abelian_order``, accepting only
@@ -292,8 +288,7 @@ def max_abelian_normal(
         )
     if pgroup.is_abelian():
         return AbelianWitness(list(pgroup.generators), pgroup.order_value, True)
-    table = pgroup.element_table(enum_cap)
-    dfs = _AbelianDFS(pgroup, enum_cap, accept=table.is_class_union)
+    dfs = _AbelianDFS(pgroup, accept=pgroup.element_table().is_class_union)
     dfs.run()
     assert dfs.best_chain  # the center guarantees a hit
     witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain, dfs.best_order)
@@ -301,16 +296,13 @@ def max_abelian_normal(
     return witness
 
 
-def pgroup_bound_check(
-    pgroup: PermGroup, enum_cap: int = DEFAULT_ENUM_CAP
-) -> PGroupBoundReport:
+def pgroup_bound_check(pgroup: PermGroup) -> PGroupBoundReport:
     """Exponent bounds relating |P|, its center, and its largest abelian normal subgroup."""
     factors = pgroup.order.factors
     if len(factors) != 1 or pgroup.order_value == 1:
         raise ValueError("input must be a nontrivial p-group")
     (p, k), = factors.items()
-    pgroup.element_table(enum_cap)
-    witness = max_abelian_normal(pgroup, enum_cap)
+    witness = max_abelian_normal(pgroup)
     s = _pgroup_exponent(witness.order, p)
     c = _pgroup_exponent(pgroup.center().order, p)
     v = s

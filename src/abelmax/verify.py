@@ -32,12 +32,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .catalog import CatalogEntry, dihedral_group, elem_abelian_group, sym_group
+from .catalog import CatalogEntry, dihedral_group, elem_abelian_group
 from .perms import DEFAULT_ENUM_CAP, PermGroup, Permutation
 from .search import MaxAbelianResult, max_abelian_order, pgroup_bound_check
 
@@ -90,24 +89,20 @@ class VerificationReport:
         return self.summary["failed"] == 0
 
 
-def entry_max_abelian(
-    entry: CatalogEntry, enum_cap: int = DEFAULT_ENUM_CAP
-) -> MaxAbelianResult:
+def entry_max_abelian(entry: CatalogEntry) -> MaxAbelianResult:
     """m(G) for a catalog entry, computed once and cached on the entry."""
     result = entry.cache.get("max_abelian")
     if result is None:
-        result = max_abelian_order(entry.group, enum_cap)
+        result = max_abelian_order(entry.group)
         entry.cache["max_abelian"] = result
     return result
 
 
 # ── per-group checks ────────────────────────────────────────────────
 
-def divisibility_check(
-    entry: CatalogEntry, enum_cap: int = DEFAULT_ENUM_CAP
-) -> TheoremCheck:
+def divisibility_check(entry: CatalogEntry) -> TheoremCheck:
     """|G| divides the product of all prime powers <= m(G)."""
-    m = entry_max_abelian(entry, enum_cap).m
+    m = entry_max_abelian(entry).m
     g_m = nt.prime_power_product(m)
     order = entry.group.order
     divides = order.divides(g_m)
@@ -117,25 +112,21 @@ def divisibility_check(
     return TheoremCheck("divisibility", entry.group_id, divides, m, order.value, detail)
 
 
-def large_primes(
-    entry: CatalogEntry, enum_cap: int = DEFAULT_ENUM_CAP
-) -> LargePrimeReport:
+def large_primes(entry: CatalogEntry) -> LargePrimeReport:
     """Prime divisors of |G| strictly above m(G)/2."""
-    m = entry_max_abelian(entry, enum_cap).m
+    m = entry_max_abelian(entry).m
     order = entry.group.order
     primes = sorted(p for p in order.factors if p > m / 2)
     return LargePrimeReport(entry.group_id, order, m, primes, "none")
 
 
-def refined_divisibility_check(
-    entry: CatalogEntry, enum_cap: int = DEFAULT_ENUM_CAP
-) -> TheoremCheck:
+def refined_divisibility_check(entry: CatalogEntry) -> TheoremCheck:
     """|G| divides p * g(m)/h(m) for some prime p in (m/2, m].
 
     Groups with two large prime divisors fall outside the statement and
     are marked as expected exceptions; everything else must divide.
     """
-    rep = large_primes(entry, enum_cap)
+    rep = large_primes(entry)
     m, order = rep.m, entry.group.order
     if order.value == 1:
         return TheoremCheck(
@@ -177,17 +168,15 @@ def refined_divisibility_check(
 
 # ── classification of the large-prime cases ─────────────────────────
 
-def classify_large_prime_case(
-    entry: CatalogEntry, enum_cap: int = DEFAULT_ENUM_CAP
-) -> LargePrimeReport:
+def classify_large_prime_case(entry: CatalogEntry) -> LargePrimeReport:
     """Which structural case a group with a large prime divisor falls in.
 
     The cases are tested most-specific first; a group that fits none of
     the predicates under the caps is reported ``unclassified`` rather
     than guessed.
     """
-    # m(G) enumerates G under enum_cap; the structural tests read that table
-    rep = large_primes(entry, enum_cap)
+    # m(G) enumerates G; the structural tests read that table
+    rep = large_primes(entry)
     if not rep.large_primes:
         raise ValueError(f"{entry.group_id} has no large prime divisor")
     rep.case = _large_prime_case(entry.group, rep.large_primes)
@@ -225,13 +214,11 @@ def _large_prime_case(G: PermGroup, primes: list[int]) -> str:
 _A5_ORDER_PROFILE = Counter({1: 1, 2: 15, 3: 20, 5: 24})
 
 
-def _order_profile(group: PermGroup, cap: int) -> Counter:
-    return Counter(int(o) for o in group.element_table(cap).orders)
+def _order_profile(group: PermGroup) -> Counter:
+    return Counter(int(o) for o in group.element_table().orders)
 
 
-def is_expected_two_prime_group(
-    entry: CatalogEntry, enum_cap: int = DEFAULT_ENUM_CAP
-) -> bool:
+def is_expected_two_prime_group(entry: CatalogEntry) -> bool:
     """Order-plus-structure fingerprint for the groups allowed two large primes.
 
     Matches the order-6 nonabelian group, the order-60 simple group,
@@ -243,11 +230,10 @@ def is_expected_two_prime_group(
     if n == 6:
         return not G.is_abelian()
     if n == 60:
-        return _order_profile(G, enum_cap) == _A5_ORDER_PROFILE
+        return _order_profile(G) == _A5_ORDER_PROFILE
     if n in SPORADIC_TWO_PRIME_ORDERS:
         if G.is_abelian():
             return False
-        G.element_table(enum_cap)
         return G.is_simple()
     if G.order.factors:
         p = max(G.order.factors)
@@ -256,7 +242,7 @@ def is_expected_two_prime_group(
             and n == p * (p - 1) * (p + 1) // 2
             and nt.is_prime((p + 1) // 2)
             and G.order.factors[p] == 1
-            and p in _order_profile(G, enum_cap)
+            and p in _order_profile(G)
         ):
             return True
     return False
@@ -264,16 +250,13 @@ def is_expected_two_prime_group(
 
 # ── catalog scans ───────────────────────────────────────────────────
 
-def two_large_prime_scan(
-    entries: list[CatalogEntry],
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> VerificationReport:
+def two_large_prime_scan(entries: list[CatalogEntry]) -> VerificationReport:
     """Flag groups with two large primes; they must be exactly the expected set."""
     checks = []
     for entry in entries:
-        rep = large_primes(entry, enum_cap)
+        rep = large_primes(entry)
         flagged = len(rep.large_primes) >= 2
-        expected = is_expected_two_prime_group(entry, enum_cap)
+        expected = is_expected_two_prime_group(entry)
         checks.append(
             TheoremCheck(
                 "two_prime",
@@ -291,33 +274,35 @@ def two_large_prime_scan(
     return VerificationReport.from_checks(checks)
 
 
-def _is_small_symmetric(group: PermGroup, cap: int) -> bool:
+# the element-order profiles of S2..S5, keyed by the group order n!
+_SYMMETRIC_ORDER_PROFILES = {
+    2: Counter({1: 1, 2: 1}),
+    6: Counter({1: 1, 2: 3, 3: 2}),
+    24: Counter({1: 1, 2: 9, 3: 8, 4: 6}),
+    120: Counter({1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}),
+}
+
+
+def _is_small_symmetric(group: PermGroup) -> bool:
     """Whether the group is S_n for some n in 2..5.
 
     Among the groups of order n!, S_n is the only one with its
     element-order profile, so the verdict depends on the group alone.
     """
-    for n in range(2, 6):
-        if group.order_value == math.factorial(n):
-            return _order_profile(group, cap) == _order_profile(sym_group(n), cap)
-    return False
+    profile = _SYMMETRIC_ORDER_PROFILES.get(group.order_value)
+    return profile is not None and _order_profile(group) == profile
 
 
-def equality_scan(
-    entries: list[CatalogEntry],
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> VerificationReport:
+def equality_scan(entries: list[CatalogEntry]) -> VerificationReport:
     """Test |G| = prime_power_product(m(G)) exactly; equality only at S2..S5."""
     checks = []
     for entry in entries:
-        m = entry_max_abelian(entry, enum_cap).m
+        m = entry_max_abelian(entry).m
         g_m = nt.prime_power_product(m)
         equal = entry.group.order_value == g_m.value
         # the equality statement concerns nontrivial groups; |G| = 1 = g(1)
         # vacuously and is not counted against the expected set
-        expected = entry.group.order_value == 1 or _is_small_symmetric(
-            entry.group, enum_cap
-        )
+        expected = entry.group.order_value == 1 or _is_small_symmetric(entry.group)
         checks.append(
             TheoremCheck(
                 "equality",
@@ -351,15 +336,15 @@ def equality_scan(
 # ── p-group suite ───────────────────────────────────────────────────
 
 def catalog_pgroup_inputs(
-    entries: list[CatalogEntry],
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    order_bound: int = PGROUP_SUITE_ORDER_BOUND,
+    entries: list[CatalogEntry], enum_cap: int = DEFAULT_ENUM_CAP
 ) -> list[tuple[str, PermGroup]]:
-    """Sylow subgroups of the catalog groups under the order bound,
-    plus a fixed family of explicit p-groups."""
+    """Sylow subgroups of the catalog groups up to
+    ``PGROUP_SUITE_ORDER_BOUND``, plus a fixed family of explicit
+    p-groups, each with its element table built under ``enum_cap``."""
     inputs: list[tuple[str, PermGroup]] = []
     for entry in entries:
-        if entry.group.order_value > order_bound or entry.group.order_value == 1:
+        order = entry.group.order_value
+        if order > PGROUP_SUITE_ORDER_BOUND or order == 1:
             continue
         entry.group.element_table(enum_cap)
         for p in entry.group.order.factors:
@@ -376,16 +361,16 @@ def catalog_pgroup_inputs(
     inputs.append(("elem_abelian:2:4", elem_abelian_group(2, 4)))
     inputs.append(("elem_abelian:3:2", elem_abelian_group(3, 2)))
     inputs.append(("elem_abelian:5:2", elem_abelian_group(5, 2)))
+    for _, pgroup in inputs:
+        pgroup.element_table(enum_cap)
     return inputs
 
 
-def pgroup_bound_suite(
-    pgroups: list[tuple[str, PermGroup]], enum_cap: int = DEFAULT_ENUM_CAP
-) -> VerificationReport:
+def pgroup_bound_suite(pgroups: list[tuple[str, PermGroup]]) -> VerificationReport:
     """Run the exponent-bound checks over a list of (id, p-group) pairs."""
     checks = []
     for gid, pg in pgroups:
-        rep = pgroup_bound_check(pg, enum_cap)
+        rep = pgroup_bound_check(pg)
         base = {"p": rep.p, "k": rep.k, "s": rep.s, "c": rep.c, "v": rep.v}
         for theorem, holds in (
             ("pgroup_bound", rep.bound_holds),
@@ -403,35 +388,34 @@ def run_suite(
     entries: list[CatalogEntry],
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VerificationReport:
-    """Run one of the named suites: a, goh, lemma, twoprime, equality, all."""
-    if suite == "a":
-        return VerificationReport.from_checks(
-            [divisibility_check(e, enum_cap) for e in entries]
+    """Run one of the named suites: a, goh, lemma, twoprime, equality, all.
+
+    ``enum_cap`` is checked where tables are first built: here, on each
+    entry in order (every suite but ``lemma`` computes each m(G)), and in
+    ``catalog_pgroup_inputs`` for the p-groups that ``lemma`` checks.
+    """
+    if suite == "lemma":
+        return pgroup_bound_suite(catalog_pgroup_inputs(entries, enum_cap))
+    if suite not in ("a", "goh", "twoprime", "equality", "all"):
+        raise ValueError(
+            f"unknown suite {suite!r}; valid: a, goh, lemma, twoprime, equality, all"
         )
+    for entry in entries:
+        entry.group.element_table(enum_cap)
+    if suite == "a":
+        return VerificationReport.from_checks([divisibility_check(e) for e in entries])
     if suite == "goh":
         return VerificationReport.from_checks(
-            [refined_divisibility_check(e, enum_cap) for e in entries]
+            [refined_divisibility_check(e) for e in entries]
         )
     if suite == "twoprime":
-        return two_large_prime_scan(entries, enum_cap)
+        return two_large_prime_scan(entries)
     if suite == "equality":
-        return equality_scan(entries, enum_cap)
-    if suite == "lemma":
-        return pgroup_bound_suite(catalog_pgroup_inputs(entries, enum_cap), enum_cap)
-    if suite == "all":
-        checks = []
-        for report in (
-            run_suite("a", entries, enum_cap),
-            run_suite("goh", entries, enum_cap),
-            run_suite("twoprime", entries, enum_cap),
-            run_suite("equality", entries, enum_cap),
-            run_suite("lemma", entries, enum_cap),
-        ):
-            checks.extend(report.checks)
-        return VerificationReport.from_checks(checks)
-    raise ValueError(
-        f"unknown suite {suite!r}; valid: a, goh, lemma, twoprime, equality, all"
-    )
+        return equality_scan(entries)
+    checks = []  # "all": every suite's checks, in this order
+    for name in ("a", "goh", "twoprime", "equality", "lemma"):
+        checks.extend(run_suite(name, entries, enum_cap).checks)
+    return VerificationReport.from_checks(checks)
 
 
 # ── serialization ───────────────────────────────────────────────────

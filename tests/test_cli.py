@@ -144,6 +144,14 @@ def test_cli_lemma_cap_covers_the_order_128_wreath_product(capsys):
     assert code == 0, err
 
 
+def test_cli_lemma_never_enumerates_entries_above_its_order_bound(capsys):
+    # |A8| = 20160 is above the lemma's order bound, so only the fixed
+    # p-group inputs are checked, and A8 is not enumerated under the cap
+    code, out, err = run_cli(capsys, "verify", "lemma", "alt:8", "--enum-cap", "1000")
+    assert code == 0, err
+    assert "summary: 18 checks, 18 passed" in out
+
+
 def test_cli_mgroup_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, "mgroup", "sym:6")
     _, out2, _ = run_cli(capsys, "mgroup", "sym:6")

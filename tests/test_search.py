@@ -1,6 +1,5 @@
 """Tests for the abelian-subgroup search and its brute-force oracle."""
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from abelmax import CapacityError
 from abelmax import catalog as cat
-from abelmax.perms import PermGroup, Permutation
+from abelmax.perms import ElementTable, PermGroup, Permutation
 from abelmax.search import (
     max_abelian_brute,
     max_abelian_normal,
@@ -68,15 +67,6 @@ def test_search_goldens(spec, expected):
 
 _REPO = Path(__file__).resolve().parents[1]
 
-_extended = [
-    pytest.mark.extended,
-    pytest.mark.skipif(
-        not os.environ.get("ABELMAX_EXTENDED"),
-        reason="extended target; set ABELMAX_EXTENDED=1 to run",
-    ),
-]
-
-
 # m and the node count of every search: the tree walked is a function of
 # the canonical element order, so any drift in that order shows here.
 @pytest.mark.parametrize(
@@ -93,8 +83,8 @@ _extended = [
         ("pgl2:7", 8, 2),
         ("frobenius:5:4", 5, 0), ("frobenius:7:3", 7, 0),
         ("agammal1:3", 8, 3), ("agammal1:4", 16, 21), ("agl3_2", 16, 31),
-        pytest.param("file:groups/m11.gens", 11, 2, marks=_extended),
-        pytest.param("file:groups/m12.gens", 16, 47, marks=_extended),
+        pytest.param("file:groups/m11.gens", 11, 2, marks=pytest.mark.extended),
+        pytest.param("file:groups/m12.gens", 16, 47, marks=pytest.mark.extended),
     ],
 )
 def test_search_node_counts_are_pinned(spec, m, nodes):
@@ -124,10 +114,14 @@ def test_element_table_is_in_canonical_order(spec):
     assert table.positions(matrix) == list(range(len(table)))
 
 
+def _ten_transpositions_at_degree_300():
+    return PermGroup([Permutation.from_cycles(300, [(i, i + 1)]) for i in range(0, 20, 2)])
+
+
 def test_element_table_wide_keys():
     # ten disjoint transpositions at degree 300: uint16 rows and a base of
     # ten points, so a key is 160 bits and takes the void-view path
-    g = PermGroup([Permutation.from_cycles(300, [(i, i + 1)]) for i in range(0, 20, 2)])
+    g = _ten_transpositions_at_degree_300()
     table = g.element_table()
     assert table.matrix.dtype == np.uint16 and len(g.chain.base) == 10
     assert table.index.keys.dtype.kind == "V"
@@ -135,6 +129,23 @@ def test_element_table_wide_keys():
     assert table.positions(table.matrix) == list(range(len(table)))
     assert len(g.conjugacy_classes()[1]) == 1024
     assert max_abelian_order(g).m == 1024
+
+
+def test_abelian_search_stops_once_the_centralizer_is_reached(monkeypatch):
+    # in an abelian group every centralizer is the whole table, so once the
+    # best order equals it no further child may be tried
+    g = _ten_transpositions_at_degree_300()
+    calls = []
+    original = ElementTable.commuting
+
+    def counting(self, i, members):
+        calls.append(i)
+        return original(self, i, members)
+
+    monkeypatch.setattr(ElementTable, "commuting", counting)
+    r = max_abelian_order(g)
+    assert (r.m, r.nodes_explored) == (1024, 10)
+    assert len(calls) <= 20
 
 
 def test_search_trivial_group():
@@ -153,7 +164,8 @@ def test_search_witness_properties():
 
 def test_search_cap_propagates():
     with pytest.raises(CapacityError):
-        max_abelian_order(cat.sym_group(9), enum_cap=10_000)
+        # |S9| = 362880 is above the default cap
+        max_abelian_order(cat.sym_group(9))
 
 
 def test_search_is_deterministic():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -204,7 +205,7 @@ def test_two_prime_scan_subset_without_psl2_13():
 
 def test_pgl2_13_not_flagged():
     entries = cat.build_catalog(["pgl2:13"])
-    report = vf.two_large_prime_scan(entries, enum_cap=250_000)
+    report = vf.two_large_prime_scan(entries)
     (chk,) = report.checks
     assert chk.passed and not chk.detail["flagged"]
     assert chk.m == 14  # p + 1
@@ -247,6 +248,14 @@ def test_isomorphic_aliases_pass_every_suite():
     expected = {c.group_id: c.detail["expected"]
                 for c in report.checks if c.theorem == "equality" and "expected" in c.detail}
     assert expected == {gid: gid not in ("cyclic:6", "dihedral:12") for gid in ids}
+
+
+def test_symmetric_order_profiles_match_the_symmetric_groups():
+    for n in range(2, 6):
+        orders = cat.sym_group(n).element_table().orders
+        profile = Counter(int(o) for o in orders)
+        assert vf._SYMMETRIC_ORDER_PROFILES[math.factorial(n)] == profile
+    assert len(vf._SYMMETRIC_ORDER_PROFILES) == 4
 
 
 # ── p-group suite ───────────────────────────────────────────────────
@@ -320,7 +329,7 @@ def test_every_table_is_built_under_the_suite_cap(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "element_table", recording)
     # fresh groups per suite, so that each suite may be the first to enumerate
-    for suite in ("all", "lemma", "twoprime", "equality"):
+    for suite in ("all", "a", "goh", "lemma", "twoprime", "equality"):
         entries = cat.build_catalog(cat.default_catalog_specs())
         vf.run_suite(suite, entries, enum_cap=150_000)
     assert caps and set(caps) == {150_000}
