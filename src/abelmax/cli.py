@@ -27,6 +27,11 @@ ignored.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error, 3 capacity error.
+
+Only ``numtheory`` is imported with this module, so ``numtheory`` and
+``series`` start without the group machinery (``perms``, ``catalog``,
+``search``, ``verify`` and numpy); ``mgroup`` and ``verify`` import it
+when they run.
 """
 
 from __future__ import annotations
@@ -36,10 +41,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog, numtheory as nt, verify
+from . import numtheory as nt
 from .errors import CapacityError, GeneratorFileError
-from .perms import DEFAULT_ENUM_CAP
-from .search import max_abelian_order
 
 _FORMATS = ("text", "json", "csv")
 
@@ -74,6 +77,8 @@ def _resolve_env_defaults(args: argparse.Namespace) -> None:
     error."""
     given = vars(args)
     if "enum_cap" in given and args.enum_cap is None:
+        from .perms import DEFAULT_ENUM_CAP
+
         args.enum_cap = _env_int("ABELMAX_ENUM_CAP", DEFAULT_ENUM_CAP)
     if "format" in given and args.format is None:
         args.format = _env_format()
@@ -147,6 +152,9 @@ def _cmd_numtheory(args) -> int:
 
 
 def _cmd_mgroup(args) -> int:
+    from . import catalog
+    from .search import max_abelian_order
+
     spec = catalog.parse_spec(args.spec)
     group = catalog.build_group(spec, base_dir=Path.cwd())
     group.element_table(args.enum_cap)
@@ -162,6 +170,8 @@ def _cmd_mgroup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import catalog, verify
+
     if args.manifest and args.specs:
         raise _UsageError("give group specs or --manifest, not both")
     if args.manifest:

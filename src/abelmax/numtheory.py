@@ -18,19 +18,24 @@ the range where the exact product is practical.  g, h and f take their
 primes from one sieve, which is their primality proof, and multiply
 their prime powers as a balanced product tree.
 
+The sieve is a ``bytearray`` of one byte per number, refused above
+``SIEVE_CAP``.  g, h, f and the primes that ``verify`` asks for are read
+from it with ``itertools.compress``, so they never import numpy; only
+``order_bound_log`` and the two-prime scan do, and they view the same
+bytes as a bool array through ``np.frombuffer``, without a copy.
+
 ``two_prime_interval_exceptions(limit)`` holds the sieve of 0..limit
-(one byte per number) and, besides it, int32 prime counts for one block
-of ``_SCAN_BLOCK`` values of m at a time: about limit + 22 * _SCAN_BLOCK
-bytes of arrays in all (15 MB at limit 10^7, by tracemalloc), where
-counts over the whole range would take several bytes per number.
+and, besides it, int32 prime counts for one block of ``_SCAN_BLOCK``
+values of m at a time: about limit + 22 * _SCAN_BLOCK bytes of arrays
+in all (15 MB at limit 10^7, by tracemalloc), where counts over the
+whole range would take several bytes per number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
 
 from .errors import CapacityError
 
@@ -40,6 +45,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Exact order_bound values above this are refused; use order_bound_log.
 EXACT_BOUND_CAP = 100_000
+
+# The prime sieve (one byte per number) is refused above this limit.
+SIEVE_CAP = 10**8
+
+# _prime_flags strikes at most this many multiples of a prime at once.
+_STRIKE = 1 << 15
 
 # two_prime_interval_exceptions scans m in blocks of this many values.
 _SCAN_BLOCK = 1 << 18
@@ -70,13 +81,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_flags(limit: int) -> np.ndarray:
-    """Primality of 0..limit (limit >= 1), by the sieve of Eratosthenes."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+def _prime_flags(limit: int) -> bytearray:
+    """Primality of 0..limit (limit >= 1), one byte each, by the sieve
+    of Eratosthenes over the odd numbers.  Capped at SIEVE_CAP."""
+    if limit > SIEVE_CAP:
+        raise CapacityError(
+            f"prime sieve capped at limit <= {SIEVE_CAP} (got {limit})"
+        )
+    flags = bytearray(b"\x00\x01") * (limit // 2 + 1)
+    del flags[limit + 1 :]
+    flags[1] = 0
+    if limit >= 2:
+        flags[2] = 1
+    # even multiples are already clear, so each odd p strikes every
+    # 2p-th number from p*p, at most _STRIKE of them per assignment: a
+    # bytearray value is written without a copy, and no temporary outgrows
+    # _STRIKE bytes, so the sieve holds little beyond its own buffer
+    zeros = bytearray(_STRIKE)
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if flags[p]:
-            flags[p * p :: p] = False
+            step = 2 * p
+            for start in range(p * p, limit + 1, _STRIKE * step):
+                run = range(start, min(start + _STRIKE * step, limit + 1), step)
+                flags[start : run.stop : step] = zeros[: len(run)]
     return flags
 
 
@@ -86,7 +113,7 @@ def sieve_primes(limit: int) -> list[int]:
         raise ValueError("limit must be nonnegative")
     if limit < 2:
         return []
-    return np.flatnonzero(_prime_flags(limit)).tolist()
+    return list(compress(range(limit + 1), _prime_flags(limit)))
 
 
 def primes_in_halfopen(a: float, b: float) -> list[int]:
@@ -96,8 +123,8 @@ def primes_in_halfopen(a: float, b: float) -> list[int]:
     hi = math.floor(b)
     if hi < 2:
         return []
-    ps = np.flatnonzero(_prime_flags(hi))
-    return ps[ps > a].tolist()
+    lo = max(math.floor(a) + 1, 0)
+    return list(compress(range(lo, hi + 1), _prime_flags(hi)[lo:]))
 
 
 def floor_log(p: int, n: int) -> int:
@@ -278,7 +305,9 @@ def order_bound_log(n: int) -> float:
         raise ValueError("need n >= 1")
     if n == 1:
         return 0.0
-    ps = np.flatnonzero(_prime_flags(n))
+    import numpy as np
+
+    ps = np.flatnonzero(np.frombuffer(_prime_flags(n), dtype=bool))
     exps = np.ones(len(ps))
     # Only primes <= sqrt(n) can have floor_log > 1.
     root = math.isqrt(n)
@@ -306,7 +335,7 @@ def asymptotic_ratio(n: int) -> AsymptoticSample:
     return AsymptoticSample(n, lf, lf / (n / 2))
 
 
-def _half_interval_prime_counts(flags: np.ndarray):
+def _half_interval_prime_counts(flags: bytearray):
     """For m = 3, ..., len(flags) - 1, the number of primes in (m/2, m],
     pi(m) - pi(m // 2), from the prime flags of 0..len(flags) - 1.
 
@@ -315,6 +344,9 @@ def _half_interval_prime_counts(flags: np.ndarray):
     sums over flags[a:b] and over flags[a//2 : (b-1)//2 + 1], each offset
     by the primes below the start of its slice.
     """
+    import numpy as np
+
+    flags = np.frombuffer(flags, dtype=bool)
     below_a = below_lo = 0  # primes below a, and below a // 2
     prev_a = prev_lo = 0
     for a in range(3, len(flags), _SCAN_BLOCK):
@@ -334,6 +366,8 @@ def two_prime_interval_exceptions(limit: int) -> list[int]:
     """All m in [3, limit] whose interval (m/2, m] holds fewer than two primes."""
     if limit < 3:
         raise ValueError("need limit >= 3")
+    import numpy as np
+
     out: list[int] = []
     for a, counts in _half_interval_prime_counts(_prime_flags(limit)):
         out.extend((a + np.flatnonzero(counts < 2)).tolist())

@@ -79,6 +79,46 @@ def test_cli_exceptions_at_ten_million_in_bounded_memory():
     assert peak_kib / 1024 < 150, f"peak RSS {peak_kib / 1024:.0f} MB"
 
 
+@pytest.mark.parametrize("argv", [
+    ("numtheory", "ratio"),
+    ("numtheory", "exceptions"),
+    ("series", "1000"),
+])
+def test_cli_sieve_cap_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(nt.SIEVE_CAP + 1))
+    assert code == 3 and "prime sieve capped" in err
+    assert out == ""
+
+
+# Imports abelmax.cli in a fresh interpreter, then runs one number
+# theory command, and prints which heavy modules each step loaded.
+_IMPORT_PROBE = """\
+import contextlib, io, json, sys
+heavy = ["numpy", "abelmax.perms", "abelmax.search", "abelmax.verify", "abelmax.catalog"]
+import abelmax.cli
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = abelmax.cli.main(sys.argv[1:])
+loaded["run"] = [m for m in heavy if m in sys.modules]
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.mark.parametrize("func", ["g", "h", "f"])
+def test_cli_number_theory_starts_without_the_group_machinery(func):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, "numtheory", func, "1000"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert loaded == {"import": [], "run": []}
+
+
 def test_cli_ratio(capsys):
     code, out, _ = run_cli(capsys, "numtheory", "ratio", "1000000")
     assert code == 0

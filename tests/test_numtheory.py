@@ -55,6 +55,44 @@ def test_sieve_against_trial_division():
     assert got == trial_division_primes(30)
 
 
+@pytest.mark.parametrize("limit", [*range(1, 65), 1000, 9973])
+def test_prime_flags_against_is_prime(limit):
+    # the odd-stride sieve at every small parity and square boundary,
+    # and at a prime limit
+    flags = nt._prime_flags(limit)
+    assert type(flags) is bytearray
+    assert list(flags) == [int(nt.is_prime(k)) for k in range(limit + 1)]
+    assert nt.sieve_primes(limit) == trial_division_primes(limit)
+
+
+def plain_sieve_flags(limit):
+    """Independent oracle: Eratosthenes on a list, every multiple of p."""
+    flags = [0, 0] + [1] * (limit - 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            for k in range(p * p, limit + 1, p):
+                flags[k] = 0
+    return flags
+
+
+STRIKE = nt._STRIKE
+
+
+@pytest.mark.parametrize("limit", [
+    6 * STRIKE + 8, 6 * STRIKE + 9, 6 * STRIKE + 10, 12 * STRIKE + 9, 10 * STRIKE + 25,
+])
+def test_prime_flags_across_strike_chunks(limit):
+    # p strikes from p*p in chunks of STRIKE multiples, 2p apart: the
+    # second chunk of 3 starts at 6 * STRIKE + 9, and that of 5 at
+    # 10 * STRIKE + 25
+    assert list(nt._prime_flags(limit)) == plain_sieve_flags(limit)
+
+
+def test_sieve_cap_is_checked_before_allocating():
+    with pytest.raises(CapacityError, match=str(nt.SIEVE_CAP)):
+        nt._prime_flags(nt.SIEVE_CAP + 1)
+
+
 def test_sieve_rejects_negative():
     with pytest.raises(ValueError):
         nt.sieve_primes(-1)
@@ -222,6 +260,11 @@ def test_primes_in_halfopen_examples():
     assert nt.primes_in_halfopen(5, 10) == [7]
     assert nt.primes_in_halfopen(2, 4) == [3]
     assert nt.primes_in_halfopen(6.5, 13) == [7, 11, 13]
+    assert nt.primes_in_halfopen(-3.5, 7) == [2, 3, 5, 7]
+    assert nt.primes_in_halfopen(2.5, 7.9) == [3, 5, 7]
+    assert nt.primes_in_halfopen(-1, 1.5) == []
+    assert nt.primes_in_halfopen(10, 11) == [11]
+    assert nt.primes_in_halfopen(11, 12) == []
 
 
 def test_primes_in_halfopen_bounds_are_strict_open_closed():
@@ -231,11 +274,17 @@ def test_primes_in_halfopen_bounds_are_strict_open_closed():
         nt.primes_in_halfopen(5, 5)
 
 
-@given(st.integers(0, 500), st.integers(1, 500))
-@settings(max_examples=60)
-def test_primes_in_halfopen_consistent_with_sieve(a, w):
-    b = a + w
-    expected = [p for p in nt.sieve_primes(b) if p > a]
+@given(
+    st.integers(-20, 500),
+    st.integers(1, 500) | st.just(1),
+    st.sampled_from([0, 0.25, 0.5]),
+    st.sampled_from([0, 0.5, 0.75]),
+)
+@settings(max_examples=100)
+def test_primes_in_halfopen_consistent_with_sieve(a, w, da, db):
+    # integral, fractional and negative a, b = a + 1, fractional b
+    a, b = a + da, a + w + db
+    expected = [p for p in nt.sieve_primes(max(math.floor(b), 0)) if p > a]
     assert nt.primes_in_halfopen(a, b) == expected
 
 
