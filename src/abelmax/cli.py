@@ -28,10 +28,10 @@ ignored.
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error, 3 capacity error.
 
-Only ``numtheory`` is imported with this module, so ``numtheory`` and
-``series`` start without the group machinery (``perms``, ``catalog``,
-``search``, ``verify`` and numpy); ``mgroup`` and ``verify`` import it
-when they run.
+Of the package, only ``errors`` and ``numtheory`` are imported with
+this module, so ``numtheory`` and ``series`` start without the group
+machinery (``perms``, ``catalog``, ``search``, ``verify`` and numpy);
+``mgroup`` and ``verify`` import it when they run.
 """
 
 from __future__ import annotations
