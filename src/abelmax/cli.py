@@ -5,7 +5,8 @@ Subcommands:
 * ``numtheory {g|h|f|ratio|exceptions} N`` - exact values of the
   prime-power product g, the upper-half prime product h, the bound
   f = n*g/h, the log-bound ratio, and the scan for intervals (m/2, m]
-  holding fewer than two primes.
+  holding fewer than two primes.  g, h and f are refused above
+  ``numtheory.EXACT_BOUND_CAP`` (exit 3).
 * ``mgroup SPEC [--enum-cap N]`` - maximal abelian subgroup order of
   one group.
 * ``verify {a|goh|lemma|twoprime|equality|all} [SPEC ...]`` - run a
@@ -138,6 +139,12 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_numtheory(args) -> int:
     n = args.n
+    # verify needs g(m) up to the enumeration cap, so the library goes on
+    # to SIEVE_CAP; here g and h share f's cap (g(10^6) takes seconds)
+    if args.func in ("g", "h") and n > nt.EXACT_BOUND_CAP:
+        raise CapacityError(
+            f"exact {args.func} capped at n <= {nt.EXACT_BOUND_CAP} (got {n})"
+        )
     if args.func == "g":
         print(nt.prime_power_product(n).value)
     elif args.func == "h":

@@ -1,8 +1,8 @@
 """Finite permutation group engine.
 
 Permutations act on the points 0..degree-1 and are stored as image
-tuples.  Groups are built from generators; the order and membership
-tests come from a deterministic stabilizer chain (base points are
+tuples.  A group built from generators gets its order and its element
+enumeration from a deterministic stabilizer chain (base points are
 chosen as the smallest moved point at each level, orbits are explored
 breadth-first with the generators in list order, so identical inputs
 always produce identical chains), built once per group.
@@ -17,13 +17,17 @@ keeps one sorted array of base-image keys and resolves rows with
 ``np.searchsorted``.  Conjugacy classes come from the generators'
 conjugation maps by min-label propagation, before the canonical sort,
 so that element orders are computed once per class; the table records
-each position's class number.  A subgroup is a set of positions in its
-parent's table, grown by Dimino's coset step ``ElementTable.extend``,
-and it is normal exactly when those positions are a union of whole
-classes (``ElementTable.is_class_union``).
+each position's class number.  Membership is a lookup in the table.
 
-The enumeration cap is checked in one place, ``PermGroup.element_table``,
-with a CapacityError rather than truncation.  Every other method, and
+A subgroup is a ``PermGroup`` too, with no chain of its own: its
+``members`` are positions in its parent's table, grown by Dimino's coset
+step ``ElementTable.extend``, and its table is the parent's rows at
+those positions.  It is normal exactly when its positions are a union
+of whole classes of the parent (``ElementTable.is_class_union``).
+
+The enumeration cap is checked in one place, ``PermGroup.element_table``
+of a group with a chain, with a CapacityError rather than truncation; a
+subgroup's table is a slice of its parent's.  Every other method, and
 every search and check built on them, reads the cached table; a cap is
 passed only where a run starts enumerating (``verify.run_suite``,
 ``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,12 +256,6 @@ class StabilizerChain:
             result = result * FactoredInteger.from_int(len(t))
         return result
 
-    def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            return False
-        residue, _ = self._strip(p, 0)
-        return residue.is_identity()
-
 
 class BaseImageIndex:
     """Row positions of an element table, keyed by images of the base.
@@ -329,7 +327,9 @@ class ElementTable:
     is a set of positions, and every subgroup (Sylow growth, the
     search's nodes, generated and centralizing subgroups) is grown by
     one closure step, ``extend``; it is normal exactly when its
-    positions are a union of whole classes, ``is_class_union``.
+    positions are a union of whole classes, ``is_class_union``.  The
+    subgroup's own table is this one's rows at those positions, which
+    stay in canonical order, with an index on the same base.
     Centralizers, in the search and in ``PermGroup.centralizer``, come
     from one primitive, ``commuting``, which narrows a given set of
     positions rather than the whole table.
@@ -484,9 +484,12 @@ def _classes_by_label(labels: np.ndarray) -> tuple[list[int], list[np.ndarray], 
 class PermGroup:
     """Immutable permutation group defined by its generators.
 
-    The stabilizer chain (and hence the exact order) is computed at
-    construction; element enumeration, conjugacy classes and other
-    whole-group tables are built lazily and cached.
+    A group built from generators computes its stabilizer chain (and
+    hence the exact order) at construction.  A subgroup (``subgroup``,
+    ``sylow_subgroup``, ...) has no chain, but a ``parent`` and
+    ``members``, its ascending positions in the parent's table; its
+    order is their number.  Element enumeration, conjugacy classes and
+    other whole-group tables are built lazily and cached.
     """
 
     def __init__(self, generators: list[Permutation], degree: int | None = None):
@@ -501,6 +504,7 @@ class PermGroup:
         if degree is not None and degree != self.degree:
             raise ValueError("declared degree does not match generators")
         self.generators = list(generators)
+        self.parent = self.members = None
         self.chain = StabilizerChain(self.generators, self.degree)
         self.order: FactoredInteger = self.chain.order()
         self._table: ElementTable | None = None
@@ -518,10 +522,40 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def contains(self, p: Permutation) -> bool:
-        return self.chain.contains(p)
+        try:
+            self.element_table().position(p)
+        except ValueError:
+            return False
+        return True
 
     def is_abelian(self) -> bool:
-        return _commute(self.generators)
+        g = self.generators
+        return all(a * b == b * a for i, a in enumerate(g) for b in g[i + 1 :])
+
+    # ── subgroups ───────────────────────────────────────────────────
+
+    def subgroup(self, generators: list[Permutation]) -> "PermGroup":
+        """The subgroup generated by ``generators``, which it keeps as its
+        generators; ValueError if one is not an element of this group."""
+        table = self.element_table()
+        members, _ = table.closure(map(table.position, generators))
+        return self._subgroup(members, generators)
+
+    def _subgroup(self, members, generators=None) -> "PermGroup":
+        """The subgroup at the positions ``members``, which must be
+        closed under the group operation.  Without ``generators`` it gets
+        a greedy generating set: each member, in ascending position, that
+        lies outside the closure of those chosen before it."""
+        if generators is None:
+            table = self.element_table()
+            members, gens = table.closure(sorted(map(int, members)))
+            generators = [table.permutation(i) for i in gens]
+        sub = PermGroup.__new__(PermGroup)
+        sub.degree, sub.generators = self.degree, list(generators)
+        sub.parent, sub.members = self, np.array(sorted(members), dtype=np.int64)
+        sub.order = FactoredInteger.from_int(len(members))
+        sub._table = sub._classes = None
+        return sub
 
     # ── element enumeration ─────────────────────────────────────────
 
@@ -536,8 +570,24 @@ class PermGroup:
         records each position's class number and the group caches the
         classes for ``conjugacy_classes``.  The first call checks
         ``cap``; later calls return the cached table whatever their cap.
+
+        A subgroup's table is the parent's rows and orders at ``members``,
+        already canonical as a subset of a sorted table, indexed on the
+        parent's base, with classes from its own generators' conjugation
+        maps.  It is a slice of a table built under the cap: no cap check.
         """
         if self._table is not None:
+            return self._table
+        if self.parent is not None:
+            whole = self.parent.element_table()
+            matrix = whole.matrix[self.members]
+            index = BaseImageIndex(matrix, whole.index.base)
+            gens = self.generators or [self.identity()]
+            labels = _class_labels(_conjugation_maps(matrix, index, gens))
+            reps, classes, class_of = _classes_by_label(labels)
+            orders = whole.orders[self.members]
+            self._table = ElementTable(matrix, index, orders, class_of)
+            self._classes = reps, classes
             return self._table
         n = self.order_value
         if n > cap:
@@ -584,7 +634,7 @@ class PermGroup:
 
     # ── centralizers ────────────────────────────────────────────────
 
-    def centralizer(self, elements) -> "SubgroupHandle":
+    def centralizer(self, elements) -> "PermGroup":
         """The subgroup of all elements commuting with every one given."""
         table = self.element_table()
         members = np.arange(len(table), dtype=np.int64)
@@ -592,29 +642,19 @@ class PermGroup:
             members = table.commuting(i, members)
         return self._subgroup(members)
 
-    def center(self) -> "SubgroupHandle":
+    def center(self) -> "PermGroup":
         return self.centralizer(self.generators)
-
-    def _subgroup(self, members) -> "SubgroupHandle":
-        """The subgroup at the positions ``members``, which must be
-        closed under the group operation, with its greedy generating
-        set: each member, in ascending position, that lies outside the
-        closure of those chosen before it."""
-        table = self.element_table()
-        closure, gens = table.closure(sorted(map(int, members)))
-        perms = [table.permutation(i) for i in gens]
-        return SubgroupHandle(self, perms, len(members), closure)
 
     # ── normal-structure queries ────────────────────────────────────
 
-    def is_normal(self, sub: "SubgroupHandle") -> bool:
+    def is_normal(self, sub: "PermGroup") -> bool:
         """Whether the subgroup is normal, i.e. a union of conjugacy
         classes; ValueError for a subgroup of another group."""
         if sub.parent is not self:
             raise ValueError("is_normal needs a subgroup of this group")
         return self.element_table().is_class_union(sub.members)
 
-    def normal_closure(self, elements) -> "SubgroupHandle":
+    def normal_closure(self, elements) -> "PermGroup":
         """Smallest normal subgroup of G containing the given elements."""
         table = self.element_table()
         return self._subgroup(
@@ -637,20 +677,20 @@ class PermGroup:
                 found += [d for d in new if d not in found]
         return frozenset(np.concatenate([classes[c] for c in found]).tolist())
 
-    def minimal_normal_subgroups(self) -> list["SubgroupHandle"]:
+    def minimal_normal_subgroups(self) -> list["PermGroup"]:
         """Minimal nontrivial normal subgroups.
 
         Each minimal normal subgroup is the normal closure of any of
         its non-identity elements, and closures are constant on
         conjugacy classes, so one closure per class suffices; only the
-        minimal member sets among them become handles.
+        minimal member sets among them become subgroups.
         """
         reps, _ = self.conjugacy_classes()
         closures = {self._class_closure([r]) for r in reps[1:]}
         minimal = [
             self._subgroup(n) for n in closures if not any(m < n for m in closures)
         ]
-        minimal.sort(key=lambda h: (h.order, [g.images for g in h.generators]))
+        minimal.sort(key=lambda h: (h.order_value, [g.images for g in h.generators]))
         return minimal
 
     def is_simple(self) -> bool:
@@ -662,7 +702,7 @@ class PermGroup:
 
     # ── Sylow subgroups ─────────────────────────────────────────────
 
-    def sylow_subgroup(self, p: int) -> "SubgroupHandle":
+    def sylow_subgroup(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown cyclically through normalizers.
 
         P is kept as a set of positions in the element table.  It starts
@@ -705,57 +745,4 @@ class PermGroup:
             i = int(candidates[live[0]])
             gen_idx.append(i)
             member = table.extend(member, i)
-        gens = [table.permutation(i) for i in gen_idx]
-        return SubgroupHandle(self, gens, target, member)
-
-
-def _commute(gens: list[Permutation]) -> bool:
-    return all(
-        (a * b).images == (b * a).images
-        for i, a in enumerate(gens)
-        for b in gens[i + 1 :]
-    )
-
-
-@dataclass
-class SubgroupHandle:
-    """A subgroup of a parent group: generators, order, and ``members``,
-    its positions in the parent's element table.
-
-    Given only generators, ``members`` is their closure in the parent's
-    table (``ElementTable.closure``); a generator the table lacks raises
-    ValueError, and a wrong ``order`` fails the assertion.  Membership,
-    elements and normality (``PermGroup.is_normal``) read ``members``, so
-    a handle needs no stabilizer chain; ``group()`` builds a separate
-    PermGroup for a caller that needs a group of its own.
-    """
-
-    parent: PermGroup
-    generators: list[Permutation]
-    order: int
-    members: set[int] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.members is None:
-            table = self.parent.element_table()
-            self.members = table.closure(map(table.position, self.generators))[0]
-        assert len(self.members) == self.order
-
-    def group(self) -> PermGroup:
-        group = PermGroup(self.generators or [self.parent.identity()])
-        assert group.order_value == self.order
-        return group
-
-    def contains(self, p: Permutation) -> bool:
-        try:
-            return self.parent.element_table().position(p) in self.members
-        except ValueError:
-            return False
-
-    def elements(self) -> list[Permutation]:
-        """The members in the parent table's canonical order."""
-        table = self.parent.element_table()
-        return [table.permutation(i) for i in sorted(self.members)]
-
-    def is_abelian(self) -> bool:
-        return _commute(self.generators)
+        return self._subgroup(member, [table.permutation(i) for i in gen_idx])

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .perms import ElementTable, PermGroup, Permutation, SubgroupHandle
+from .perms import ElementTable, PermGroup, Permutation
 
 DEFAULT_BRUTE_CAP = 2000
 
@@ -175,8 +175,9 @@ class _AbelianDFS:
 def _witness_from_chain(
     group: PermGroup, table: ElementTable, chain: list[int], order: int
 ) -> AbelianWitness:
-    handle = SubgroupHandle(group, [table.permutation(i) for i in chain], order)
-    return AbelianWitness(handle.generators, order, group.is_normal(handle))
+    sub = group.subgroup([table.permutation(i) for i in chain])
+    assert sub.order_value == order
+    return AbelianWitness(sub.generators, order, group.is_normal(sub))
 
 
 def max_abelian_order(group: PermGroup) -> MaxAbelianResult:
@@ -253,8 +254,8 @@ def max_abelian_brute(
 
     gens = [elems[i] for i in state["chain"]]
     if gens:
-        handle = SubgroupHandle(group, gens, PermGroup(gens).order_value)
-        witness = AbelianWitness(gens, handle.order, group.is_normal(handle))
+        order = PermGroup(gens).order_value
+        witness = AbelianWitness(gens, order, group.is_normal(group.subgroup(gens)))
     else:
         witness = AbelianWitness([], 1, True)
     assert witness.order == state["best"]
@@ -304,7 +305,7 @@ def pgroup_bound_check(pgroup: PermGroup) -> PGroupBoundReport:
     (p, k), = factors.items()
     witness = max_abelian_normal(pgroup)
     s = _pgroup_exponent(witness.order, p)
-    c = _pgroup_exponent(pgroup.center().order, p)
+    c = _pgroup_exponent(pgroup.center().order_value, p)
     v = s
     return PGroupBoundReport(
         p=p,

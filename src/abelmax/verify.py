@@ -189,21 +189,21 @@ def _large_prime_case(G: PermGroup, primes: list[int]) -> str:
     for p in sorted(primes, reverse=True):
         if G.order.factors.get(p) == 1:
             P = G.sylow_subgroup(p)
-            if G.is_normal(P) and G.centralizer(P.generators).order == p:
+            if G.is_normal(P) and G.centralizer(P.generators).order_value == p:
                 return "case1_frobenius"
     minimals = G.minimal_normal_subgroups()
     for N in minimals:
         # elementary abelian of order 2^a, where 2^a - 1 is a large prime
-        o = N.order
+        o = N.order_value
         if o - 1 in primes and o & (o - 1) == 0 and N.is_abelian():
-            if (G.element_table().orders[list(N.members)] <= 2).all():
+            if (G.element_table().orders[N.members] <= 2).all():
                 return "case3_agammal"
     if len(minimals) == 1:
         (N,) = minimals
         if (
             not N.is_abelian()
-            and N.group().is_simple()
-            and G.centralizer(N.generators).order == 1
+            and N.is_simple()
+            and G.centralizer(N.generators).order_value == 1
         ):
             return "case4_almost_simple"
     return "unclassified"
@@ -340,7 +340,9 @@ def catalog_pgroup_inputs(
 ) -> list[tuple[str, PermGroup]]:
     """Sylow subgroups of the catalog groups up to
     ``PGROUP_SUITE_ORDER_BOUND``, plus a fixed family of explicit
-    p-groups, each with its element table built under ``enum_cap``."""
+    p-groups, each with its element table built under ``enum_cap``.
+    A Sylow subgroup is the subgroup itself, whose table is a slice of
+    its group's, so only the explicit p-groups build stabilizer chains."""
     inputs: list[tuple[str, PermGroup]] = []
     for entry in entries:
         order = entry.group.order_value
@@ -348,8 +350,7 @@ def catalog_pgroup_inputs(
             continue
         entry.group.element_table(enum_cap)
         for p in entry.group.order.factors:
-            handle = entry.group.sylow_subgroup(p)
-            inputs.append((f"sylow({entry.group_id},{p})", handle.group()))
+            inputs.append((f"sylow({entry.group_id},{p})", entry.group.sylow_subgroup(p)))
     for n in (4, 8, 16, 32):
         inputs.append((f"dihedral:{n}", dihedral_group(n)))
     # the Sylow subgroups of sym:8 from explicit generators rather than

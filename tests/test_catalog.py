@@ -86,11 +86,11 @@ def test_affine_group_orders():
 def test_agammal1_has_normal_translation_subgroup():
     g = cat.agammal1_group(3)
     translations = [Permutation([x ^ t for x in range(8)]) for t in range(1, 8)]
-    handle = g.centralizer(translations)  # translations are self-centralizing here
-    assert handle.order == 8
-    assert g.is_normal(handle)
-    assert handle.group().is_abelian()
-    assert all(e.order() in (1, 2) for e in handle.elements())
+    sub = g.centralizer(translations)  # translations are self-centralizing here
+    assert sub.order_value == 8
+    assert g.is_normal(sub)
+    assert sub.is_abelian()
+    assert all(e.order() in (1, 2) for e in sub.enumerate_elements())
 
 
 def test_agammal1_two_is_sym4():

@@ -132,6 +132,14 @@ def test_cli_nonnumeric_input_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("func", ["g", "h", "f"])
+def test_cli_exact_values_refused_above_the_cap(capsys, func):
+    code, out, err = run_cli(capsys, "numtheory", func, str(nt.EXACT_BOUND_CAP + 1))
+    assert code == 3 and f"capped at n <= {nt.EXACT_BOUND_CAP}" in err
+    assert out == ""
+    assert run_cli(capsys, "numtheory", func, str(nt.EXACT_BOUND_CAP))[0] == 0
+
+
 def test_cli_capacity_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "numtheory", "f", "200000")
     assert code == 3 and "capacity" in err

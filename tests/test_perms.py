@@ -149,23 +149,23 @@ def test_build_order_equals_enumeration_length():
 # ── centralizers ────────────────────────────────────────────────────
 
 def test_centralizer_examples(s3, d8):
-    assert s3.centralizer([cycles(3, (0, 1))]).order == 2
-    assert s3.centralizer([Permutation.identity(3)]).order == 6
+    assert s3.centralizer([cycles(3, (0, 1))]).order_value == 2
+    assert s3.centralizer([Permutation.identity(3)]).order_value == 6
     rot = cycles(4, (0, 1, 2, 3))
     c = d8.centralizer([rot])
-    assert c.order == 4
-    assert c.group().is_abelian()
+    assert c.order_value == 4
+    assert c.is_abelian()
 
 
 def test_centralizer_brute_force_agreement(d8):
     rot = cycles(4, (0, 1, 2, 3))
     brute = [x for x in d8.enumerate_elements() if x * rot == rot * x]
-    assert d8.centralizer([rot]).order == len(brute)
+    assert d8.centralizer([rot]).order_value == len(brute)
 
 
 def test_centralizer_is_subgroup(s4):
     c = s4.centralizer([cycles(4, (0, 1))])
-    elems = c.elements()
+    elems = c.enumerate_elements()
     eset = set(elems)
     for a in elems:
         assert a.inverse() in eset
@@ -208,31 +208,30 @@ def test_centralizer_rejects_non_member():
 
 def test_center_of_d8(d8):
     z = d8.center()
-    assert z.order == 2
-    assert z.group().contains(cycles(4, (0, 2), (1, 3)))
+    assert z.order_value == 2
+    assert z.contains(cycles(4, (0, 2), (1, 3)))
 
 
 # ── normality ───────────────────────────────────────────────────────
 
 def test_a3_normal_in_s3(s3):
     a3 = s3.centralizer([cycles(3, (0, 1, 2))])
-    assert a3.order == 3
+    assert a3.order_value == 3
     assert s3.is_normal(a3)
 
 
 def test_two_cycle_subgroup_not_normal(s3):
-    from abelmax.perms import SubgroupHandle
-
-    h = SubgroupHandle(s3, [cycles(3, (0, 1))], 2)
+    h = s3.subgroup([cycles(3, (0, 1))])
+    assert h.order_value == 2
     assert not s3.is_normal(h)
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "agl3_2", "frobenius:5:4", "dihedral:12"])
 def test_is_normal_against_the_definition(spec):
     # H = <gens> is normal when g h g^-1 lies in H for every generator g
-    # of G and h of H; H's own stabilizer chain decides membership
+    # of G and h of H; membership is read from the element table of H,
+    # built as a group of its own from gens
     from abelmax.catalog import build_group
-    from abelmax.perms import SubgroupHandle
 
     g = build_group(spec)
     table = g.element_table()
@@ -245,7 +244,9 @@ def test_is_normal_against_the_definition(spec):
         expected = all(
             h.contains(x * y * x.inverse()) for x in g.generators for y in gens
         )
-        assert g.is_normal(SubgroupHandle(g, gens, h.order_value)) == expected, gens
+        sub = g.subgroup(gens)
+        assert sub.order_value == h.order_value
+        assert g.is_normal(sub) == expected, gens
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -260,18 +261,18 @@ def test_is_normal_rejects_a_subgroup_of_another_group(s3):
 
 def test_normal_closure_v4(s4):
     v4 = s4.normal_closure([cycles(4, (0, 1), (2, 3))])
-    assert v4.order == 4
+    assert v4.order_value == 4
     assert s4.is_normal(v4)
     # brute check: the closure is exactly the set of conjugates' span
-    elems = {e for e in v4.elements()}
+    elems = {e for e in v4.enumerate_elements()}
     assert all(e.order() in (1, 2) for e in elems)
 
 
 def test_minimal_normal_subgroups(s3, s4):
-    assert [m.order for m in s4.minimal_normal_subgroups()] == [4]
-    assert [m.order for m in s3.minimal_normal_subgroups()] == [3]
+    assert [m.order_value for m in s4.minimal_normal_subgroups()] == [4]
+    assert [m.order_value for m in s3.minimal_normal_subgroups()] == [3]
     a5 = PermGroup([cycles(5, (0, 1, 2)), cycles(5, (0, 1, 2, 3, 4))])
-    assert [m.order for m in a5.minimal_normal_subgroups()] == [60]
+    assert [m.order_value for m in a5.minimal_normal_subgroups()] == [60]
 
 
 def test_minimal_normal_subgroups_brute(s4):
@@ -280,7 +281,7 @@ def test_minimal_normal_subgroups_brute(s4):
     normal_orders = set()
     for r, cls in zip(*s4.conjugacy_classes()):
         n = s4.normal_closure([table.permutation(r)])
-        normal_orders.add(n.order)
+        normal_orders.add(n.order_value)
     assert normal_orders == {1, 4, 12, 24}
 
 
@@ -306,22 +307,24 @@ def test_minimal_normal_subgroups_against_closure_lattice():
                 continue
             n = g.normal_closure([table.permutation(r)])
             if not any(
-                m.order == n.order and all(m.group().contains(x) for x in n.generators)
+                m.order_value == n.order_value
+                and all(m.contains(x) for x in n.generators)
                 for m in closures
             ):
                 closures.append(n)
         brute_minimal = sorted(
-            n.order
+            n.order_value
             for n in closures
             if not any(
-                m.order < n.order and all(n.group().contains(x) for x in m.generators)
+                m.order_value < n.order_value
+                and all(n.contains(x) for x in m.generators)
                 for m in closures
             )
         )
-        got = [h.order for h in g.minimal_normal_subgroups()]
+        got = [h.order_value for h in g.minimal_normal_subgroups()]
         assert sorted(got) == brute_minimal
         for h in g.minimal_normal_subgroups():
-            assert h.order > 1
+            assert h.order_value > 1
             assert g.is_normal(h)
 
 
@@ -396,20 +399,19 @@ def test_element_table_orders_are_lcms_of_cycle_lengths(spec):
 
 def test_sylow_s4(s4):
     p2 = s4.sylow_subgroup(2)
-    assert p2.order == 8
-    g = p2.group()
-    orders = sorted(e.order() for e in g.enumerate_elements())
+    assert p2.order_value == 8
+    orders = sorted(e.order() for e in p2.enumerate_elements())
     assert orders == [1, 2, 2, 2, 2, 2, 4, 4]  # dihedral profile
-    assert s4.sylow_subgroup(3).order == 3
+    assert s4.sylow_subgroup(3).order_value == 3
 
 
 def test_sylow_s6_three():
     s6 = PermGroup([cycles(6, (0, 1)), cycles(6, tuple(range(6)))])
     p3 = s6.sylow_subgroup(3)
-    assert p3.order == 9
-    assert p3.group().is_abelian()
+    assert p3.order_value == 9
+    assert p3.is_abelian()
     # elementary abelian: every non-identity element has order 3
-    assert sorted(e.order() for e in p3.elements()) == [1] + [3] * 8
+    assert sorted(e.order() for e in p3.enumerate_elements()) == [1] + [3] * 8
 
 
 def test_sylow_rejects_non_divisor(s4):
@@ -496,7 +498,6 @@ def test_position_rejects_non_member_sharing_base_images(spec, base, transpositi
     # the transposition fixes the base, so its base-image key is the
     # identity's; only the full-row comparison tells it apart
     from abelmax.catalog import build_group
-    from abelmax.perms import SubgroupHandle
 
     g = build_group(spec)
     assert g.chain.base == base
@@ -506,7 +507,9 @@ def test_position_rejects_non_member_sharing_base_images(spec, base, transpositi
     assert table.index.search(row[None, table.index.base])[1].all()
     with pytest.raises(ValueError):
         table.position(t)
-    assert not SubgroupHandle(g, list(g.generators), g.order_value).contains(t)
+    assert not g.contains(t)
+    whole = g.subgroup(list(g.generators))
+    assert whole.order_value == g.order_value and not whole.contains(t)
     assert table.position(g.identity()) == 0
 
 
@@ -520,20 +523,19 @@ def test_lookup_of_absent_base_images_fails_loudly(d8):
         table.positions(np.stack([table.matrix[1], row]))
 
 
-def test_subgroup_handle_members_are_the_generated_subgroup(s4):
-    from abelmax.perms import SubgroupHandle
-
+def test_subgroup_members_are_the_generated_subgroup(s4):
     table = s4.element_table()
-    h = SubgroupHandle(s4, [cycles(4, (0, 1)), cycles(4, (2, 3))], 4)
+    gens = [cycles(4, (0, 1)), cycles(4, (2, 3))]
+    h = s4.subgroup(gens)
+    assert h.order_value == 4 and h.generators == gens
     # elements come in the parent's canonical order
-    assert [table.position(p) for p in h.elements()] == sorted(h.members)
-    assert {p.images for p in h.elements()} == {
+    positions = [table.position(p) for p in h.enumerate_elements()]
+    assert positions == sorted(h.members.tolist())
+    assert {p.images for p in h.enumerate_elements()} == {
         (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
     }
     assert h.contains(cycles(4, (0, 1), (2, 3))) and not h.contains(cycles(4, (0, 2)))
     assert not h.contains(cycles(5, (0, 1)))
-    with pytest.raises(AssertionError):
-        SubgroupHandle(s4, [cycles(4, (0, 1))], 3)
 
 
 @pytest.mark.parametrize(
@@ -546,7 +548,7 @@ def test_subgroup_queries_build_no_stabilizer_chain(
     # these queries constructs a chain of its own
     from abelmax import perms
     from abelmax.catalog import build_group
-    from abelmax.search import max_abelian_order
+    from abelmax.search import max_abelian_normal, max_abelian_order
 
     g = build_group(spec)
     built = []
@@ -563,9 +565,18 @@ def test_subgroup_queries_build_no_stabilizer_chain(
     assert g.is_normal(g.center())
     closure = g.normal_closure([x])
     assert g.is_normal(closure) and closure.contains(x)
-    assert [m.order for m in g.minimal_normal_subgroups()] == [expected_minimal]
+    minimal = g.minimal_normal_subgroups()
+    assert [m.order_value for m in minimal] == [expected_minimal]
+    # A5 is simple; the translations of agl3_2 are elementary abelian
+    assert minimal[0].is_simple() == (spec == "sym:5")
     assert not g.is_simple()
-    assert g.sylow_subgroup(2).order == g.order.p_part(2)
+    sylow = g.sylow_subgroup(2)
+    assert sylow.order_value == g.order.p_part(2)
+    # the Sylow subgroup answers queries as a group of its own
+    reps, classes = sylow.conjugacy_classes()
+    assert sum(map(len, classes)) == sylow.order_value
+    assert sylow.center().order_value == 2
+    assert max_abelian_normal(sylow).order == {"sym:5": 4, "agl3_2": 16}[spec]
     assert max_abelian_order(g).m == expected_m
     assert built == []
 
@@ -573,15 +584,36 @@ def test_subgroup_queries_build_no_stabilizer_chain(
 def test_sylow_orders_match_p_part():
     g = PermGroup([cycles(7, (0, 1, 2, 3, 4, 5, 6)), cycles(7, (1, 2, 4))])
     for p in g.order.factors:
-        assert g.sylow_subgroup(p).order == g.order.p_part(p)
+        assert g.sylow_subgroup(p).order_value == g.order.p_part(p)
 
 
-# ── subgroup handles ────────────────────────────────────────────────
+# ── subgroups ───────────────────────────────────────────────────────
 
-def test_subgroup_handle_validates_membership(s3):
-    from abelmax.perms import SubgroupHandle
-
+def test_subgroup_validates_membership(s3):
     with pytest.raises(ValueError):
-        SubgroupHandle(
-            PermGroup([cycles(4, (0, 1, 2))]), [cycles(4, (0, 1))], 2
-        )
+        PermGroup([cycles(4, (0, 1, 2))]).subgroup([cycles(4, (0, 1))])
+
+
+def test_subgroup_tables_equal_the_tables_of_rebuilt_groups():
+    # a subgroup's table is a slice of its parent's; the reference is the
+    # same subgroup built as a group of its own, with its own chain
+    from abelmax import catalog as cat
+
+    checked = 0
+    for entry in cat.build_catalog(cat.default_catalog_specs()):
+        g = entry.group
+        subgroups = [g.sylow_subgroup(p) for p in g.order.factors]
+        subgroups += g.minimal_normal_subgroups() + [g.center()]
+        for sub in subgroups:
+            ref = PermGroup(sub.generators or [sub.identity()])
+            got, want = sub.element_table(), ref.element_table()
+            assert np.array_equal(got.matrix, want.matrix), entry.group_id
+            assert np.array_equal(got.orders, want.orders)
+            assert np.array_equal(got.class_of, want.class_of)
+            (got_reps, got_classes), (want_reps, want_classes) = (
+                sub.conjugacy_classes(), ref.conjugacy_classes()
+            )
+            assert got_reps == want_reps
+            assert [c.tolist() for c in got_classes] == [c.tolist() for c in want_classes]
+            checked += 1
+    assert checked == 141

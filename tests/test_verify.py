@@ -138,18 +138,18 @@ def test_classification_post_hoc_predicates(by_id):
     # re-verify each returned case from first principles
     g = by_id["frobenius:5:4"].group
     sylow5 = g.sylow_subgroup(5)
-    assert g.is_normal(sylow5) and g.centralizer(sylow5.generators).order == 5
+    assert g.is_normal(sylow5) and g.centralizer(sylow5.generators).order_value == 5
 
     g = by_id["agammal1:3"].group
     minimals = g.minimal_normal_subgroups()
     assert any(
-        h.order == 8 and h.group().is_abelian() and 7 in vf.large_primes(by_id["agammal1:3"]).large_primes
+        h.order_value == 8 and h.is_abelian() and 7 in vf.large_primes(by_id["agammal1:3"]).large_primes
         for h in minimals
     )
 
     g = by_id["alt:5"].group
     (n,) = g.minimal_normal_subgroups()
-    assert n.order == 60 and g.centralizer(n.generators).order == 1
+    assert n.order_value == 60 and g.centralizer(n.generators).order_value == 1
 
 
 def test_classification_requires_large_prime(by_id):
@@ -333,6 +333,25 @@ def test_every_table_is_built_under_the_suite_cap(monkeypatch):
         entries = cat.build_catalog(cat.default_catalog_specs())
         vf.run_suite(suite, entries, enum_cap=150_000)
     assert caps and set(caps) == {150_000}
+
+
+def test_run_suite_all_builds_chains_only_for_explicit_pgroups(monkeypatch):
+    # Sylow subgroups, centers and minimal normal subgroups are slices of
+    # their parent's table; the only chains built after the catalog are
+    # those of the nine explicit p-groups of the lemma suite
+    from abelmax import perms
+
+    entries = cat.build_catalog(cat.default_catalog_specs())
+    built = []
+    init = perms.StabilizerChain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perms.StabilizerChain, "__init__", counting_init)
+    vf.run_suite("all", entries)
+    assert len(built) == 9
 
 
 def test_run_suite_rejects_unknown(entries):
