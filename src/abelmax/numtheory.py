@@ -21,14 +21,13 @@ their prime powers as a balanced product tree.
 The sieve is a ``bytearray`` of one byte per number, refused above
 ``SIEVE_CAP``.  g, h, f and the primes that ``verify`` asks for are read
 from it with ``itertools.compress``, so they never import numpy; only
-``order_bound_log`` and the two-prime scan do, and they view the same
-bytes as a bool array through ``np.frombuffer``, without a copy.
+``order_bound_log`` does, and it views the same bytes as a bool array
+through ``np.frombuffer``, without a copy.
 
 ``two_prime_interval_exceptions(limit)`` holds the sieve of 0..limit
-and, besides it, int32 prime counts for one block of ``_SCAN_BLOCK``
-values of m at a time: about limit + 22 * _SCAN_BLOCK bytes of arrays
-in all (15 MB at limit 10^7, by tracemalloc), where counts over the
-whole range would take several bytes per number.
+and nothing else that grows with the limit: it walks the sieve with
+``bytearray.rfind``, from the two largest primes <= m straight to the
+next m whose interval (m/2, m] can lose one of them.
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ SIEVE_CAP = 10**8
 
 # _prime_flags strikes at most this many multiples of a prime at once.
 _STRIKE = 1 << 15
-
-# two_prime_interval_exceptions scans m in blocks of this many values.
-_SCAN_BLOCK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -336,38 +332,22 @@ def asymptotic_ratio(n: int) -> AsymptoticSample:
     return AsymptoticSample(n, lf, lf / (n / 2))
 
 
-def _half_interval_prime_counts(flags: bytearray):
-    """For m = 3, ..., len(flags) - 1, the number of primes in (m/2, m],
-    pi(m) - pi(m // 2), from the prime flags of 0..len(flags) - 1.
-
-    Yields (a, counts) for consecutive blocks [a, b) of ``_SCAN_BLOCK``
-    values of m, with counts[i] the count at m = a + i: int32 running
-    sums over flags[a:b] and over flags[a//2 : (b-1)//2 + 1], each offset
-    by the primes below the start of its slice.
-    """
-    import numpy as np
-
-    flags = np.frombuffer(flags, dtype=bool)
-    below_a = below_lo = 0  # primes below a, and below a // 2
-    prev_a = prev_lo = 0
-    for a in range(3, len(flags), _SCAN_BLOCK):
-        b = min(a + _SCAN_BLOCK, len(flags))
-        lo = a // 2
-        below_a += int(np.count_nonzero(flags[prev_a:a]))
-        below_lo += int(np.count_nonzero(flags[prev_lo:lo]))
-        prev_a, prev_lo = a, lo
-        upper = np.cumsum(flags[a:b], dtype=np.int32)
-        lower = np.cumsum(flags[lo : (b - 1) // 2 + 1], dtype=np.int32)
-        # (m // 2) - lo for m = a, ..., b - 1
-        half = (np.arange(b - a, dtype=np.int32) + a % 2) >> 1
-        yield a, upper - lower[half] + (below_a - below_lo)
-
-
 def two_prime_interval_exceptions(limit: int) -> list[int]:
     """All m in [3, limit] whose interval (m/2, m] holds fewer than two primes."""
     if limit < 3:
         raise ValueError("need limit >= 3")
+    flags = _prime_flags(limit)
     out: list[int] = []
-    for a, counts in _half_interval_prime_counts(_prime_flags(limit)):
-        out.extend((a + (counts < 2).nonzero()[0]).tolist())
+    m = 3
+    while m <= limit:
+        # b and a are the two largest primes <= m; they are the two
+        # largest in (m/2, m] exactly when 2a > m
+        b = flags.rfind(1, 0, m + 1)
+        a = flags.rfind(1, 0, b)
+        if 2 * a <= m:
+            out.append(m)
+            m += 1
+        else:
+            # for every k in [m, 2a), a and b both lie in (k/2, k]
+            m = 2 * a
     return out

@@ -1,6 +1,8 @@
 """Tests for the group-family constructors and generator files."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from abelmax import GeneratorFileError
 from abelmax import catalog as cat
 from abelmax.perms import Permutation
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 # ── family orders ───────────────────────────────────────────────────
@@ -186,6 +190,27 @@ def test_load_m12_and_enumerate():
     g = cat.load_generator_file("groups/m12.gens")
     assert g.order.factored_str() == "2^6*3^3*5*11"
     assert len(g.enumerate_elements()) == 95040
+
+
+def test_load_j1():
+    g = cat.load_generator_file(_REPO / "groups" / "j1.gens")
+    assert g.degree == 266 and g.order_value == 175560
+    assert g.order.factored_str() == "2^3*3*5*7*11*19"
+
+
+def test_j1_file_is_rederived_from_janko_matrices():
+    spec = importlib.util.spec_from_file_location("make_j1", _REPO / "groups" / "make_j1.py")
+    make_j1 = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_j1)
+    y, z = make_j1.Y, make_j1.Z
+    assert [make_j1.mat_order(m) for m in (y, z, make_j1.mat_mul(y, z))] == [7, 5, 10]
+    assert make_j1.gens_text() == (_REPO / "groups" / "j1.gens").read_text()
+
+
+def test_j1_is_in_no_pinned_catalog():
+    # the pinned catalogs' reports stay as they are; J1 is run by name
+    for specs in (cat.default_catalog_specs(), cat.extended_catalog_specs()):
+        assert not any("j1" in s.spec_string() for s in specs)
 
 
 def test_file_spec_resolves_against_base_dir(tmp_path):

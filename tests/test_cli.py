@@ -65,7 +65,7 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
 
 
 def test_cli_exceptions_at_ten_million_in_bounded_memory():
-    # the scan holds the sieve and one block of counts, not whole-range arrays
+    # the scan holds the sieve and no array over the range of m
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
@@ -77,6 +77,23 @@ def test_cli_exceptions_at_ten_million_in_bounded_memory():
     code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
     assert (code, proc.stdout) == (0, "4 6 10\n"), proc.stderr
     assert peak_kib / 1024 < 150, f"peak RSS {peak_kib / 1024:.0f} MB"
+
+
+def test_cli_mgroup_j1_in_bounded_memory():
+    # J1's table is 175560 x 266 uint16 (93 MB); the build holds it and
+    # its sorted copy, and no comparison gathers another table-sized array
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "abelmax.cli", "mgroup", "file:groups/j1.gens"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
+    assert code == 0, proc.stderr
+    assert "\nm: 19\n" in proc.stdout and proc.stdout.endswith("nodes: 4\n")
+    assert peak_kib / 1024 < 250, f"peak RSS {peak_kib / 1024:.0f} MB"
 
 
 @pytest.mark.parametrize("argv", [
@@ -104,7 +121,7 @@ print(json.dumps([code, loaded]))
 """
 
 
-@pytest.mark.parametrize("func", ["g", "h", "f"])
+@pytest.mark.parametrize("func", ["g", "h", "f", "exceptions"])
 def test_cli_number_theory_starts_without_the_group_machinery(func):
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)

@@ -306,21 +306,15 @@ def direct_half_interval_counts(limit):
     return pi[ms] - pi[ms // 2]
 
 
-BLOCK = nt._SCAN_BLOCK
-
-
 @pytest.mark.parametrize("limit", [
-    3, 4, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3,
-    2 * BLOCK + 1, 2 * BLOCK + 2, 2 * BLOCK + 3, 6 * BLOCK + 3,
+    3, 4, 262143, 262144, 262145, 262146, 262147,
+    524289, 524290, 524291, 1572867,
 ])
 def test_two_prime_scan_at_block_edges(limit):
-    # blocks of m start at 3, so a block ends exactly at limit
-    # k * BLOCK + 2, and limit k * BLOCK + 3 starts a one-value block;
-    # the seventh block's m // 2 slice starts at a prime (786433)
+    # small limits, and limits on both sides of multiples of 2^18 (at
+    # 1572867 the count's m // 2 reaches the prime 786433): the scan's
+    # exceptions are exactly the m whose whole-range count is below 2
     expected = direct_half_interval_counts(limit)
-    blocks = list(nt._half_interval_prime_counts(nt._prime_flags(limit)))
-    assert [a for a, _ in blocks] == list(range(3, limit + 1, BLOCK))
-    assert np.array_equal(np.concatenate([c for _, c in blocks]), expected)
     ms = np.arange(3, limit + 1)
     assert nt.two_prime_interval_exceptions(limit) == ms[expected < 2].tolist()
 

@@ -100,6 +100,23 @@ def test_membership(s4):
     assert not a4.contains(cycles(4, (0, 1)))
 
 
+def test_contains_sifts_through_the_chain_without_enumerating():
+    from abelmax.catalog import build_group
+
+    s9 = build_group("sym:9")
+    assert s9.contains(s9.generators[0]) and s9._table is None
+    a10 = build_group("alt:10")
+    assert a10.order_value > 200_000
+    assert not a10.contains(cycles(10, (0, 1)))
+    assert a10.contains(cycles(10, (0, 1, 2))) and a10._table is None
+    # a permutation of another degree is no member either way
+    assert not s9.contains(cycles(10, (0, 1)))
+    s3 = build_group("sym:3")
+    assert not s3.contains(cycles(4, (0, 1)))
+    s3.element_table()
+    assert not s3.contains(cycles(4, (0, 1)))
+
+
 def test_chain_is_deterministic(s4):
     again = PermGroup(s4.generators)
     assert again.chain.base == s4.chain.base
@@ -173,11 +190,18 @@ def test_centralizer_is_subgroup(s4):
             assert a * b in eset
 
 
-@pytest.mark.parametrize("spec", ["sym:5", "agl3_2", "alt:6"])
+# groups whose chain's base is much shorter than their degree, so that
+# comparing base columns differs from comparing whole rows
+SHORT_BASE = ["cyclic:30", "dihedral:12", "frobenius:5:4"]
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "agl3_2", "alt:6", *SHORT_BASE])
 def test_element_table_commuting_against_products(spec):
     from abelmax.catalog import build_group
 
     g = build_group(spec)
+    if spec in SHORT_BASE:
+        assert 2 * len(g.chain.base) <= g.degree
     table = g.element_table()
     n = len(table)
     elems = [table.permutation(i) for i in range(n)]
@@ -199,6 +223,27 @@ def test_element_table_commuting_against_products(spec):
         narrowed = table.commuting(other, cent)
         assert narrowed.tolist() == reference(other, cent.tolist())
         assert table.commuting(r, sparse).tolist() == reference(r, sparse.tolist())
+
+
+@pytest.mark.parametrize(
+    "spec", ["sym:5", "agl3_2", "psl2:13", *SHORT_BASE, "cyclic:2000", "file:groups/m12.gens"]
+)
+def test_element_table_base_prefix_sort_is_the_full_row_sort(spec):
+    # the table is sorted on columns 0..max(base) only; sorting on every
+    # column must leave each block of equal element order as it is
+    from pathlib import Path
+
+    from abelmax.catalog import build_group
+
+    g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+    table = g.element_table()
+    matrix, orders = table.matrix, table.orders
+    for o in np.unique(orders).tolist():
+        block = np.flatnonzero(orders == o)
+        assert np.array_equal(block, np.arange(block[0], block[-1] + 1))
+        rows = matrix[block]
+        full = np.lexsort(tuple(rows[:, i] for i in range(g.degree - 1, -1, -1)))
+        assert np.array_equal(full, np.arange(len(block)))
 
 
 def test_centralizer_rejects_non_member():
@@ -521,6 +566,27 @@ def test_lookup_of_absent_base_images_fails_loudly(d8):
         table.positions(row[None])
     with pytest.raises(AssertionError):
         table.positions(np.stack([table.matrix[1], row]))
+
+
+@pytest.mark.parametrize("count", [10, 5000])
+def test_index_search_with_few_and_many_keys(count):
+    # below _SORTED_SEARCH_MIN keys the search runs in the given order,
+    # from there on in sorted order; both give each key its own position
+    from abelmax import perms
+    from abelmax.catalog import build_group
+
+    assert 10 < perms._SORTED_SEARCH_MIN <= 5000
+    table = build_group("sym:7").element_table()
+    base = table.index.base
+    rng = np.random.default_rng(7)
+    want = rng.integers(0, len(table), count)
+    images = table.matrix[want][:, base]
+    # a repeated point is the base image of no permutation
+    absent = rng.random(count) < 0.25
+    images[absent, 1] = images[absent, 0]
+    positions, found = table.index.search(images)
+    assert np.array_equal(found, ~absent)
+    assert np.array_equal(positions[~absent], want[~absent])
 
 
 def test_subgroup_members_are_the_generated_subgroup(s4):

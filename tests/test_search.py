@@ -85,6 +85,8 @@ _REPO = Path(__file__).resolve().parents[1]
         ("agammal1:3", 8, 3), ("agammal1:4", 16, 21), ("agl3_2", 16, 31),
         pytest.param("file:groups/m11.gens", 11, 2, marks=pytest.mark.extended),
         pytest.param("file:groups/m12.gens", 16, 47, marks=pytest.mark.extended),
+        # J1 on 266 points: its Sylow 19-subgroups are self-centralizing
+        pytest.param("file:groups/j1.gens", 19, 4, marks=pytest.mark.extended),
     ],
 )
 def test_search_node_counts_are_pinned(spec, m, nodes):

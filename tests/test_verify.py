@@ -179,7 +179,7 @@ def test_no_catalog_group_has_three_large_primes(entries):
 
 
 def test_random_products_stay_in_group(entries):
-    # membership goes through the stabilizer chain, independent of the table
+    # products formed outside the table, then looked up in it
     import numpy as np
 
     from abelmax.perms import Permutation
@@ -227,6 +227,24 @@ def test_cyclic_group_of_a_sporadic_order_is_not_expected():
     (entry,) = cat.build_catalog(["file:cyclic_175560.gens"], base_dir=data)
     assert entry.group.order_value == 175_560
     assert not vf.is_expected_two_prime_group(entry)
+
+
+def test_j1_verdicts_of_verify_all():
+    # J1 is the simple group behind the sporadic order 175560: its two
+    # large primes 11 and 19 are expected, so the refined statement's
+    # failure to divide is an expected exception, not a failed check
+    repo = Path(__file__).resolve().parents[1]
+    (entry,) = cat.build_catalog(["file:groups/j1.gens"], base_dir=repo)
+    report = vf.run_suite("all", [entry])
+    rows = {c.theorem: c for c in report.checks if c.group_id == entry.group_id}
+    assert report.all_passed and report.summary["expected_exceptions"] == 2
+    assert {(c.m, c.order) for c in rows.values()} == {(19, 175_560)}
+    assert rows["divisibility"].detail["quotient"] == 254_592
+    refined = rows["refined_divisibility"].detail
+    assert not refined["divides"] and refined["expected_exception"] == "two_large_primes"
+    assert rows["two_prime"].detail == {"expected": True, "flagged": True, "large_primes": "11 19"}
+    assert rows["equality"].detail["equal"] is False
+    assert rows["equality"].detail["expected"] is False
 
 
 def test_equality_scan(entries):
