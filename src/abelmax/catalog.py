@@ -232,18 +232,19 @@ def _least_primitive_root(p: int) -> int:
 
 # ── spec strings and catalog entries ────────────────────────────────
 
-_FAMILY_ARITY = {
-    "sym": 1,
-    "alt": 1,
-    "cyclic": 1,
-    "dihedral": 1,
-    "elem_abelian": 2,
-    "psl2": 1,
-    "pgl2": 1,
-    "frobenius": 2,
-    "agl1": 1,
-    "agammal1": 1,
-    "agl3_2": 0,
+# each family's number of spec parameters and its constructor
+_FAMILIES = {
+    "sym": (1, sym_group),
+    "alt": (1, alt_group),
+    "cyclic": (1, cyclic_group),
+    "dihedral": (1, dihedral_group),
+    "elem_abelian": (2, elem_abelian_group),
+    "psl2": (1, psl2_group),
+    "pgl2": (1, pgl2_group),
+    "frobenius": (2, frobenius_group),
+    "agl1": (1, agl1_group),
+    "agammal1": (1, agammal1_group),
+    "agl3_2": (0, agl3_2_group),
 }
 
 
@@ -270,12 +271,12 @@ def parse_spec(text: str) -> GroupSpec:
         return GroupSpec("file", (), path)
     parts = text.split(":")
     family = parts[0]
-    if family not in _FAMILY_ARITY:
+    if family not in _FAMILIES:
         raise ValueError(
             f"unknown group family {family!r}; valid families: "
-            + ", ".join(sorted(_FAMILY_ARITY)) + ", file"
+            + ", ".join(sorted(_FAMILIES)) + ", file"
         )
-    arity = _FAMILY_ARITY[family]
+    arity, _ = _FAMILIES[family]
     args = parts[1:]
     if len(args) != arity:
         raise ValueError(f"{family} takes {arity} parameter(s), got {len(args)}")
@@ -286,21 +287,6 @@ def parse_spec(text: str) -> GroupSpec:
     return GroupSpec(family, params)
 
 
-_BUILDERS = {
-    "sym": sym_group,
-    "alt": alt_group,
-    "cyclic": cyclic_group,
-    "dihedral": dihedral_group,
-    "elem_abelian": elem_abelian_group,
-    "psl2": psl2_group,
-    "pgl2": pgl2_group,
-    "frobenius": frobenius_group,
-    "agl1": agl1_group,
-    "agammal1": agammal1_group,
-    "agl3_2": agl3_2_group,
-}
-
-
 def build_group(spec: GroupSpec | str, base_dir: str | Path | None = None) -> PermGroup:
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -309,7 +295,8 @@ def build_group(spec: GroupSpec | str, base_dir: str | Path | None = None) -> Pe
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         return load_generator_file(path)
-    return _BUILDERS[spec.family](*spec.params)
+    _, builder = _FAMILIES[spec.family]
+    return builder(*spec.params)
 
 
 @dataclass

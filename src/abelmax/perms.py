@@ -24,11 +24,14 @@ orders are computed once per class; the table records each position's
 class number.  Membership is a lookup in the table, or a sift through
 the chain while a group has no table yet.
 
-A subgroup is a ``PermGroup`` too, with no chain of its own: its
-``members`` are positions in its parent's table, grown by Dimino's coset
-step ``ElementTable.extend``, and its table is the parent's rows at
-those positions.  It is normal exactly when its positions are a union
-of whole classes of the parent (``ElementTable.is_class_union``).
+Every set of positions in a table is an ascending, duplicate-free int64
+array.  A subgroup is a ``PermGroup`` too, with no chain of its own: its
+``members`` are such an array of positions in its parent's table, grown
+by Dimino's coset step ``ElementTable.extend``, and its table is the
+parent's rows at those positions.  It is normal exactly when its
+positions are a union of whole classes of the parent
+(``ElementTable.is_class_union``), so a normal closure is found as a set
+of class numbers and expanded to positions only to become a subgroup.
 
 The enumeration cap is checked in one place, ``PermGroup.element_table``
 of a group with a chain, with a CapacityError rather than truncation; a
@@ -336,26 +339,26 @@ class ElementTable:
     """All group elements as a (N, degree) image matrix in canonical order.
 
     Row 0 is the identity; the other rows follow by element order
-    descending, then image tuple ascending.  ``PermGroup.element_table``
-    is the only place that builds or orders a table, and every consumer
-    (conjugacy classes, subgroups, the abelian-subgroup search) reads
-    row positions in this order through ``index``, which finds a row
-    from its base images.  ``orders`` and ``class_of`` hold each
-    position's element order and conjugacy class number (classes are
-    numbered as ``PermGroup.conjugacy_classes`` lists them).  A subgroup
-    is a set of positions, and every subgroup (Sylow growth, the
-    search's nodes, generated and centralizing subgroups) is grown by
-    one closure step, ``extend``; it is normal exactly when its
-    positions are a union of whole classes, ``is_class_union``.  The
-    subgroup's own table is this one's rows at those positions, which
-    stay in canonical order, with an index on the same base.
-    Centralizers, in the search and in ``PermGroup.centralizer``, come
-    from one primitive, ``commuting``, which narrows a given set of
-    positions rather than the whole table.  Rows are compared and sorted
-    on the base columns only: ``index`` keys on the base images, ``mul``,
-    ``extend`` and ``commuting`` form and compare base images of
-    products, and the canonical order is the lexicographic order of
-    columns 0..max(base), which equals that of whole rows.
+    descending, then image tuple ascending.  ``PermGroup.element_table`` is
+    the only place that builds or orders a table, and every consumer
+    (conjugacy classes, subgroups, the abelian-subgroup search) reads row
+    positions in this order through ``index``, which finds a row from its
+    base images.  ``orders`` and ``class_of`` hold each position's element
+    order and conjugacy class number (classes are numbered as
+    ``PermGroup.conjugacy_classes`` lists them).  A subgroup, like every set
+    of positions the table takes or returns, is an ascending, duplicate-free
+    int64 array of positions, and every subgroup (Sylow growth, the search's
+    nodes, generated and centralizing subgroups) is grown by one closure
+    step, ``extend``; it is normal exactly when its positions are a union of
+    whole classes, ``is_class_union``.  The subgroup's own table is this
+    one's rows at those positions, which stay in canonical order, with an
+    index on the same base.  Centralizers, in the search and in
+    ``PermGroup.centralizer``, come from one primitive, ``commuting``, which
+    narrows a given set of positions rather than the whole table.  Rows are
+    compared and sorted on the base columns only: ``index`` keys on the base
+    images, ``mul``, ``extend`` and ``commuting`` form and compare base
+    images of products, and the canonical order is the lexicographic order
+    of columns 0..max(base), which equals that of whole rows.
     """
 
     matrix: np.ndarray
@@ -363,9 +366,10 @@ class ElementTable:
     orders: np.ndarray
     class_of: np.ndarray
 
-    def positions(self, rows: np.ndarray) -> list[int]:
-        """Positions of the elements given as the rows of a (k, degree) array."""
-        return self.index.find(rows[:, self.index.base]).tolist()
+    def positions(self, rows: np.ndarray) -> np.ndarray:
+        """Positions, as an int64 array, of the elements given as the rows
+        of a (k, degree) array, in the order of the rows."""
+        return self.index.find(rows[:, self.index.base])
 
     def position(self, p: Permutation) -> int:
         """Position of the permutation p; ValueError if it is not a row."""
@@ -376,10 +380,10 @@ class ElementTable:
                 return i
         raise ValueError(f"{p!r} is not a member of the group")
 
-    def is_class_union(self, members) -> bool:
-        """Whether the distinct positions ``members`` make up whole
-        conjugacy classes; a subgroup is normal exactly when they do."""
-        touched = np.unique(self.class_of[list(members)])
+    def is_class_union(self, members: np.ndarray) -> bool:
+        """Whether the positions ``members`` make up whole conjugacy
+        classes; a subgroup is normal exactly when they do."""
+        touched = np.unique(self.class_of[members])
         return int(np.bincount(self.class_of)[touched].sum()) == len(members)
 
     def mul(self, i: int, j: int) -> int:
@@ -387,36 +391,40 @@ class ElementTable:
         base_images = self.matrix[i, self.matrix[j, self.index.base]]
         return int(self.index.find(base_images[None])[0])
 
-    def extend(self, subgroup: set[int], x: int, gens=()) -> set[int]:
+    def extend(self, subgroup: np.ndarray, x: int, gens=()) -> np.ndarray:
         """Positions of <H, x> for the subgroup H at ``subgroup``, by
         Dimino's coset step: the union of the right cosets H r, where a
         product r s of a coset representative and a generator starts a
         new coset when it lies outside those found so far.  Valid for
         any x when the positions ``gens`` generate H; with no ``gens``,
         valid when x normalizes H, for then <H, x> = H<x>."""
-        out = set(subgroup)
-        if x in out:
-            return out
-        rows = self.matrix[list(subgroup)]
+        inside = np.zeros(len(self), dtype=bool)
+        inside[subgroup] = True
+        if inside[x]:
+            return subgroup
+        rows = self.matrix[subgroup]
         base = self.index.base
         reps = [0]
         for r in reps:
             for s in (*gens, x):
                 y = self.mul(r, s)
-                if y not in out:
+                if not inside[y]:
                     # the base images of h y for every h in H
-                    out.update(self.index.find(rows[:, self.matrix[y, base]]).tolist())
+                    inside[self.index.find(rows[:, self.matrix[y, base]])] = True
                     reps.append(y)
-        return out
+        return np.flatnonzero(inside)
 
-    def closure(self, positions) -> tuple[set[int], list[int]]:
+    def closure(self, positions) -> tuple[np.ndarray, list[int]]:
         """The subgroup generated by ``positions``, and the positions it
         took: Dimino's algorithm, one ``extend`` for each position
         outside the closure so far."""
-        members, gens = {0}, []
+        members, gens = np.zeros(1, dtype=np.int64), []
+        inside = np.zeros(len(self), dtype=bool)
+        inside[0] = True
         for i in positions:
-            if i not in members:
+            if not inside[i]:
                 members = self.extend(members, i, gens)
+                inside[members] = True
                 gens.append(i)
         return members, gens
 
@@ -583,18 +591,18 @@ class PermGroup:
         members, _ = table.closure(map(table.position, generators))
         return self._subgroup(members, generators)
 
-    def _subgroup(self, members, generators=None) -> "PermGroup":
-        """The subgroup at the positions ``members``, which must be
-        closed under the group operation.  Without ``generators`` it gets
+    def _subgroup(self, members: np.ndarray, generators=None) -> "PermGroup":
+        """The subgroup at the ascending positions ``members``, which must
+        be closed under the group operation.  Without ``generators`` it gets
         a greedy generating set: each member, in ascending position, that
         lies outside the closure of those chosen before it."""
         if generators is None:
             table = self.element_table()
-            members, gens = table.closure(sorted(map(int, members)))
+            members, gens = table.closure(members)
             generators = [table.permutation(i) for i in gens]
         sub = PermGroup.__new__(PermGroup)
         sub.degree, sub.generators = self.degree, list(generators)
-        sub.parent, sub.members = self, np.array(sorted(members), dtype=np.int64)
+        sub.parent, sub.members = self, members
         sub.order = FactoredInteger.from_int(len(members))
         sub._table = sub._classes = None
         return sub
@@ -702,15 +710,14 @@ class PermGroup:
     def normal_closure(self, elements) -> "PermGroup":
         """Smallest normal subgroup of G containing the given elements."""
         table = self.element_table()
-        return self._subgroup(
-            self._class_closure([table.position(p) for p in elements])
-        )
+        found = self._class_closure([table.position(p) for p in elements])
+        return self._subgroup(np.flatnonzero(np.isin(table.class_of, list(found))))
 
     def _class_closure(self, positions: list[int]) -> frozenset[int]:
-        """Positions of the normal closure of the given positions: their
-        classes, grown by right multiplication by them a whole class at a
-        time.  A union N of classes with N s = N for each given s is closed
-        under their conjugates, as n g s g^-1 = g (g^-1 n g) s g^-1."""
+        """Class numbers of the normal closure of the given positions:
+        their classes, grown by right multiplication by them a whole class
+        at a time.  A union N of classes with N s = N for each given s is
+        closed under their conjugates, as n g s g^-1 = g (g^-1 n g) s g^-1."""
         table = self.element_table()
         _, classes = self.conjugacy_classes()
         class_of = table.class_of
@@ -722,29 +729,34 @@ class PermGroup:
                 images = matrix[classes[c][:, None], matrix[s, index.base]]
                 new = np.unique(class_of[index.find(images)]).tolist()
                 found += [d for d in new if d not in found]
-        return frozenset(np.concatenate([classes[c] for c in found]).tolist())
+        return frozenset(found)
 
     def minimal_normal_subgroups(self) -> list["PermGroup"]:
         """Minimal nontrivial normal subgroups.
 
         Each minimal normal subgroup is the normal closure of any of
         its non-identity elements, and closures are constant on
-        conjugacy classes, so one closure per class suffices; only the
-        minimal member sets among them become subgroups.
+        conjugacy classes, so one closure per class suffices.  Closures
+        are compared as sets of classes; only the minimal ones are
+        expanded to positions and become subgroups.
         """
         reps, _ = self.conjugacy_classes()
+        class_of = self.element_table().class_of
         closures = {self._class_closure([r]) for r in reps[1:]}
         minimal = [
-            self._subgroup(n) for n in closures if not any(m < n for m in closures)
+            self._subgroup(np.flatnonzero(np.isin(class_of, list(n))))
+            for n in closures
+            if not any(m < n for m in closures)
         ]
         minimal.sort(key=lambda h: (h.order_value, [g.images for g in h.generators]))
         return minimal
 
     def is_simple(self) -> bool:
-        """True when the only normal subgroups are trivial and the whole group."""
-        reps, _ = self.conjugacy_classes()
+        """True when the only normal subgroups are trivial and the whole
+        group: the normal closure of each nontrivial class is every class."""
+        reps, classes = self.conjugacy_classes()
         return self.order_value > 1 and all(
-            len(self._class_closure([r])) == self.order_value for r in reps[1:]
+            len(self._class_closure([r])) == len(classes) for r in reps[1:]
         )
 
     # ── Sylow subgroups ─────────────────────────────────────────────
@@ -752,9 +764,9 @@ class PermGroup:
     def sylow_subgroup(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown cyclically through normalizers.
 
-        P is kept as a set of positions in the element table.  It starts
-        as the p-part of the first element of order divisible by p and
-        adjoins, until |P| is the p-part of the group order, the first
+        P is kept as its ascending positions in the element table.  It
+        starts as the p-part of the first element of order divisible by p
+        and adjoins, until |P| is the p-part of the group order, the first
         p-element outside P (in the table's canonical order) that
         conjugates every generator of P into P.  That element normalizes
         P, so ``ElementTable.extend``, the search's closure step, gives
@@ -772,7 +784,7 @@ class PermGroup:
         while k % p == 0:
             k //= p
         gen_idx = [table.position(table.permutation(seed_idx) ** k)]
-        member = table.extend({0}, gen_idx[0])
+        member, _ = table.closure(gen_idx)
         if len(member) < target:
             # the p-elements are those whose order divides p^e
             p_orders = [o for o in np.unique(orders).tolist() if target % o == 0]
@@ -781,13 +793,12 @@ class PermGroup:
             # x^-1(base) for each candidate x; a permutation's argsort is its inverse
             inv_base = rows.argsort(axis=1)[:, table.index.base]
         while len(member) < target:
-            inside = np.fromiter(member, dtype=np.int64)
-            live = np.flatnonzero(~np.isin(candidates, inside))
+            live = np.flatnonzero(np.isin(candidates, member, invert=True))
             for h in gen_idx:
                 # base images x(h(x^-1(base))) of x h x^-1 for each x left
                 images = matrix[h][inv_base[live]]
                 conj = np.take_along_axis(rows[live], images, axis=1)
-                live = live[np.isin(table.index.find(conj), inside)]
+                live = live[np.isin(table.index.find(conj), member)]
             assert live.size, "normalizer growth stalled; this is a bug"
             i = int(candidates[live[0]])
             gen_idx.append(i)

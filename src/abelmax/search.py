@@ -10,9 +10,12 @@ ascending; ``perms`` owns that order and this module only reads row
 positions from it), and each adjoined element must come later in that
 order than the previous choice, which eliminates permuted revisits of
 the same chain.  Adjoining is ``ElementTable.extend``, the closure step
-that Sylow growth in ``perms`` uses as well.  A subtree is cut when the
-centralizer of its subgroup is no larger than the best order found so
-far, since every abelian overgroup of A lies inside C_G(A).  The walk is rooted once per
+that Sylow growth in ``perms`` uses as well.  A node's subgroup,
+centralizer and candidates are ascending int64 position arrays, and
+candidates are filtered with ``np.isin`` and ``np.setdiff1d``.  A
+subtree is cut when the centralizer of its subgroup is no larger than
+the best order found so far, since every abelian overgroup of A lies
+inside C_G(A).  The walk is rooted once per
 conjugacy class, at the class representatives ``conjugacy_classes``
 returns (the quantity searched for is conjugation-invariant, and any
 abelian subgroup is reached from the class representative of one of
@@ -127,7 +130,7 @@ class _AbelianDFS:
         n = len(t)
         if n == 1:
             return
-        seed = t.extend({0}, 1)
+        seed, _ = t.closure([1])
         if self.accept(seed):
             self.best_order = len(seed)
             self.best_chain = [1]
@@ -137,12 +140,12 @@ class _AbelianDFS:
             if n // len(conj_class) <= self.best_order:
                 continue
             cent = t.commuting(root, all_idx)
-            closure = t.extend({0}, root)
+            closure, _ = t.closure([root])
             self._visit(closure, [root])
-            cand = cent[~np.isin(cent, np.fromiter(closure, dtype=np.int64))]
+            cand = np.setdiff1d(cent, closure, assume_unique=True)
             self._expand(closure, [root], cent, cand)
 
-    def _visit(self, closure: set[int], chain: list[int]) -> None:
+    def _visit(self, closure: np.ndarray, chain: list[int]) -> None:
         self.nodes += 1
         if len(closure) > self.best_order and self.accept(closure):
             self.best_order = len(closure)
@@ -164,12 +167,10 @@ class _AbelianDFS:
             bigger = self.table.extend(closure, x)
             self._visit(bigger, chain + [x])
             rest = cand[pos + 1 :]
-            if rest.size:
-                sub = rest[np.isin(rest, bcent, assume_unique=True)]
-                if sub.size:
-                    sub = sub[~np.isin(sub, np.fromiter(bigger, dtype=np.int64))]
-                if sub.size:
-                    self._expand(bigger, chain + [x], bcent, sub)
+            sub = rest[np.isin(rest, bcent, assume_unique=True)]
+            sub = np.setdiff1d(sub, bigger, assume_unique=True)
+            if sub.size:
+                self._expand(bigger, chain + [x], bcent, sub)
 
 
 def _witness_from_chain(

@@ -13,6 +13,12 @@ def cycles(degree, *cs):
     return Permutation.from_cycles(degree, cs)
 
 
+def assert_position_set(positions):
+    """A set of table positions is an ascending, distinct int64 array."""
+    assert isinstance(positions, np.ndarray) and positions.dtype == np.int64
+    assert positions.ndim == 1 and (np.diff(positions) > 0).all()
+
+
 @pytest.fixture(scope="module")
 def s3():
     return PermGroup([cycles(3, (0, 1)), cycles(3, (0, 1, 2))])
@@ -373,6 +379,71 @@ def test_minimal_normal_subgroups_against_closure_lattice():
             assert g.is_normal(h)
 
 
+@pytest.mark.parametrize("spec", ["sym:4", "dihedral:12", "agl3_2", "frobenius:7:3"])
+def test_normal_closure_of_several_elements_against_conjugate_products(spec):
+    # reference: the closure of Permutation products of every conjugate
+    # of the given elements, adding a conjugate as a generator only when
+    # it lies outside the closure so far
+    from abelmax.catalog import build_group
+
+    g = build_group(spec)
+    table = g.element_table()
+    elems = g.enumerate_elements()
+
+    def reference(given):
+        conjugates = {y * x * y.inverse() for y in elems for x in given}
+        seen, gens = {g.identity()}, []
+        for c in sorted(conjugates, key=lambda p: p.images):
+            if c in seen:
+                continue
+            gens.append(c)
+            queue = list(seen)
+            for a in queue:
+                for ab in (a * b for b in gens):
+                    if ab not in seen:
+                        seen.add(ab)
+                        queue.append(ab)
+        return seen
+
+    reps, _ = g.conjugacy_classes()
+    n = len(table)
+    given_sets = [[reps[i], reps[i + 1]] for i in range(1, len(reps) - 1)]
+    given_sets.append([n // 2, n - 1, reps[-1]])
+    grown = 0
+    for positions in given_sets:
+        given = [table.permutation(i) for i in positions]
+        closure = g.normal_closure(given)
+        assert_position_set(closure.members)
+        assert set(closure.enumerate_elements()) == reference(given)
+        assert g.is_normal(closure)
+        singles = [g.normal_closure([x]).order_value for x in given]
+        grown += closure.order_value > max(singles)
+    # the normal subgroups of the others form a chain; in D12 a pair can
+    # generate more than either element's closure
+    assert grown > 0 if spec == "dihedral:12" else grown == 0
+
+
+@pytest.mark.parametrize(
+    "spec, minimal, simple",
+    [("file:groups/m12.gens", [95040], True), ("pgl2:7", [168], False),
+     ("pgl2:13", [1092], False), ("sym:6", [360], False)],
+)
+def test_minimal_normal_subgroups_and_simplicity_on_large_tables(spec, minimal, simple):
+    # normal closures are compared as sets of classes and expanded to
+    # positions only for the minimal normal subgroups returned
+    from pathlib import Path
+
+    from abelmax.catalog import build_group
+
+    g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+    got = g.minimal_normal_subgroups()
+    assert [h.order_value for h in got] == minimal
+    for h in got:
+        assert_position_set(h.members)
+        assert g.is_normal(h)
+    assert g.is_simple() == simple
+
+
 # ── conjugacy classes ───────────────────────────────────────────────
 
 def test_conjugacy_classes_s4(s4):
@@ -489,12 +560,19 @@ def test_element_table_extend_by_normalizing_element(s4):
     # A4 is normal but not centralized by a transposition; H<x> is all of S4
     table = s4.element_table()
     alt4 = PermGroup([cycles(4, (0, 1, 2)), cycles(4, (1, 2, 3))])
-    a4 = {i for i in range(len(table)) if alt4.contains(table.permutation(i))}
+    a4 = np.array(
+        [i for i in range(len(table)) if alt4.contains(table.permutation(i))],
+        dtype=np.int64,
+    )
     assert len(a4) == 12
     row = np.array([cycles(4, (0, 1)).images], dtype=table.matrix.dtype)
     (t,) = table.positions(row)
-    assert table.extend(a4, t) == set(range(24))
-    assert table.extend({0}, t) == {0, t}
+    whole = table.extend(a4, t)
+    assert_position_set(whole)
+    assert whole.tolist() == list(range(24))
+    cyclic = table.extend(np.zeros(1, dtype=np.int64), t)
+    assert_position_set(cyclic)
+    assert cyclic.tolist() == [0, t]
 
 
 @pytest.mark.parametrize("spec", ["sym:5", "agl3_2"])
@@ -514,7 +592,7 @@ def test_element_table_extend_with_generators_against_products(spec):
                 if c not in seen:
                     seen.add(c)
                     queue.append(c)
-        return {table.position(p) for p in seen}
+        return sorted(table.position(p) for p in seen)
 
     elems = [table.permutation(i) for i in range(len(table))]
     reps, _ = g.conjugacy_classes()
@@ -522,7 +600,8 @@ def test_element_table_extend_with_generators_against_products(spec):
     for h in reps[1:]:
         for gens in ([h], [h, reps[-1]]):
             sub = table.closure(gens)[0]
-            assert sub == reference([elems[i] for i in gens])
+            assert_position_set(sub)
+            assert sub.tolist() == reference([elems[i] for i in gens])
             outside = [
                 i for i, y in enumerate(elems)
                 if table.position(y * elems[h] * y.inverse()) not in sub
@@ -530,7 +609,9 @@ def test_element_table_extend_with_generators_against_products(spec):
             if outside:  # H is not normal; adjoin the first x outside N(H)
                 x = outside[0]
                 expected = reference([elems[i] for i in gens + [x]])
-                assert table.extend(sub, x, gens) == expected
+                got = table.extend(sub, x, gens)
+                assert_position_set(got)
+                assert got.tolist() == expected
                 checked += 1
     assert checked >= 6
 
@@ -596,7 +677,8 @@ def test_subgroup_members_are_the_generated_subgroup(s4):
     assert h.order_value == 4 and h.generators == gens
     # elements come in the parent's canonical order
     positions = [table.position(p) for p in h.enumerate_elements()]
-    assert positions == sorted(h.members.tolist())
+    assert_position_set(h.members)
+    assert positions == h.members.tolist()
     assert {p.images for p in h.enumerate_elements()} == {
         (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)
     }
