@@ -1,11 +1,13 @@
 """Finite permutation group engine.
 
-Permutations act on the points 0..degree-1 and are stored as image
-tuples.  A group built from generators gets its order and its element
-enumeration from a deterministic stabilizer chain (base points are
-chosen as the smallest moved point at each level, orbits are explored
-breadth-first with the generators in list order, so identical inputs
-always produce identical chains), built once per group.
+Permutations act on the points 0..degree-1; a ``Permutation`` stores
+its images as a tuple.  A group built from generators gets its order and
+its element enumeration from a deterministic stabilizer chain (base
+points are chosen as the smallest moved point at each level, orbits are
+explored breadth-first with the generators in list order, so identical
+inputs always produce identical chains), built once per group.  The
+chain keeps every permutation as a numpy image row in the element
+table's dtype, and the table is the product of its transversal matrices.
 
 Bulk element work (centralizers, conjugation, normal closures, the
 abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
@@ -21,8 +23,8 @@ sort keys on columns 0..max(base), which already order distinct rows.
 Conjugacy classes come from the generators' conjugation maps by
 min-label propagation, before the canonical sort, so that element
 orders are computed once per class; the table records each position's
-class number.  Membership is a lookup in the table, or a sift through
-the chain while a group has no table yet.
+class number.  Membership in a group with a chain is a sift of one row
+through it; a subgroup looks the row up in its table.
 
 Every set of positions in a table is an ascending, duplicate-free int64
 array.  A subgroup is a ``PermGroup`` too, with no chain of its own: its
@@ -38,7 +40,10 @@ of a group with a chain, with a CapacityError rather than truncation; a
 subgroup's table is a slice of its parent's.  Every other method, and
 every search and check built on them, reads the cached table; a cap is
 passed only where a run starts enumerating (``verify.run_suite``,
-``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).
+``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).  A fixed
+byte cap, ``TABLE_BYTES_CAP``, is checked before the table and before
+each transversal of the chain is allocated; an orbit is never larger
+than the group, so the chain refuses no group whose table fits.
 """
 
 from __future__ import annotations
@@ -53,6 +58,14 @@ from .errors import CapacityError
 from .numtheory import FactoredInteger
 
 DEFAULT_ENUM_CAP = 200_000
+
+# The most bytes an element table, or one level of a stabilizer chain,
+# may take: about 5x J1's 93 MB table, the largest the repository ships.
+TABLE_BYTES_CAP = 1 << 29
+
+# The chain's Schreier generators and _row_orders take rows in blocks of
+# about this many entries, so their temporaries stay that small.
+_ROW_BLOCK = 1 << 16
 
 
 class Permutation:
@@ -166,103 +179,113 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={len(self.images)})"
 
 
-class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain.
+def _check_table_bytes(rows: int, degree: int, dtype: np.dtype, what: str) -> None:
+    """CapacityError when a (rows, degree) matrix of ``dtype`` would take
+    more than TABLE_BYTES_CAP bytes."""
+    nbytes = rows * degree * dtype.itemsize
+    if nbytes > TABLE_BYTES_CAP:
+        raise CapacityError(
+            f"{what} of {rows} x {degree} entries needs {nbytes} bytes, "
+            f"above the table byte cap {TABLE_BYTES_CAP}"
+        )
 
-    ``base[i]`` is the smallest point moved at level i; strong
-    generators are stored with the depth of the base prefix they fix.
-    After construction every Schreier generator sifts to the identity,
-    so the product of orbit sizes is the exact group order.
+
+class StabilizerChain:
+    """Deterministic Schreier-Sims stabilizer chain on image rows.
+
+    Every permutation is an image row in the element table's ``dtype``.
+    ``base[i]`` is the smallest point moved at level i; strong generators
+    are stored with the depth of the base prefix they fix.  Row r of the
+    (orbit × degree) matrix ``_transversals[i]`` maps ``base[i]`` to the
+    r-th point of its orbit, found breadth-first with the generators in
+    list order (row 0 is the identity); ``_where[i]`` is each point's row
+    or -1.  After construction every Schreier generator sifts to the
+    identity, so the product of orbit sizes is the exact group order.
     """
 
     def __init__(self, generators: list[Permutation], degree: int):
         self.degree = degree
+        self.dtype = np.min_scalar_type(degree - 1)
         self.base: list[int] = []
-        self._strong: list[tuple[Permutation, int]] = []
-        self._transversals: list[dict[int, Permutation]] = []
-        self._identity = Permutation.identity(degree)
+        self._strong: list[tuple[np.ndarray, int]] = []
+        self._transversals, self._where = [], []
         for g in generators:
             if g.degree != degree:
                 raise ValueError("degree mismatch among generators")
             if not g.is_identity():
-                self._add_strong(g, self._fix_depth(g))
-        for i in range(len(self.base)):
-            self._rebuild_orbit(i)
-        self._close()
-
-    def _fix_depth(self, g: Permutation) -> int:
-        for i, b in enumerate(self.base):
-            if g(b) != b:
-                return i
-        return len(self.base)
-
-    def _add_strong(self, g: Permutation, depth: int) -> None:
-        if depth == len(self.base):
-            b = min(p for p in range(self.degree) if g(p) != p)
-            self.base.append(b)
-            self._transversals.append({b: self._identity})
-        self._strong.append((g, depth))
-
-    def _level_gens(self, i: int) -> list[Permutation]:
-        return [g for g, d in self._strong if d >= i]
-
-    def _rebuild_orbit(self, i: int) -> None:
-        gens = self._level_gens(i)
-        b = self.base[i]
-        transversal = {b: self._identity}
-        queue = [b]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            ua = transversal[a]
-            for g in gens:
-                c = g(a)
-                if c not in transversal:
-                    transversal[c] = g * ua
-                    queue.append(c)
-        self._transversals[i] = transversal
-
-    def _strip(self, p: Permutation, start: int) -> tuple[Permutation, int]:
-        for level in range(start, len(self.base)):
-            gamma = p(self.base[level])
-            if gamma == self.base[level]:
-                continue
-            u = self._transversals[level].get(gamma)
-            if u is None:
-                return p, level
-            p = u.inverse() * p
-        return p, len(self.base)
-
-    def _close(self) -> None:
+                row = np.array(g.images, dtype=self.dtype)
+                moved = np.flatnonzero(row[self.base] != self.base)
+                self._add_strong(row, int(moved[0]) if moved.size else len(self.base))
         i = len(self.base) - 1
         while i >= 0:
-            added = self._check_level(i)
-            i = i - 1 if added is None else added
+            i = self._check_level(i)
 
-    def _check_level(self, i: int):
-        self._rebuild_orbit(i)
-        transversal = self._transversals[i]
-        gens = self._level_gens(i)
-        for a in list(transversal):
-            ua = transversal[a]
+    def _add_strong(self, g: np.ndarray, depth: int) -> None:
+        if depth == len(self.base):
+            self.base.append(int(np.flatnonzero(g != np.arange(self.degree))[0]))
+            self._transversals.append(None)
+            self._where.append(None)
+        self._strong.append((g, depth))
+
+    def _strip(self, p: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sift the rows of p, in place, from level ``start``: the residues,
+        and for each the level whose orbit its base image left, or len(base)."""
+        levels = np.full(len(p), len(self.base))
+        live = np.arange(len(p))
+        for level in range(start, len(self.base)):
+            r = self._where[level][p[live, self.base[level]]]
+            levels[live[r < 0]] = level
+            moved, u = live[r > 0], self._transversals[level][r[r > 0]]
+            # p = u^-1 p, the rows' entries taken as positions in one array
+            offsets = np.arange(0, u.size, self.degree)[:, None]
+            inverse = np.empty(u.size, dtype=self.dtype)
+            inverse[u + offsets] = np.arange(self.degree, dtype=self.dtype)
+            p[moved] = inverse[p[moved] + offsets]
+            live = live[r >= 0]
+        return p, levels
+
+    def _check_level(self, i: int) -> int:
+        """Rebuild level i and sift its Schreier generators u_c^-1 g u_a,
+        c = g(a), a row block at a time (sifting g u_a divides it by u_c
+        first).  The first non-identity residue in (point, generator) order
+        becomes a strong generator; return its level, or else i - 1."""
+        gens = [g for g, d in self._strong if d >= i]
+        where = np.full(self.degree, -1, dtype=np.int64)
+        where[self.base[i]] = 0
+        orbit, steps = [self.base[i]], []
+        for r, a in enumerate(orbit):  # visits points as they join
             for g in gens:
-                uc = transversal[g(a)]
-                schreier = uc.inverse() * (g * ua)
-                if schreier.is_identity():
-                    continue
-                residue, level = self._strip(schreier, i + 1)
-                if not residue.is_identity():
-                    self._add_strong(residue, level)
-                    self._rebuild_orbit(level)
-                    return level
-        return None
+                if where[g.item(a)] < 0:
+                    where[g.item(a)] = len(orbit)
+                    orbit.append(g.item(a))
+                    steps.append((r, g))
+        _check_table_bytes(len(orbit), self.degree, self.dtype, "a transversal")
+        transversal = np.empty((len(orbit), self.degree), dtype=self.dtype)
+        transversal[0] = np.arange(self.degree)
+        for r, (q, g) in enumerate(steps, 1):  # u_c = g u_a
+            np.take(g, transversal[q], out=transversal[r])
+        self._transversals[i], self._where[i] = transversal, where
+        gens = np.array(gens)
+        per_block = max(1, _ROW_BLOCK // gens.size)
+        for s in range(0, len(orbit), per_block):
+            # the products g u_a, rows in (point, generator) order
+            products = gens[:, transversal[s : s + per_block]].swapaxes(0, 1)
+            products = products.reshape(-1, self.degree)
+            uc = transversal[where[products[:, self.base[i]]]]
+            moved = np.any(products != uc, axis=1)
+            if not moved.any():
+                continue
+            residues, levels = self._strip(products[moved], i)
+            nontrivial = np.flatnonzero(np.any(residues != transversal[0], axis=1))
+            if nontrivial.size:
+                j = nontrivial[0]
+                self._add_strong(residues[j], int(levels[j]))
+                return int(levels[j])
+        return i - 1
 
     def order(self) -> FactoredInteger:
-        result = FactoredInteger.one()
-        for t in self._transversals:
-            result = result * FactoredInteger.from_int(len(t))
-        return result
+        sizes = (FactoredInteger.from_int(len(t)) for t in self._transversals)
+        return math.prod(sizes, start=FactoredInteger.one())
 
 
 # BaseImageIndex.search sorts this many keys or more before it searches:
@@ -302,7 +325,9 @@ class BaseImageIndex:
     def key(self, images: np.ndarray) -> np.ndarray:
         """Keys of the rows of a (k, len(base)) array of base images."""
         if self._weights is not None:
-            return images @ self._weights
+            # a multiply-add over the columns; an integer matmul has no
+            # BLAS path and takes about 3x as long on a whole table
+            return np.einsum("ij,j->i", images, self._weights)
         images = np.ascontiguousarray(images)
         return images.view(np.dtype((np.void, images.itemsize * images.shape[1])))[:, 0]
 
@@ -345,7 +370,8 @@ class ElementTable:
     positions in this order through ``index``, which finds a row from its
     base images.  ``orders`` and ``class_of`` hold each position's element
     order and conjugacy class number (classes are numbered as
-    ``PermGroup.conjugacy_classes`` lists them).  A subgroup, like every set
+    ``PermGroup.conjugacy_classes`` lists them), and ``class_sizes`` the
+    size of each class.  A subgroup, like every set
     of positions the table takes or returns, is an ascending, duplicate-free
     int64 array of positions, and every subgroup (Sylow growth, the search's
     nodes, generated and centralizing subgroups) is grown by one closure
@@ -365,6 +391,7 @@ class ElementTable:
     index: BaseImageIndex
     orders: np.ndarray
     class_of: np.ndarray
+    class_sizes: np.ndarray
 
     def positions(self, rows: np.ndarray) -> np.ndarray:
         """Positions, as an int64 array, of the elements given as the rows
@@ -384,7 +411,7 @@ class ElementTable:
         """Whether the positions ``members`` make up whole conjugacy
         classes; a subgroup is normal exactly when they do."""
         touched = np.unique(self.class_of[members])
-        return int(np.bincount(self.class_of)[touched].sum()) == len(members)
+        return int(self.class_sizes[touched].sum()) == len(members)
 
     def mul(self, i: int, j: int) -> int:
         """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
@@ -417,15 +444,15 @@ class ElementTable:
     def closure(self, positions) -> tuple[np.ndarray, list[int]]:
         """The subgroup generated by ``positions``, and the positions it
         took: Dimino's algorithm, one ``extend`` for each position
-        outside the closure so far."""
+        outside the closure so far; it stops once none is left."""
         members, gens = np.zeros(1, dtype=np.int64), []
         inside = np.zeros(len(self), dtype=bool)
         inside[0] = True
-        for i in positions:
-            if not inside[i]:
-                members = self.extend(members, i, gens)
-                inside[members] = True
-                gens.append(i)
+        outside = np.asarray(positions, dtype=np.int64)
+        while (outside := outside[~inside[outside]]).size:
+            gens.append(int(outside[0]))
+            members = self.extend(members, gens[-1], gens[:-1])
+            inside[members] = True
         return members, gens
 
     def commuting(self, i: int, members: np.ndarray) -> np.ndarray:
@@ -453,20 +480,16 @@ class ElementTable:
         return self.matrix.shape[0]
 
 
-# _row_orders takes rows in blocks of about this many entries.
-_ORDER_BLOCK = 1 << 16
-
-
 def _row_orders(rows: np.ndarray) -> np.ndarray:
     """The order of each permutation row of a (k, degree) array: the lcm
     of its cycle lengths.  Pointer doubling labels each point with the
     smallest point of its cycle (after t rounds a label is the minimum
     of 2^t successive points); a bincount of the labels gives the cycle
-    lengths.  Rows go in blocks of about _ORDER_BLOCK entries, so the
+    lengths.  Rows go in blocks of about _ROW_BLOCK entries, so the
     int64 temporaries stay that small whatever the table's size."""
     k, degree = rows.shape
     orders = np.empty(k, dtype=np.int64)
-    per_block = max(1, _ORDER_BLOCK // degree)
+    per_block = max(1, _ROW_BLOCK // degree)
     for s in range(0, k, per_block):
         block = rows[s : s + per_block]
         size = block.size
@@ -509,18 +532,22 @@ def _class_labels(conj_maps: list[np.ndarray]) -> np.ndarray:
         label = new
 
 
-def _classes_by_label(labels: np.ndarray) -> tuple[list[int], list[np.ndarray], np.ndarray]:
-    """(representatives, classes, class_of) of the positions grouped by
-    equal label: a representative is its class's smallest position,
-    classes are listed by representative, each ascending, and
-    ``class_of`` gives each position's class number in that list."""
+def _classes_by_label(
+    labels: np.ndarray,
+) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
+    """(representatives, classes, class_of, class_sizes) of the positions
+    grouped by equal label: a representative is its class's smallest
+    position, classes are listed by representative, each ascending,
+    ``class_of`` gives each position's class number in that list and
+    ``class_sizes`` each class's size."""
     n = len(labels)
     first = np.full(n, n, dtype=np.int64)
     np.minimum.at(first, labels, np.arange(n))
     reps, class_of = np.unique(first[labels], return_inverse=True)
     members = np.argsort(class_of, kind="stable")
     starts = np.flatnonzero(np.diff(class_of[members], prepend=-1))
-    return reps.tolist(), np.split(members, starts[1:]), class_of
+    sizes = np.diff(starts, append=n)
+    return reps.tolist(), np.split(members, starts[1:]), class_of, sizes
 
 
 class PermGroup:
@@ -564,14 +591,14 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def contains(self, p: Permutation) -> bool:
-        """Membership: a lookup in the table once there is one; before
-        that, a group with a chain sifts p through it, so that asking
-        does not enumerate the group."""
-        if self._table is None and self.parent is None:
+        """Membership: a group with a chain sifts p through it, so that
+        asking does not enumerate the group; a subgroup looks p up in its
+        table."""
+        if self.parent is None:
             if p.degree != self.degree:
                 return False
-            residue, _ = self.chain._strip(p, 0)
-            return residue.is_identity()
+            residue, _ = self.chain._strip(np.array([p.images], dtype=self.chain.dtype), 0)
+            return np.array_equal(residue[0], np.arange(self.degree))
         try:
             self.element_table().position(p)
         except ValueError:
@@ -588,7 +615,7 @@ class PermGroup:
         """The subgroup generated by ``generators``, which it keeps as its
         generators; ValueError if one is not an element of this group."""
         table = self.element_table()
-        members, _ = table.closure(map(table.position, generators))
+        members, _ = table.closure([table.position(p) for p in generators])
         return self._subgroup(members, generators)
 
     def _subgroup(self, members: np.ndarray, generators=None) -> "PermGroup":
@@ -619,7 +646,8 @@ class PermGroup:
         members.  The classes are carried through the sort; the table
         records each position's class number and the group caches the
         classes for ``conjugacy_classes``.  The first call checks
-        ``cap``; later calls return the cached table whatever their cap.
+        ``cap``, then TABLE_BYTES_CAP; later calls return the cached table
+        whatever their cap.
 
         A subgroup's table is the parent's rows and orders at ``members``,
         already canonical as a subset of a sorted table, indexed on the
@@ -634,9 +662,9 @@ class PermGroup:
             index = BaseImageIndex(matrix, whole.index.base)
             gens = self.generators or [self.identity()]
             labels = _class_labels(_conjugation_maps(matrix, index, gens))
-            reps, classes, class_of = _classes_by_label(labels)
+            reps, classes, *by_class = _classes_by_label(labels)
             orders = whole.orders[self.members]
-            self._table = ElementTable(matrix, index, orders, class_of)
+            self._table = ElementTable(matrix, index, orders, *by_class)
             self._classes = reps, classes
             return self._table
         n = self.order_value
@@ -644,12 +672,11 @@ class PermGroup:
             raise CapacityError(
                 f"group order {n} exceeds element-enumeration cap {cap}"
             )
-        dtype = np.min_scalar_type(self.degree - 1)
-        matrix = np.arange(self.degree, dtype=dtype)[None, :]
+        _check_table_bytes(n, self.degree, self.chain.dtype, "an element table")
+        matrix = np.arange(self.degree, dtype=self.chain.dtype)[None, :]
         for transversal in reversed(self.chain._transversals):
-            reps = np.array([u.images for u in transversal.values()], dtype=dtype)
             # row (a, b) of the product is u_a * m_b
-            matrix = reps[:, matrix].reshape(-1, self.degree)
+            matrix = transversal[:, matrix].reshape(-1, self.degree)
         index = BaseImageIndex(matrix, self.chain.base)
         labels = _class_labels(_conjugation_maps(matrix, index, self.generators))
         class_reps = np.flatnonzero(labels == np.arange(n))
@@ -661,9 +688,9 @@ class PermGroup:
         last = max(self.chain.base, default=-1)
         keys = tuple(matrix[:, i] for i in range(last, -1, -1))
         canon = np.lexsort(keys + (-orders, orders > 1))
-        reps, classes, class_of = _classes_by_label(labels[canon])
+        reps, classes, *by_class = _classes_by_label(labels[canon])
         self._table = ElementTable(
-            matrix[canon], index.reordered(canon), orders[canon], class_of
+            matrix[canon], index.reordered(canon), orders[canon], *by_class
         )
         self._classes = reps, classes
         return self._table

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,36 +65,45 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
 """
 
 
-def test_cli_exceptions_at_ten_million_in_bounded_memory():
-    # the scan holds the sieve and no array over the range of m
+@pytest.mark.parametrize(
+    "argv, code, output_ok, max_mb, max_seconds",
+    [
+        # the scan holds the sieve and no array over the range of m
+        (
+            ("numtheory", "exceptions", "10000000"), 0,
+            lambda proc: proc.stdout == "4 6 10\n", 150, 300,
+        ),
+        # J1's table is 175560 x 266 uint16 (93 MB); the build holds it and
+        # its sorted copy, and no comparison gathers another table-sized array
+        (
+            ("mgroup", "file:groups/j1.gens"), 0,
+            lambda proc: "\nm: 19\n" in proc.stdout and proc.stdout.endswith("nodes: 4\n"),
+            250, 300,
+        ),
+        # under the order cap, but one level of its chain would take
+        # 100000 x 100000 uint32 entries: refused before it is allocated
+        (
+            ("mgroup", "cyclic:100000"), 3,
+            lambda proc: proc.stdout == "" and "40000000000 bytes" in proc.stderr,
+            200, 5,
+        ),
+    ],
+    ids=["exceptions-10000000", "mgroup-j1", "mgroup-cyclic-100000"],
+)
+def test_cli_in_bounded_memory(argv, code, output_ok, max_mb, max_seconds):
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "abelmax.cli", "numtheory", "exceptions", "10000000"]
+    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-m", "abelmax.cli", *argv],
         cwd=repo, env=env, capture_output=True, text=True, timeout=300,
     )
-    code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
-    assert (code, proc.stdout) == (0, "4 6 10\n"), proc.stderr
-    assert peak_kib / 1024 < 150, f"peak RSS {peak_kib / 1024:.0f} MB"
-
-
-def test_cli_mgroup_j1_in_bounded_memory():
-    # J1's table is 175560 x 266 uint16 (93 MB); the build holds it and
-    # its sorted copy, and no comparison gathers another table-sized array
-    repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "abelmax.cli", "mgroup", "file:groups/j1.gens"]
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
-        cwd=repo, env=env, capture_output=True, text=True, timeout=300,
-    )
-    code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
-    assert code == 0, proc.stderr
-    assert "\nm: 19\n" in proc.stdout and proc.stdout.endswith("nodes: 4\n")
-    assert peak_kib / 1024 < 250, f"peak RSS {peak_kib / 1024:.0f} MB"
+    seconds = time.perf_counter() - start
+    got_code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
+    assert got_code == code and output_ok(proc), proc.stderr
+    assert peak_kib / 1024 < max_mb, f"peak RSS {peak_kib / 1024:.0f} MB"
+    assert seconds < max_seconds, f"{seconds:.1f} s"
 
 
 @pytest.mark.parametrize("argv", [

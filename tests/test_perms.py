@@ -1,12 +1,15 @@
 """Tests for the permutation engine and stabilizer chain."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelmax import CapacityError
-from abelmax.perms import PermGroup, Permutation
+from abelmax.perms import DEFAULT_ENUM_CAP, TABLE_BYTES_CAP, PermGroup, Permutation
 
 
 def cycles(degree, *cs):
@@ -126,9 +129,38 @@ def test_contains_sifts_through_the_chain_without_enumerating():
 def test_chain_is_deterministic(s4):
     again = PermGroup(s4.generators)
     assert again.chain.base == s4.chain.base
-    assert [len(t) for t in again.chain._transversals] == [
-        len(t) for t in s4.chain._transversals
+    assert [(g.tolist(), d) for g, d in again.chain._strong] == [
+        (g.tolist(), d) for g, d in s4.chain._strong
     ]
+    for t, u in zip(again.chain._transversals, s4.chain._transversals, strict=True):
+        assert np.array_equal(t, u)
+
+
+@pytest.mark.parametrize(
+    "spec, base, orbits",
+    [
+        ("file:groups/m12.gens", [0, 2, 1, 3, 4], [12, 11, 10, 9, 8]),
+        ("file:groups/j1.gens", [0, 1, 2], [266, 110, 6]),
+        ("agl3_2", [0, 1, 4, 2], [8, 7, 6, 4]),
+        ("cyclic:30", [0], [30]),
+    ],
+    ids=["m12", "j1", "agl3_2", "cyclic:30"],
+)
+def test_chain_base_and_orbits_are_pinned(spec, base, orbits):
+    # row r of a level's transversal maps its base point to the r-th
+    # point of the orbit, the identity first
+    from abelmax.catalog import build_group
+
+    g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+    chain = g.chain
+    assert chain.base == base
+    assert [len(t) for t in chain._transversals] == orbits
+    assert g.order_value == math.prod(orbits)
+    for b, t, where in zip(chain.base, chain._transversals, chain._where, strict=True):
+        assert t.dtype == np.min_scalar_type(g.degree - 1)
+        assert np.array_equal(t[0], np.arange(g.degree))
+        assert np.array_equal(where[t[:, b]], np.arange(len(t)))
+        assert (where >= 0).sum() == len(t)
 
 
 # ── enumeration ─────────────────────────────────────────────────────
@@ -150,6 +182,16 @@ def test_enumeration_cap_is_explicit(s4):
         PermGroup(
             [cycles(9, (0, 1)), cycles(9, tuple(range(9)))]
         ).element_table(cap=1000)
+
+
+def test_table_byte_cap_refuses_before_allocating():
+    # order 2^17 is under the enumeration cap, but the table would take
+    # 131072 x 60000 uint16 entries, 15.7 GB
+    g = PermGroup([cycles(60000, (2 * i, 2 * i + 1)) for i in range(17)])
+    assert g.order_value == 131072 <= DEFAULT_ENUM_CAP
+    assert 131072 * 60000 * 2 > TABLE_BYTES_CAP
+    with pytest.raises(CapacityError, match="needs 15728640000 bytes"):
+        g.element_table()
 
 
 def test_enumeration_closed_under_product(s4):
@@ -758,6 +800,8 @@ def test_subgroup_tables_equal_the_tables_of_rebuilt_groups():
             assert np.array_equal(got.matrix, want.matrix), entry.group_id
             assert np.array_equal(got.orders, want.orders)
             assert np.array_equal(got.class_of, want.class_of)
+            assert np.array_equal(got.class_sizes, np.bincount(got.class_of))
+            assert np.array_equal(want.class_sizes, np.bincount(want.class_of))
             (got_reps, got_classes), (want_reps, want_classes) = (
                 sub.conjugacy_classes(), ref.conjugacy_classes()
             )
