@@ -28,8 +28,9 @@ through it; a subgroup looks the row up in its table.
 
 Every set of positions in a table is an ascending, duplicate-free int64
 array.  A subgroup is a ``PermGroup`` too, with no chain of its own: its
-``members`` are such an array of positions in its parent's table, grown
-by Dimino's coset step ``ElementTable.extend``, and its table is the
+``members`` are such an array of positions in its parent's table, found
+by Dimino's algorithm ``ElementTable.closure`` (or, adjoining a
+normalizing element, ``ElementTable.extend``), and its table is the
 parent's rows at those positions.  It is normal exactly when its
 positions are a union of whole classes of the parent
 (``ElementTable.is_class_union``), so a normal closure is found as a set
@@ -373,18 +374,21 @@ class ElementTable:
     ``PermGroup.conjugacy_classes`` lists them), and ``class_sizes`` the
     size of each class.  A subgroup, like every set
     of positions the table takes or returns, is an ascending, duplicate-free
-    int64 array of positions, and every subgroup (Sylow growth, the search's
-    nodes, generated and centralizing subgroups) is grown by one closure
-    step, ``extend``; it is normal exactly when its positions are a union of
-    whole classes, ``is_class_union``.  The subgroup's own table is this
-    one's rows at those positions, which stay in canonical order, with an
-    index on the same base.  Centralizers, in the search and in
-    ``PermGroup.centralizer``, come from one primitive, ``commuting``, which
-    narrows a given set of positions rather than the whole table.  Rows are
+    int64 array of positions.  Adjoining an element x that normalizes a
+    subgroup H (Sylow growth, the search's nodes) is ``extend``, which
+    forms H<x> from the powers of x in one gather; a subgroup from arbitrary
+    generators is ``closure``, Dimino's algorithm.  A subgroup is normal
+    exactly when its positions are a union of whole classes,
+    ``is_class_union``, and its own table is this one's rows at those
+    positions, which stay in canonical order, with an index on the same
+    base.  Centralizers, in the search and in ``PermGroup.centralizer``,
+    come from one primitive, ``commuting``, which tests a block of rows
+    against a given set of positions rather than the whole table.  Rows are
     compared and sorted on the base columns only: ``index`` keys on the base
-    images, ``mul``, ``extend`` and ``commuting`` form and compare base
-    images of products, and the canonical order is the lexicographic order
-    of columns 0..max(base), which equals that of whole rows.
+    images, ``mul``, ``extend``, ``closure`` and ``commuting`` form and
+    compare base images of products, and the canonical order is the
+    lexicographic order of columns 0..max(base), which equals that of whole
+    rows.
     """
 
     matrix: np.ndarray
@@ -410,68 +414,94 @@ class ElementTable:
     def is_class_union(self, members: np.ndarray) -> bool:
         """Whether the positions ``members`` make up whole conjugacy
         classes; a subgroup is normal exactly when they do."""
-        touched = np.unique(self.class_of[members])
+        touched = np.flatnonzero(np.bincount(self.class_of[members]))
         return int(self.class_sizes[touched].sum()) == len(members)
+
+    def class_members(self, classes) -> np.ndarray:
+        """Positions of the elements whose class number is in ``classes``."""
+        wanted = np.zeros(len(self.class_sizes), dtype=bool)
+        wanted[list(classes)] = True
+        return np.flatnonzero(wanted[self.class_of])
 
     def mul(self, i: int, j: int) -> int:
         """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
         base_images = self.matrix[i, self.matrix[j, self.index.base]]
         return int(self.index.find(base_images[None])[0])
 
-    def extend(self, subgroup: np.ndarray, x: int, gens=()) -> np.ndarray:
-        """Positions of <H, x> for the subgroup H at ``subgroup``, by
-        Dimino's coset step: the union of the right cosets H r, where a
-        product r s of a coset representative and a generator starts a
-        new coset when it lies outside those found so far.  Valid for
-        any x when the positions ``gens`` generate H; with no ``gens``,
-        valid when x normalizes H, for then <H, x> = H<x>."""
+    def extend(self, subgroup: np.ndarray, x: int) -> np.ndarray:
+        """Positions of H<x> for the subgroup H at ``subgroup``, which is
+        <H, x> when x normalizes H.  The base images of x, x^2, ... (at
+        most the order of x of them, by doubling) are found in one call;
+        with x^c the first power in H, H<x> is the union of the cosets
+        H x^j for 0 <= j < c, whose base images h(x^j(base)) are one
+        gather of H's rows, found in one more call."""
         inside = np.zeros(len(self), dtype=bool)
         inside[subgroup] = True
         if inside[x]:
             return subgroup
-        rows = self.matrix[subgroup]
         base = self.index.base
-        reps = [0]
-        for r in reps:
-            for s in (*gens, x):
-                y = self.mul(r, s)
-                if not inside[y]:
-                    # the base images of h y for every h in H
-                    inside[self.index.find(rows[:, self.matrix[y, base]])] = True
-                    reps.append(y)
+        # powers[j] = x^(j+1)(base); step is x^len(powers), whole
+        powers, step = self.matrix[x, base][None], self.matrix[x]
+        while len(powers) < self.orders[x]:
+            powers = np.concatenate((powers, step[powers]))
+            step = step[step]
+        powers = powers[: self.orders[x]]
+        c = 1 + int(inside[self.index.find(powers)].argmax())
+        rows = self.matrix[subgroup]
+        images = rows[:, powers[: c - 1]].reshape(-1, len(base))
+        inside[self.index.find(images)] = True
         return np.flatnonzero(inside)
 
     def closure(self, positions) -> tuple[np.ndarray, list[int]]:
         """The subgroup generated by ``positions``, and the positions it
-        took: Dimino's algorithm, one ``extend`` for each position
-        outside the closure so far; it stops once none is left."""
+        took: Dimino's algorithm, adjoining each position outside the
+        closure so far until none is left.  The first, which normalizes
+        the trivial group, is adjoined by ``extend``; each later one s by
+        the coset step: <H, s>, for H the closure so far, is the union of
+        the right cosets H r, where a product r t of a coset
+        representative and a taken position (s included) starts a new
+        coset when it lies outside those found."""
         members, gens = np.zeros(1, dtype=np.int64), []
         inside = np.zeros(len(self), dtype=bool)
         inside[0] = True
         outside = np.asarray(positions, dtype=np.int64)
+        base = self.index.base
         while (outside := outside[~inside[outside]]).size:
             gens.append(int(outside[0]))
-            members = self.extend(members, gens[-1], gens[:-1])
-            inside[members] = True
+            if len(gens) == 1:
+                members = self.extend(members, gens[0])
+                inside[members] = True
+                continue
+            rows = self.matrix[members]
+            reps = [0]
+            for r in reps:
+                for s in gens:
+                    y = self.mul(r, s)
+                    if not inside[y]:
+                        # the base images of h y for every h in H
+                        inside[self.index.find(rows[:, self.matrix[y, base]])] = True
+                        reps.append(y)
+            members = np.flatnonzero(inside)
         return members, gens
 
-    def commuting(self, i: int, members: np.ndarray) -> np.ndarray:
-        """The positions in ``members`` (distinct, ascending) whose rows
-        commute with row i.  Both products x_i x_j and x_j x_i lie in the
-        group, so they are equal when their base images are: only the
-        columns x_i(base) and base of the rows at ``members`` are
-        compared.  The whole table gives them by a column gather; a
-        subset's rows are taken first, which numpy does faster than
-        gathering single entries, and the subsets the search narrows
-        are small."""
-        row, base = self.matrix[i], self.index.base
-        cols = np.concatenate((row[base], base))
+    def commuting(self, xs, members: np.ndarray) -> np.ndarray:
+        """The (len(xs), len(members)) boolean matrix of which rows at
+        ``members`` commute with which rows at the positions ``xs``.
+        Both products x y and y x lie in the group, so they are equal
+        when their base images x(y(base)) and y(x(base)) are: only the
+        columns x(base) and base of the rows at ``members`` are read.
+        The whole table gives them by a column gather; a subset's rows
+        are taken first, which numpy does faster than gathering single
+        entries, and the subsets the search narrows are small."""
+        xrows, base = self.matrix[xs], self.index.base
         if len(members) == len(self):
-            sub = self.matrix[:, cols]
+            sub = self.matrix
         else:
-            sub = self.matrix.take(members, axis=0)[:, cols]
-        k = len(base)
-        return members[np.all(sub[:, :k] == row[sub[:, k:]], axis=1)]
+            sub = self.matrix.take(members, axis=0)
+        # y(x(base)) as (members, xs, base), against x(y(base)) as (xs, members, base)
+        yx = sub[:, xrows[:, base]]
+        xy = xrows[:, sub[:, base]]
+        return (yx.swapaxes(0, 1) == xy).all(axis=2)
 
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.matrix[i].tolist())
@@ -719,7 +749,7 @@ class PermGroup:
         table = self.element_table()
         members = np.arange(len(table), dtype=np.int64)
         for i in [table.position(p) for p in elements]:
-            members = table.commuting(i, members)
+            members = members[table.commuting([i], members)[0]]
         return self._subgroup(members)
 
     def center(self) -> "PermGroup":
@@ -738,7 +768,7 @@ class PermGroup:
         """Smallest normal subgroup of G containing the given elements."""
         table = self.element_table()
         found = self._class_closure([table.position(p) for p in elements])
-        return self._subgroup(np.flatnonzero(np.isin(table.class_of, list(found))))
+        return self._subgroup(table.class_members(found))
 
     def _class_closure(self, positions: list[int]) -> frozenset[int]:
         """Class numbers of the normal closure of the given positions:
@@ -754,7 +784,7 @@ class PermGroup:
             for s in positions:
                 # the base images of x s for every x in class c
                 images = matrix[classes[c][:, None], matrix[s, index.base]]
-                new = np.unique(class_of[index.find(images)]).tolist()
+                new = np.flatnonzero(np.bincount(class_of[index.find(images)])).tolist()
                 found += [d for d in new if d not in found]
         return frozenset(found)
 
@@ -768,10 +798,10 @@ class PermGroup:
         expanded to positions and become subgroups.
         """
         reps, _ = self.conjugacy_classes()
-        class_of = self.element_table().class_of
+        table = self.element_table()
         closures = {self._class_closure([r]) for r in reps[1:]}
         minimal = [
-            self._subgroup(np.flatnonzero(np.isin(class_of, list(n))))
+            self._subgroup(table.class_members(n))
             for n in closures
             if not any(m < n for m in closures)
         ]
@@ -814,18 +844,19 @@ class PermGroup:
         member, _ = table.closure(gen_idx)
         if len(member) < target:
             # the p-elements are those whose order divides p^e
-            p_orders = [o for o in np.unique(orders).tolist() if target % o == 0]
-            candidates = np.flatnonzero(np.isin(orders, p_orders))
+            candidates = np.flatnonzero(target % orders == 0)
             rows = matrix[candidates]
             # x^-1(base) for each candidate x; a permutation's argsort is its inverse
             inv_base = rows.argsort(axis=1)[:, table.index.base]
+            inside = np.zeros(len(table), dtype=bool)
         while len(member) < target:
-            live = np.flatnonzero(np.isin(candidates, member, invert=True))
+            inside[member] = True
+            live = np.flatnonzero(~inside[candidates])
             for h in gen_idx:
                 # base images x(h(x^-1(base))) of x h x^-1 for each x left
                 images = matrix[h][inv_base[live]]
                 conj = np.take_along_axis(rows[live], images, axis=1)
-                live = live[np.isin(table.index.find(conj), member)]
+                live = live[inside[table.index.find(conj)]]
             assert live.size, "normalizer growth stalled; this is a bug"
             i = int(candidates[live[0]])
             gen_idx.append(i)

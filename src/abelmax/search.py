@@ -9,13 +9,12 @@ at a time, in the canonical order of the group's ``ElementTable``
 ascending; ``perms`` owns that order and this module only reads row
 positions from it), and each adjoined element must come later in that
 order than the previous choice, which eliminates permuted revisits of
-the same chain.  Adjoining is ``ElementTable.extend``, the closure step
-that Sylow growth in ``perms`` uses as well.  A node's subgroup,
-centralizer and candidates are ascending int64 position arrays, and
-candidates are filtered with ``np.isin`` and ``np.setdiff1d``.  A
-subtree is cut when the centralizer of its subgroup is no larger than
-the best order found so far, since every abelian overgroup of A lies
-inside C_G(A).  The walk is rooted once per
+the same chain.  Adjoining is ``ElementTable.extend``, H<x> in one
+gather, which Sylow growth in ``perms`` uses as well.  A node's
+subgroup, centralizer and candidates are ascending int64 position
+arrays.  A subtree is cut when the centralizer of its subgroup is no
+larger than the best order found so far, since every abelian overgroup
+of A lies inside C_G(A).  The walk is rooted once per
 conjugacy class, at the class representatives ``conjugacy_classes``
 returns (the quantity searched for is conjugation-invariant, and any
 abelian subgroup is reached from the class representative of one of
@@ -25,9 +24,13 @@ bound bites immediately.
 Centralizers are computed inside the parent's centralizer.  A root is
 skipped on its class size alone, since |C(x)| = |G| / |x^G|; a root
 that survives gets its centralizer over the whole table once, and a
-child's is C(<A, x>) = C(A) ∩ C(x), found by ``ElementTable.commuting``
-over the rows of C(A) only.  Candidates are elements of C(A), so the
-work per node shrinks with the centralizer instead of staying |G|.
+child's is C(<A, x>) = C(A) ∩ C(x), read from ``ElementTable.commuting``
+over the rows of C(A) only.  A node tests its candidates against C(A) a
+block of rows at a time, so a node makes a few numpy calls rather than
+several per candidate.  A child's candidates are read from its row of
+that block, and the members of its subgroup are dropped by a
+``searchsorted``.  Candidates are elements of C(A), so the work per node
+shrinks with the centralizer instead of staying |G|.
 
 ``max_abelian_normal`` runs the same walk on a p-group and shares the
 centralizer bound: only normal subgroups count as found, and a subtree
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .perms import ElementTable, PermGroup, Permutation
+from .perms import _ROW_BLOCK, ElementTable, PermGroup, Permutation
 
 DEFAULT_BRUTE_CAP = 2000
 
@@ -111,8 +114,9 @@ class _AbelianDFS:
     on its class size alone, since |C(x)| = |G| / |x^G|; a root that
     survives gets its centralizer over the whole table once, and each
     child's centralizer is computed inside its parent's, as
-    C(<A, x>) = C(A) ∩ C(x).  The cyclic seed (row 1, an element of
-    maximal order) is taken only if accepted.  ``accept`` must agree on
+    C(<A, x>) = C(A) ∩ C(x): one row of a block that tests several
+    candidates x against C(A) at once.  The cyclic seed (row 1, an
+    element of maximal order) is taken only if accepted.  ``accept`` must agree on
     conjugate subgroups, because the walk is rooted only at class
     representatives.
     """
@@ -139,11 +143,10 @@ class _AbelianDFS:
         for root, conj_class in zip(self.class_reps[1:], self.classes[1:]):
             if n // len(conj_class) <= self.best_order:
                 continue
-            cent = t.commuting(root, all_idx)
+            cent = np.flatnonzero(t.commuting([root], all_idx)[0])
             closure, _ = t.closure([root])
             self._visit(closure, [root])
-            cand = np.setdiff1d(cent, closure, assume_unique=True)
-            self._expand(closure, [root], cent, cand)
+            self._expand(closure, [root], cent, _outside(cent, closure))
 
     def _visit(self, closure: np.ndarray, chain: list[int]) -> None:
         self.nodes += 1
@@ -154,23 +157,40 @@ class _AbelianDFS:
     def _expand(self, closure, chain, cent, cand) -> None:
         """Children of the subgroup ``closure`` with centralizer ``cent``
         (ascending positions); ``cand`` are the elements of ``cent``
-        outside ``closure`` that may still be adjoined, ascending."""
-        for pos in range(len(cand)):
-            # every child's centralizer lies inside ``cent``, so once the
-            # best order reaches it no remaining child can pass the bound
-            if len(cent) <= self.best_order:
-                return
-            x = int(cand[pos])
-            bcent = self.table.commuting(x, cent)
-            if len(bcent) <= self.best_order:
-                continue
-            bigger = self.table.extend(closure, x)
-            self._visit(bigger, chain + [x])
-            rest = cand[pos + 1 :]
-            sub = rest[np.isin(rest, bcent, assume_unique=True)]
-            sub = np.setdiff1d(sub, bigger, assume_unique=True)
-            if sub.size:
-                self._expand(bigger, chain + [x], bcent, sub)
+        outside ``closure`` that may still be adjoined, ascending.  The
+        candidates are tested against ``cent`` a block of rows at a time:
+        one row first, so a node the bound cuts after its first child
+        tests one, then doubling while rows x |cent| x |base| stays within
+        _ROW_BLOCK entries, so the temporaries stay bounded."""
+        at = cent.searchsorted(cand)
+        most = max(1, _ROW_BLOCK // (len(cent) * len(self.table.index.base)))
+        start, size = 0, 1
+        while start < len(cand) and len(cent) > self.best_order:
+            block = cand[start : start + size]
+            commutes = self.table.commuting(block, cent)
+            counts = commutes.sum(axis=1).tolist()
+            for r, x in enumerate(block.tolist()):
+                # every child's centralizer lies inside ``cent``, so once
+                # the best order reaches it no remaining child can pass
+                if len(cent) <= self.best_order:
+                    return
+                if counts[r] <= self.best_order:
+                    continue
+                row = commutes[r]
+                bigger = self.table.extend(closure, x)
+                self._visit(bigger, chain + [x])
+                pos = start + r + 1
+                sub = _outside(cand[pos:][row[at[pos:]]], bigger)
+                if sub.size:
+                    self._expand(bigger, chain + [x], cent[row], sub)
+            start += size
+            size = min(2 * size, most)
+
+
+def _outside(positions: np.ndarray, subgroup: np.ndarray) -> np.ndarray:
+    """The ascending ``positions`` that are not in the ascending ``subgroup``."""
+    at = subgroup.searchsorted(positions)
+    return positions[subgroup.take(at, mode="clip") != positions]
 
 
 def _witness_from_chain(

@@ -222,8 +222,9 @@ def is_expected_two_prime_group(entry: CatalogEntry) -> bool:
     """Order-plus-structure fingerprint for the groups allowed two large primes.
 
     Matches the order-6 nonabelian group, the order-60 simple group,
-    the projective groups psl2:p with p > 5 prime and (p+1)/2 prime,
-    and the nonabelian simple groups of the two sporadic orders.
+    the nonabelian simple groups of the order of psl2:p (p > 5 prime,
+    (p+1)/2 prime) with an element of order p, and the nonabelian
+    simple groups of the two sporadic orders.
     """
     G = entry.group
     n = G.order_value
@@ -243,6 +244,8 @@ def is_expected_two_prime_group(entry: CatalogEntry) -> bool:
             and nt.is_prime((p + 1) // 2)
             and G.order.factors[p] == 1
             and p in _order_profile(G)
+            and not G.is_abelian()
+            and G.is_simple()
         ):
             return True
     return False

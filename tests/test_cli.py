@@ -131,19 +131,41 @@ print(json.dumps([code, loaded]))
 """
 
 
-@pytest.mark.parametrize("func", ["g", "h", "f", "exceptions"])
-def test_cli_number_theory_starts_without_the_group_machinery(func):
+# Runs one command in a fresh interpreter and prints its exit code and
+# whether it loaded numpy.ma, which numpy imports only when asked (np.unique
+# without return_* flags does), at 16-28 ms per process.
+_NUMPY_MA_PROBE = """\
+import contextlib, io, json, sys
+import abelmax.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = abelmax.cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+"""
+
+
+def _probe(script, *argv):
+    """The JSON a probe script prints, run with ``argv`` from the repository root."""
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, "numtheory", func, "1000"],
+        [sys.executable, "-c", script, *argv],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("func", ["g", "h", "f", "exceptions"])
+def test_cli_number_theory_starts_without_the_group_machinery(func):
+    code, loaded = _probe(_IMPORT_PROBE, "numtheory", func, "1000")
     assert code == 0
     assert loaded == {"import": [], "run": []}
+
+
+@pytest.mark.parametrize("argv", [("mgroup", "file:groups/m12.gens"), ("verify", "all")])
+def test_cli_group_commands_leave_numpy_ma_unimported(argv):
+    assert _probe(_NUMPY_MA_PROBE, *argv) == [0, False]
 
 
 def test_cli_ratio(capsys):
@@ -284,6 +306,14 @@ def test_cli_verify_reports_are_byte_identical_across_runs(tmp_path, capsys):
     run_cli(capsys, "verify", "all", "sym:4", "sym:5", "dihedral:8",
             "--format", "csv", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_verify_all_matches_the_golden_report(capsys):
+    # the default catalog's whole report, frozen: a change that alters
+    # any verdict, m, order or detail shows up here byte for byte
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "csv")
+    assert code == 0
+    assert out.encode() == (DATA / "verify_all.csv").read_bytes()
 
 
 def test_cli_verify_bad_suite_is_usage_error(capsys):

@@ -261,16 +261,50 @@ def test_element_table_commuting_against_products(spec):
     everything = np.arange(n, dtype=np.int64)
     sparse = everything[1::3]
     reps, classes = g.conjugacy_classes()
+
+    def commuting(i, members):
+        return members[table.commuting([i], members)[0]]
+
     for k, (r, cls) in enumerate(zip(reps, classes)):
-        cent = table.commuting(r, everything)
+        cent = commuting(r, everything)
         assert cent.tolist() == reference(r, range(n))
         assert len(cent) == n // len(cls)
         # narrowed inputs: the centralizer of another class's
         # representative, and a set that is not a subgroup
         other = reps[(k + 1) % len(reps)]
-        narrowed = table.commuting(other, cent)
+        narrowed = commuting(other, cent)
         assert narrowed.tolist() == reference(other, cent.tolist())
-        assert table.commuting(r, sparse).tolist() == reference(r, sparse.tolist())
+        assert commuting(r, sparse).tolist() == reference(r, sparse.tolist())
+
+
+def _ten_transpositions_at_degree_300():
+    return PermGroup([Permutation.from_cycles(300, [(i, i + 1)]) for i in range(0, 20, 2)])
+
+
+@pytest.fixture(scope="module")
+def commuting_tables():
+    from abelmax.catalog import build_group
+
+    groups = [build_group("sym:5"), build_group("agl3_2"), _ten_transpositions_at_degree_300()]
+    tables = [g.element_table() for g in groups]
+    return [(t, [t.permutation(i) for i in range(len(t))]) for t in tables]
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(0, 60))
+def test_element_table_commuting_block_against_products(
+    commuting_tables, which, seed, rows, size
+):
+    # each entry of the block is x*y == y*x on Permutations, for any
+    # positions xs (repeats allowed) and ascending members
+    table, elems = commuting_tables[which]
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, len(table), rows)
+    members = np.sort(rng.choice(len(table), min(size, len(table)), replace=False))
+    block = table.commuting(xs, members)
+    assert block.shape == (rows, len(members)) and block.dtype == bool
+    expected = [[elems[x] * elems[y] == elems[y] * elems[x] for y in members] for x in xs]
+    assert block.tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -618,9 +652,10 @@ def test_element_table_extend_by_normalizing_element(s4):
 
 
 @pytest.mark.parametrize("spec", ["sym:5", "agl3_2"])
-def test_element_table_extend_with_generators_against_products(spec):
-    # adjoining an x that does not normalize H = <h>, or H = <h, y>,
-    # needs H's generators; compared with a closure of Permutation products
+def test_element_table_closure_adjoins_non_normalizing_element(spec):
+    # adjoining an x that does not normalize H = <h>, or H = <h, y>, is
+    # Dimino's coset step with H's generators; compared with a closure of
+    # Permutation products
     from abelmax.catalog import build_group
 
     g = build_group(spec)
@@ -651,7 +686,8 @@ def test_element_table_extend_with_generators_against_products(spec):
             if outside:  # H is not normal; adjoin the first x outside N(H)
                 x = outside[0]
                 expected = reference([elems[i] for i in gens + [x]])
-                got = table.extend(sub, x, gens)
+                got, taken = table.closure(gens + [x])
+                assert taken[-1] == x
                 assert_position_set(got)
                 assert got.tolist() == expected
                 checked += 1

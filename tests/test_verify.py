@@ -402,3 +402,23 @@ def test_reports_are_deterministic(entries):
     ja = vf.report_to_json(vf.run_suite("twoprime", entries))
     jb = vf.report_to_json(vf.run_suite("twoprime", entries))
     assert ja == jb
+
+
+def test_order_of_psl2_13_alone_is_not_expected(tmp_path):
+    # 1092 = |PSL(2, 13)| with an element of order 13, but only a simple
+    # group of that order is PSL(2, 13): neither the cyclic group nor
+    # Frobenius 13:12 x C7 (on disjoint points) may be expected
+    (tmp_path / "frob13_12_x_c7.gens").write_text(
+        "degree 20\n"
+        "gen (1,2,3,4,5,6,7,8,9,10,11,12,13)\n"
+        "gen (2,3,5,9,4,7,13,12,10,6,11,8)\n"
+        "gen (14,15,16,17,18,19,20)\n"
+        "expect_order 1092\n"
+    )
+    specs = ["cyclic:1092", "file:frob13_12_x_c7.gens", "psl2:13", "frobenius:13:12"]
+    entries = cat.build_catalog(specs, base_dir=tmp_path)
+    assert not entries[1].group.is_abelian()
+    report = vf.two_large_prime_scan(entries)
+    assert report.all_passed
+    assert [c.detail["expected"] for c in report.checks] == [False, False, True, False]
+    assert [c.detail["flagged"] for c in report.checks] == [False, False, True, False]
