@@ -43,7 +43,7 @@ import sys
 from pathlib import Path
 
 from . import numtheory as nt
-from .errors import CapacityError, GeneratorFileError
+from .errors import CapacityError
 
 _FORMATS = ("text", "json", "csv")
 
@@ -255,10 +255,8 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"abelmax: capacity error: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, GeneratorFileError, FileNotFoundError) as exc:
-        print(f"abelmax: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
+        # GeneratorFileError is a ValueError
         print(f"abelmax: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ then image tuple ascending).  Two elements are equal exactly when they
 agree on the chain's base, so every comparison and sort of rows reads
 the base columns only (Seress, *Permutation Group Algorithms*, §4.1):
 ``BaseImageIndex`` keeps one sorted array of base-image keys and
-resolves rows with ``np.searchsorted``; products, commutation tests and
-normal closures form base images, never whole rows; and the canonical
+resolves rows with ``np.searchsorted``; products (``ElementTable.products``)
+and commutation tests form base images, never whole rows; and the canonical
 sort keys on columns 0..max(base), which already order distinct rows.
 Conjugacy classes come from the generators' conjugation maps by
 min-label propagation, before the canonical sort, so that element
@@ -385,10 +385,10 @@ class ElementTable:
     come from one primitive, ``commuting``, which tests a block of rows
     against a given set of positions rather than the whole table.  Rows are
     compared and sorted on the base columns only: ``index`` keys on the base
-    images, ``mul``, ``extend``, ``closure`` and ``commuting`` form and
-    compare base images of products, and the canonical order is the
-    lexicographic order of columns 0..max(base), which equals that of whole
-    rows.
+    images; ``products``, the one place that multiplies elements by position,
+    looks up base images of products and ``commuting`` compares them; and the
+    canonical order is the lexicographic order of columns 0..max(base), which
+    equals that of whole rows.
     """
 
     matrix: np.ndarray
@@ -423,10 +423,13 @@ class ElementTable:
         wanted[list(classes)] = True
         return np.flatnonzero(wanted[self.class_of])
 
-    def mul(self, i: int, j: int) -> int:
-        """Position of the product x_i * x_j, i.e. x_i(x_j(.))."""
-        base_images = self.matrix[i, self.matrix[j, self.index.base]]
-        return int(self.index.find(base_images[None])[0])
+    def products(self, left, right) -> np.ndarray:
+        """The (len(left), len(right)) int64 positions of x_l * x_r, i.e.
+        x_l(x_r(.)), for the positions ``left`` and ``right``: the one
+        place that forms and looks up the base images of products."""
+        base = self.index.base
+        images = self.matrix[left][:, self.matrix[right][:, base]]
+        return self.index.find(images.reshape(-1, len(base))).reshape(images.shape[:2])
 
     def extend(self, subgroup: np.ndarray, x: int) -> np.ndarray:
         """Positions of H<x> for the subgroup H at ``subgroup``, which is
@@ -445,11 +448,9 @@ class ElementTable:
         while len(powers) < self.orders[x]:
             powers = np.concatenate((powers, step[powers]))
             step = step[step]
-        powers = powers[: self.orders[x]]
-        c = 1 + int(inside[self.index.find(powers)].argmax())
-        rows = self.matrix[subgroup]
-        images = rows[:, powers[: c - 1]].reshape(-1, len(base))
-        inside[self.index.find(images)] = True
+        powers = self.index.find(powers[: self.orders[x]])
+        c = 1 + int(inside[powers].argmax())
+        inside[self.products(subgroup, powers[: c - 1])] = True
         return np.flatnonzero(inside)
 
     def closure(self, positions) -> tuple[np.ndarray, list[int]]:
@@ -457,30 +458,33 @@ class ElementTable:
         took: Dimino's algorithm, adjoining each position outside the
         closure so far until none is left.  The first, which normalizes
         the trivial group, is adjoined by ``extend``; each later one s by
-        the coset step: <H, s>, for H the closure so far, is the union of
-        the right cosets H r, where a product r t of a coset
-        representative and a taken position (s included) starts a new
-        coset when it lies outside those found."""
+        the coset step a round at a time: <H, s>, for H the closure so far,
+        is the union of the right cosets H r.  A round multiplies its coset
+        representatives by every taken position (s included), and each new
+        coset among the products' cosets keeps the product whose coset has
+        the smallest position as a representative for the next round.  Only
+        representatives, one per coset, are multiplied, so a round's cosets
+        hold at most |gens| x |<H, s>| positions."""
         members, gens = np.zeros(1, dtype=np.int64), []
         inside = np.zeros(len(self), dtype=bool)
         inside[0] = True
         outside = np.asarray(positions, dtype=np.int64)
-        base = self.index.base
         while (outside := outside[~inside[outside]]).size:
             gens.append(int(outside[0]))
             if len(gens) == 1:
                 members = self.extend(members, gens[0])
                 inside[members] = True
                 continue
-            rows = self.matrix[members]
-            reps = [0]
-            for r in reps:
-                for s in gens:
-                    y = self.mul(r, s)
-                    if not inside[y]:
-                        # the base images of h y for every h in H
-                        inside[self.index.find(rows[:, self.matrix[y, base]])] = True
-                        reps.append(y)
+            reps = np.zeros(1, dtype=np.int64)
+            while reps.size:
+                assert len(reps) * len(members) <= len(self), "reps share a coset"
+                ys = self.products(reps, gens).ravel()
+                ys = ys[~inside[ys]]
+                cosets = self.products(members, ys)
+                # cosets are equal or disjoint: equal exactly when their minima are
+                _, kept = np.unique(cosets.min(axis=0), return_index=True)
+                inside[cosets[:, kept]] = True
+                reps = ys[kept]
             members = np.flatnonzero(inside)
         return members, gens
 
@@ -778,14 +782,12 @@ class PermGroup:
         table = self.element_table()
         _, classes = self.conjugacy_classes()
         class_of = table.class_of
-        matrix, index = table.matrix, table.index
         found = list(dict.fromkeys([0, *class_of[positions].tolist()]))
         for c in found:  # grows as classes join
-            for s in positions:
-                # the base images of x s for every x in class c
-                images = matrix[classes[c][:, None], matrix[s, index.base]]
-                new = np.flatnonzero(np.bincount(class_of[index.find(images)])).tolist()
-                found += [d for d in new if d not in found]
+            # the classes of x s for every x in class c and given s
+            products = table.products(classes[c], positions)
+            new = np.flatnonzero(np.bincount(class_of[products].ravel())).tolist()
+            found += [d for d in new if d not in found]
         return frozenset(found)
 
     def minimal_normal_subgroups(self) -> list["PermGroup"]:

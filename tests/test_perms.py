@@ -307,6 +307,23 @@ def test_element_table_commuting_block_against_products(
     assert block.tolist() == expected
 
 
+@settings(max_examples=30)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6))
+def test_element_table_products_against_permutation_products(
+    commuting_tables, which, seed, rows, cols
+):
+    # entry (l, r) is the position of x_l * x_r = x_l(x_r(.)); every
+    # position is given twice on both sides
+    table, elems = commuting_tables[which]
+    rng = np.random.default_rng(seed)
+    left = np.tile(rng.integers(0, len(table), rows), 2)
+    right = np.tile(rng.integers(0, len(table), cols), 2)
+    got = table.products(left, right)
+    assert got.shape == (2 * rows, 2 * cols) and got.dtype == np.int64
+    expected = [[table.position(elems[x] * elems[y]) for y in right] for x in left]
+    assert got.tolist() == expected
+
+
 @pytest.mark.parametrize(
     "spec", ["sym:5", "agl3_2", "psl2:13", *SHORT_BASE, "cyclic:2000", "file:groups/m12.gens"]
 )
@@ -692,6 +709,29 @@ def test_element_table_closure_adjoins_non_normalizing_element(spec):
                 assert got.tolist() == expected
                 checked += 1
     assert checked >= 6
+
+
+def test_element_table_closure_of_m12_takes_pinned_positions_in_few_lookups(monkeypatch):
+    # the coset step multiplies a whole round of representatives in one
+    # lookup and finds their cosets in one more: one lookup per product
+    # and coset took 2208 calls here
+    from abelmax import perms
+    from abelmax.catalog import build_group
+
+    g = build_group("file:groups/m12.gens", base_dir=Path(__file__).resolve().parents[1])
+    table = g.element_table()
+    calls = []
+    find = perms.BaseImageIndex.find
+
+    def counted(index, images):
+        calls.append(len(images))
+        return find(index, images)
+
+    monkeypatch.setattr(perms.BaseImageIndex, "find", counted)
+    members, taken = table.closure(np.arange(len(table)))
+    assert members.tolist() == list(range(95040))
+    assert taken == [1, 2, 1441]
+    assert len(calls) <= 64
 
 
 @pytest.mark.parametrize(

@@ -257,15 +257,19 @@ def test_equality_scan(entries):
 
 
 def test_isomorphic_aliases_pass_every_suite():
-    # S2, S3, S3, S4 and S5 under other family names, and two groups of
-    # order n! that are not S_n; the equality verdict follows the group
-    ids = ["cyclic:2", "dihedral:3", "frobenius:3:2", "agammal1:2", "pgl2:5",
-           "cyclic:6", "dihedral:12"]
-    report = vf.run_suite("all", cat.build_catalog(ids))
+    # S2, S3, S3, S4 and S5 under other family names, and groups of order
+    # n! that are not S_n (SL(2,3), C2 x A4, SL(2,5), C2 x A5 and C5 x S4
+    # from generator files); the equality verdict follows the group
+    aliases = ["cyclic:2", "dihedral:3", "frobenius:3:2", "agammal1:2", "pgl2:5"]
+    others = ["cyclic:6", "dihedral:12", "dihedral:60"] + [
+        f"file:{name}.gens" for name in ("sl2_3", "c2_x_a4", "sl2_5", "c2_x_a5", "c5_x_s4")
+    ]
+    entries = cat.build_catalog(aliases + others, base_dir=Path(__file__).parent / "data")
+    report = vf.run_suite("all", entries)
     assert report.all_passed
     expected = {c.group_id: c.detail["expected"]
                 for c in report.checks if c.theorem == "equality" and "expected" in c.detail}
-    assert expected == {gid: gid not in ("cyclic:6", "dihedral:12") for gid in ids}
+    assert expected == {gid: gid in aliases for gid in aliases + others}
 
 
 def test_symmetric_order_profiles_match_the_symmetric_groups():
