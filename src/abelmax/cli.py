@@ -33,6 +33,14 @@ Of the package, only ``errors`` and ``numtheory`` are imported with
 this module, so ``numtheory`` and ``series`` start without the group
 machinery (``perms``, ``catalog``, ``search``, ``verify`` and numpy);
 ``mgroup`` and ``verify`` import it when they run.
+
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` for the process unless it is
+already set, before anything imports numpy.  No command calls BLAS, and
+numpy's bundled OpenBLAS otherwise starts one worker thread per core at
+import: on 2 vCPUs, ``import numpy`` took 0.15 s with that pool and
+0.08 s without it (median of 12 runs each).  ``ratio`` and ``series``
+sum their terms with numpy's pairwise sum, so their values do not
+depend on the BLAS thread count either way.
 """
 
 from __future__ import annotations
@@ -218,8 +226,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_series(args) -> int:
     lines = ["n,log_f,ratio"]
-    for n in args.ns:
-        sample = nt.asymptotic_ratio(n)
+    for sample in nt.asymptotic_ratios(args.ns):
         lines.append(f"{sample.n},{sample.log_f:.12g},{sample.ratio:.12g}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -229,6 +236,9 @@ def main(argv=None) -> int:
     # g, h and f are printed exactly, past CPython's 4300-digit str() limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    # no command calls BLAS, and OpenBLAS starts one thread per core when
+    # numpy is imported; this must come before anything imports numpy
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)

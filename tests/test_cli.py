@@ -143,17 +143,51 @@ print(json.dumps([code, "numpy.ma" in sys.modules]))
 """
 
 
-def _probe(script, *argv):
-    """The JSON a probe script prints, run with ``argv`` from the repository root."""
+def _probe(script, *argv, **environ):
+    """The JSON a probe script prints, run with ``argv`` from the repository
+    root; each keyword sets an environment variable, or removes it if None."""
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
         cwd=repo, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+# Runs one command in a fresh interpreter and prints its exit code, whether
+# it loaded numpy, its OS thread count (None off Linux) and the
+# OPENBLAS_NUM_THREADS it ends with.
+_THREAD_PROBE = """\
+import contextlib, io, json, os, sys
+import abelmax.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = abelmax.cli.main(sys.argv[1:])
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps([code, "numpy" in sys.modules, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_cli_group_command_runs_on_one_thread():
+    # numpy's OpenBLAS would otherwise start a worker thread per core
+    got = _probe(_THREAD_PROBE, "mgroup", "sym:4", OPENBLAS_NUM_THREADS=None)
+    assert got == [0, True, 1, "1"]
+
+
+def test_cli_keeps_a_given_blas_thread_count():
+    code, numpy_loaded, _, value = _probe(
+        _THREAD_PROBE, "mgroup", "sym:4", OPENBLAS_NUM_THREADS="2"
+    )
+    assert (code, numpy_loaded, value) == (0, True, "2")
 
 
 @pytest.mark.parametrize("func", ["g", "h", "f", "exceptions"])
@@ -371,6 +405,35 @@ def test_cli_series_single_and_empty(capsys):
 def test_cli_series_rejects_small_n(capsys):
     code, _, _ = run_cli(capsys, "series", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("ns, code, message", [
+    (("1000", "10", str(nt.SIEVE_CAP + 1)), 2, "need n >= 16"),
+    (("1000", str(nt.SIEVE_CAP + 1), "10"), 3, "prime sieve capped"),
+])
+def test_cli_series_reports_the_first_bad_n(capsys, ns, code, message):
+    got, out, err = run_cli(capsys, "series", *ns)
+    assert got == code and out == "" and message in err
+
+
+_GOLDEN_NS = ("100", "1000", "123457", "1000000", "5000000", "10000000")
+_GOLDEN_SERIES = """\
+n,log_f,ratio
+100,76.4265399495,1.52853079899
+1000,599.501961517,1.19900392303
+123457,62534.1134383,1.01305091551
+1000000,501900.866645,1.00380173329
+5000000,2503227.24492,1.00129089797
+10000000,5005981.20293,1.00119624059
+"""
+
+
+def test_cli_series_and_ratio_golden_bytes(capsys):
+    code, out, _ = run_cli(capsys, "series", *_GOLDEN_NS)
+    assert code == 0 and out == _GOLDEN_SERIES
+    for row in _GOLDEN_SERIES.splitlines()[1:]:
+        n, _, ratio = row.split(",")
+        assert run_cli(capsys, "numtheory", "ratio", n)[:2] == (0, ratio + "\n")
 
 
 # ── environment overrides ───────────────────────────────────────────

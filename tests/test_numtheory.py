@@ -1,6 +1,10 @@
 """Tests for the prime-power product arithmetic."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,10 +252,40 @@ def test_order_bound_cap():
         nt.order_bound(nt.EXACT_BOUND_CAP + 1)
 
 
-@pytest.mark.parametrize("n", [2, 6, 10, 97, 1000, 9973, 10000])
+@pytest.mark.parametrize("n", [1, 2, 6, 10, 97, 1000, 9973, 10000])
 def test_order_bound_log_matches_exact(n):
     exact = math.log(nt.order_bound(n).value)
     assert abs(nt.order_bound_log(n) - exact) <= 1e-9 * exact
+
+
+def test_order_bound_log_ignores_the_blas_thread_count():
+    # a BLAS dot product's last bit depends on the BLAS thread count
+    script = (
+        "import sys; from abelmax import numtheory as nt; "
+        "print([repr(nt.order_bound_log(int(n))) for n in sys.argv[1:]])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "123457", "5000000", "10000000"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs
+
+
+def test_asymptotic_ratios_match_one_n_at_a_time():
+    ns = [10**5, 16, 9973, 10**5, 123457, 17]
+    samples = nt.asymptotic_ratios(ns)
+    assert [s.n for s in samples] == ns
+    for s in samples:
+        assert s == nt.asymptotic_ratio(s.n)
+        assert s.log_f == nt.order_bound_log(s.n)
+    assert nt.asymptotic_ratios([]) == []
 
 
 # ── intervals ───────────────────────────────────────────────────────
