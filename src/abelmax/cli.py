@@ -34,13 +34,19 @@ this module, so ``numtheory`` and ``series`` start without the group
 machinery (``perms``, ``catalog``, ``search``, ``verify`` and numpy);
 ``mgroup`` and ``verify`` import it when they run.
 
-``main`` sets ``OPENBLAS_NUM_THREADS=1`` for the process unless it is
-already set, before anything imports numpy.  No command calls BLAS, and
-numpy's bundled OpenBLAS otherwise starts one worker thread per core at
-import: on 2 vCPUs, ``import numpy`` took 0.15 s with that pool and
-0.08 s without it (median of 12 runs each).  ``ratio`` and ``series``
-sum their terms with numpy's pairwise sum, so their values do not
-depend on the BLAS thread count either way.
+No command calls BLAS, but numpy's bundled OpenBLAS starts one worker
+thread per core when numpy is imported: on 2 vCPUs, ``import numpy``
+took 0.15 s with that pool and 0.08 s without it (median of 12 runs
+each on a quiet machine; under load the gap was much smaller).  So
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ`` when numpy
+is not yet imported and none of ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` (which OpenBLAS also
+reads) is set.  The value stays in the environment, so subprocesses
+the caller starts later inherit it.  When ``main`` runs in a process
+that has imported numpy already, it leaves the environment alone: the
+pool is running by then.  ``ratio`` and ``series`` sum their terms
+with numpy's pairwise sum, so their values do not depend on the BLAS
+thread count either way.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ from . import numtheory as nt
 from .errors import CapacityError
 
 _FORMATS = ("text", "json", "csv")
+
+# OpenBLAS takes its thread count from the first of these that is set
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -226,7 +235,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_series(args) -> int:
     lines = ["n,log_f,ratio"]
-    for sample in nt.asymptotic_ratios(args.ns):
+    for n in args.ns:
+        sample = nt.asymptotic_ratio(n)
         lines.append(f"{sample.n},{sample.log_f:.12g},{sample.ratio:.12g}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -238,7 +248,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     # no command calls BLAS, and OpenBLAS starts one thread per core when
     # numpy is imported; this must come before anything imports numpy
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)

@@ -16,16 +16,15 @@ Everything is exact big-integer arithmetic except ``order_bound_log``,
 which sums exponent * log(p) so the bound can be evaluated far beyond
 the range where the exact product is practical.  Its sum is numpy's
 pairwise sum, never a BLAS call, so its value does not depend on the
-BLAS thread count.  ``asymptotic_ratios`` samples it at many n from one
-sieve up to the largest.  g, h and f take their primes from one sieve,
-which is their primality proof, and multiply their prime powers as a
-balanced product tree.
+BLAS thread count.  g, h and f take their primes from one sieve, which
+is their primality proof, and multiply their prime powers as a balanced
+product tree.
 
 The sieve is a ``bytearray`` of one byte per number, refused above
 ``SIEVE_CAP``.  g, h, f and the primes that ``verify`` asks for are read
 from it with ``itertools.compress``, so they never import numpy; only
-the log sums do, and they view the same bytes as a bool array through
-``np.frombuffer``, without a copy.
+``order_bound_log`` does, and it views the same bytes as a bool array
+through ``np.frombuffer``, without a copy.
 
 ``two_prime_interval_exceptions(limit)`` holds the sieve of 0..limit
 and nothing else that grows with the limit: it walks the sieve with
@@ -80,17 +79,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_sieve_limit(limit: int) -> None:
+def _prime_flags(limit: int) -> bytearray:
+    """Primality of 0..limit (limit >= 1), one byte each, by the sieve
+    of Eratosthenes over the odd numbers.  Capped at SIEVE_CAP."""
     if limit > SIEVE_CAP:
         raise CapacityError(
             f"prime sieve capped at limit <= {SIEVE_CAP} (got {limit})"
         )
-
-
-def _prime_flags(limit: int) -> bytearray:
-    """Primality of 0..limit (limit >= 1), one byte each, by the sieve
-    of Eratosthenes over the odd numbers.  Capped at SIEVE_CAP."""
-    _check_sieve_limit(limit)
     flags = bytearray(b"\x00\x01") * (limit // 2 + 1)
     del flags[limit + 1 :]
     flags[1] = 0
@@ -307,33 +302,21 @@ def order_bound_log(n: int) -> float:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _order_bound_logs([n])[0]
-
-
-def _order_bound_logs(ns: list[int]) -> list[float]:
-    """order_bound_log of each n >= 1, from one sieve up to max(ns).
-
-    The terms for n are read from the prefix of primes <= n and added by
-    numpy's pairwise sum, not a BLAS dot product, whose last bit depends
-    on the BLAS thread count; so each value is the same float for any
-    list that holds n.
-    """
+    if n == 1:
+        return 0.0
     import numpy as np
 
-    ps = np.flatnonzero(np.frombuffer(_prime_flags(max(ns)), dtype=bool))
-    logs = np.log(ps)
-    out = []
-    for n in ns:
-        k = int(ps.searchsorted(n, side="right"))
-        exps = np.ones(k)
-        # Only primes <= sqrt(n) can have floor_log > 1.
-        root = math.isqrt(n)
-        for i, p in enumerate(ps[: ps.searchsorted(root, side="right")]):
-            e = floor_log(int(p), n)
-            exps[i] = e * (e + 1) / 2
-        exps -= ps[:k] > n / 2  # divide out the upper-half primes
-        out.append(math.log(n) + float((exps * logs[:k]).sum()))
-    return out
+    ps = np.flatnonzero(np.frombuffer(_prime_flags(n), dtype=bool))
+    exps = np.ones(len(ps))
+    # Only primes <= sqrt(n) can have floor_log > 1.
+    root = math.isqrt(n)
+    for i, p in enumerate(ps[ps <= root]):
+        e = floor_log(int(p), n)
+        exps[i] = e * (e + 1) / 2
+    exps -= ps > n / 2  # divide out the upper-half primes
+    # numpy's pairwise sum: a BLAS dot product's last bit depends on the
+    # BLAS thread count
+    return math.log(n) + float((exps * np.log(ps)).sum())
 
 
 @dataclass(frozen=True)
@@ -347,24 +330,10 @@ class AsymptoticSample:
 
 def asymptotic_ratio(n: int) -> AsymptoticSample:
     """Sample log(order_bound(n)) / (n/2); the ratio tends to 1."""
-    return asymptotic_ratios([n])[0]
-
-
-def asymptotic_ratios(ns: list[int]) -> list[AsymptoticSample]:
-    """``asymptotic_ratio`` of each n, in order, from one sieve up to
-    max(ns); each ``log_f`` is ``order_bound_log(n)`` to the bit.  The
-    first n in order below 16 or above SIEVE_CAP raises, before any
-    sieving."""
-    for n in ns:
-        if n < 16:
-            raise ValueError("need n >= 16")
-        _check_sieve_limit(n)
-    if not ns:
-        return []
-    return [
-        AsymptoticSample(n, lf, lf / (n / 2))
-        for n, lf in zip(ns, _order_bound_logs(ns))
-    ]
+    if n < 16:
+        raise ValueError("need n >= 16")
+    lf = order_bound_log(n)
+    return AsymptoticSample(n, lf, lf / (n / 2))
 
 
 def two_prime_interval_exceptions(limit: int) -> list[int]:

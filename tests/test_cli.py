@@ -176,18 +176,35 @@ print(json.dumps([code, "numpy" in sys.modules, threads, os.environ.get("OPENBLA
 """
 
 
+# OpenBLAS reads its thread count from the first of these that is set
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_cli_group_command_runs_on_one_thread():
     # numpy's OpenBLAS would otherwise start a worker thread per core
-    got = _probe(_THREAD_PROBE, "mgroup", "sym:4", OPENBLAS_NUM_THREADS=None)
+    unset = dict.fromkeys(_BLAS_VARS)
+    got = _probe(_THREAD_PROBE, "mgroup", "sym:4", **unset)
     assert got == [0, True, 1, "1"]
 
 
-def test_cli_keeps_a_given_blas_thread_count():
-    code, numpy_loaded, _, value = _probe(
-        _THREAD_PROBE, "mgroup", "sym:4", OPENBLAS_NUM_THREADS="2"
-    )
-    assert (code, numpy_loaded, value) == (0, True, "2")
+@pytest.mark.parametrize("name", _BLAS_VARS)
+def test_cli_keeps_a_given_blas_thread_count(name):
+    environ = dict.fromkeys(_BLAS_VARS)
+    environ[name] = "2"
+    code, numpy_loaded, _, value = _probe(_THREAD_PROBE, "mgroup", "sym:4", **environ)
+    assert (code, numpy_loaded, value) == (0, True, environ["OPENBLAS_NUM_THREADS"])
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(capsys, monkeypatch):
+    # OpenBLAS's pool is running by then, and the value would pass on to
+    # every subprocess the caller starts
+    import numpy  # noqa: F401
+
+    for name in _BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    assert run_cli(capsys, "mgroup", "sym:4")[0] == 0
+    assert not any(name in os.environ for name in _BLAS_VARS)
 
 
 @pytest.mark.parametrize("func", ["g", "h", "f", "exceptions"])

@@ -278,16 +278,6 @@ def test_order_bound_log_ignores_the_blas_thread_count():
     assert len(outs) == 1, outs
 
 
-def test_asymptotic_ratios_match_one_n_at_a_time():
-    ns = [10**5, 16, 9973, 10**5, 123457, 17]
-    samples = nt.asymptotic_ratios(ns)
-    assert [s.n for s in samples] == ns
-    for s in samples:
-        assert s == nt.asymptotic_ratio(s.n)
-        assert s.log_f == nt.order_bound_log(s.n)
-    assert nt.asymptotic_ratios([]) == []
-
-
 # ── intervals ───────────────────────────────────────────────────────
 
 def test_primes_in_halfopen_examples():
