@@ -31,22 +31,20 @@ failure, 2 usage error, 3 capacity error.
 
 Of the package, only ``errors`` and ``numtheory`` are imported with
 this module, so ``numtheory`` and ``series`` start without the group
-machinery (``perms``, ``catalog``, ``search``, ``verify`` and numpy);
-``mgroup`` and ``verify`` import it when they run.
+machinery (``perms``, ``catalog``, ``search``, ``verify``) and never
+import numpy; ``mgroup`` and ``verify`` import it when they run.
 
 No command calls BLAS, but numpy's bundled OpenBLAS starts one worker
-thread per core when numpy is imported: on 2 vCPUs, ``import numpy``
-took 0.15 s with that pool and 0.08 s without it (median of 12 runs
-each on a quiet machine; under load the gap was much smaller).  So
-``main`` sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ`` when numpy
-is not yet imported and none of ``OPENBLAS_NUM_THREADS``,
-``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS`` (which OpenBLAS also
-reads) is set.  The value stays in the environment, so subprocesses
-the caller starts later inherit it.  When ``main`` runs in a process
-that has imported numpy already, it leaves the environment alone: the
-pool is running by then.  ``ratio`` and ``series`` sum their terms
-with numpy's pairwise sum, so their values do not depend on the BLAS
-thread count either way.
+thread per core when numpy is imported, which only ``mgroup`` and
+``verify`` do: on 2 vCPUs, ``import numpy`` took 0.15 s with that pool
+and 0.08 s without it (median of 12 runs each on a quiet machine; under
+load the gap was much smaller).  So ``main`` sets
+``OPENBLAS_NUM_THREADS=1`` in ``os.environ`` when numpy is not yet
+imported and none of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
+``OMP_NUM_THREADS`` (which OpenBLAS also reads) is set.  The value
+stays in the environment, so subprocesses the caller starts later
+inherit it.  When ``main`` runs in a process that has imported numpy
+already, it leaves the environment alone: the pool is running by then.
 """
 
 from __future__ import annotations

@@ -14,17 +14,18 @@ package:
 
 Everything is exact big-integer arithmetic except ``order_bound_log``,
 which sums exponent * log(p) so the bound can be evaluated far beyond
-the range where the exact product is practical.  Its sum is numpy's
-pairwise sum, never a BLAS call, so its value does not depend on the
-BLAS thread count.  g, h and f take their primes from one sieve, which
-is their primality proof, and multiply their prime powers as a balanced
-product tree.
+the range where the exact product is practical.  The primes in
+(n/2, n] cancel against h, so it sieves only to n/2 and adds log n,
+log p for each prime p <= n/2 and the extra exponent's log p for each
+p <= sqrt(n) in one ``math.fsum``: the correctly rounded sum of those
+terms, whatever their order.  g, h and f take their primes from one
+sieve, which is their primality proof, and multiply their prime powers
+as a balanced product tree.
 
 The sieve is a ``bytearray`` of one byte per number, refused above
-``SIEVE_CAP``.  g, h, f and the primes that ``verify`` asks for are read
-from it with ``itertools.compress``, so they never import numpy; only
-``order_bound_log`` does, and it views the same bytes as a bool array
-through ``np.frombuffer``, without a copy.
+``SIEVE_CAP`` (``order_bound_log`` refuses n itself above it).  Every
+prime is read from it with ``itertools.compress``, so the module
+imports neither numpy nor ``dataclasses``.
 
 ``two_prime_interval_exceptions(limit)`` holds the sieve of 0..limit
 and nothing else that grows with the limit: it walks the sieve with
@@ -35,8 +36,7 @@ next m whose interval (m/2, m] can lose one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import CapacityError
 
@@ -52,6 +52,9 @@ SIEVE_CAP = 10**8
 
 # _prime_flags strikes at most this many multiples of a prime at once.
 _STRIKE = 1 << 15
+
+# The residues mod 30 prime to 30: every prime above 5 is one of them.
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
 
 
 def is_prime(n: int) -> bool:
@@ -79,13 +82,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_flags(limit: int) -> bytearray:
-    """Primality of 0..limit (limit >= 1), one byte each, by the sieve
-    of Eratosthenes over the odd numbers.  Capped at SIEVE_CAP."""
+def _check_sieve_limit(limit: int) -> None:
     if limit > SIEVE_CAP:
         raise CapacityError(
             f"prime sieve capped at limit <= {SIEVE_CAP} (got {limit})"
         )
+
+
+def _prime_flags(limit: int) -> bytearray:
+    """Primality of 0..limit (limit >= 1), one byte each, by the sieve
+    of Eratosthenes over the odd numbers.  Capped at SIEVE_CAP."""
+    _check_sieve_limit(limit)
     flags = bytearray(b"\x00\x01") * (limit // 2 + 1)
     del flags[limit + 1 :]
     flags[1] = 0
@@ -144,16 +151,39 @@ def floor_log(p: int, n: int) -> int:
     return e
 
 
-@dataclass
-class FactoredInteger:
+class _Record:
+    """Equality and repr over the ``__slots__`` fields, in their order,
+    as ``dataclasses`` would give them."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FactoredInteger(_Record):
     """An exact nonnegative integer carried together with its factorization.
 
     The empty factor map represents 1.  Every key is verified prime and
-    ``value`` always equals the product of p**e over the map.
+    ``value`` always equals the product of p**e over the map.  Mutable,
+    so unhashable.
     """
 
-    factors: dict[int, int] = field(default_factory=dict)
-    value: int = 1
+    __slots__ = ("factors", "value")
+    __hash__ = None
+
+    def __init__(self, factors: dict[int, int] | None = None, value: int = 1):
+        self.factors: dict[int, int] = {} if factors is None else factors
+        self.value = value
 
     @classmethod
     def one(cls) -> "FactoredInteger":
@@ -298,34 +328,51 @@ def order_bound_log(n: int) -> float:
     """Natural log of order_bound(n), by exponent-weighted log summation.
 
     Never forms the big product, so it is usable for n far beyond the
-    exact cap.
+    exact cap; n is refused above SIEVE_CAP.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_sieve_limit(n)
     if n == 1:
         return 0.0
-    import numpy as np
-
-    ps = np.flatnonzero(np.frombuffer(_prime_flags(n), dtype=bool))
-    exps = np.ones(len(ps))
-    # Only primes <= sqrt(n) can have floor_log > 1.
+    half = n // 2
+    flags = _prime_flags(half)
+    # each wheel class reads 1/30 of the sieve, so 8/30 of it is walked
+    # in all; from_iterable slices one class at a time
+    primes = chain(
+        compress(range(6), flags[:6]),
+        chain.from_iterable(
+            compress(range(r, half + 1, 30), flags[r::30]) for r in _WHEEL
+        ),
+    )
+    # a prime p <= sqrt(n), which is <= n/2, has exponent e*(e+1)/2 in f:
+    # log p is in the sum above, and the rest is added here
     root = math.isqrt(n)
-    for i, p in enumerate(ps[ps <= root]):
-        e = floor_log(int(p), n)
-        exps[i] = e * (e + 1) / 2
-    exps -= ps > n / 2  # divide out the upper-half primes
-    # numpy's pairwise sum: a BLAS dot product's last bit depends on the
-    # BLAS thread count
-    return math.log(n) + float((exps * np.log(ps)).sum())
+    extra = []
+    for p in compress(range(root + 1), flags[: root + 1]):
+        e = floor_log(p, n)
+        extra.append((e * (e + 1) // 2 - 1) * math.log(p))
+    return math.fsum(chain((math.log(n),), map(math.log, primes), extra))
 
 
-@dataclass(frozen=True)
-class AsymptoticSample:
-    """One point of the bound's growth curve: ratio = log_bound / (n/2)."""
+class AsymptoticSample(_Record):
+    """One point of the bound's growth curve: ratio = log_bound / (n/2).
+    Read-only and hashable."""
 
-    n: int
-    log_f: float
-    ratio: float
+    __slots__ = ("n", "log_f", "ratio")
+
+    def __init__(self, n: int, log_f: float, ratio: float):
+        for name, value in zip(self.__slots__, (n, log_f, ratio)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def asymptotic_ratio(n: int) -> AsymptoticSample:

@@ -73,6 +73,11 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
             ("numtheory", "exceptions", "10000000"), 0,
             lambda proc: proc.stdout == "4 6 10\n", 150, 300,
         ),
+        # the sieve runs to n/2 and no list of its primes is built
+        (
+            ("numtheory", "ratio", str(nt.SIEVE_CAP)), 0,
+            lambda proc: proc.stdout == "1.00031895487\n", 100, 300,
+        ),
         # J1's table is 175560 x 266 uint16 (93 MB); the build holds it and
         # its sorted copy, and no comparison gathers another table-sized array
         (
@@ -88,7 +93,7 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
             200, 5,
         ),
     ],
-    ids=["exceptions-10000000", "mgroup-j1", "mgroup-cyclic-100000"],
+    ids=["exceptions-10000000", "ratio-100000000", "mgroup-j1", "mgroup-cyclic-100000"],
 )
 def test_cli_in_bounded_memory(argv, code, output_ok, max_mb, max_seconds):
     repo = Path(__file__).resolve().parents[1]
@@ -118,10 +123,14 @@ def test_cli_sieve_cap_exit_code(capsys, argv):
 
 
 # Imports abelmax.cli in a fresh interpreter, then runs one number
-# theory command, and prints which heavy modules each step loaded.
+# theory command, and prints which heavy modules each step loaded that
+# the interpreter had not loaded before (dataclasses loads inspect, about
+# 10 ms per process).
 _IMPORT_PROBE = """\
 import contextlib, io, json, sys
-heavy = ["numpy", "abelmax.perms", "abelmax.search", "abelmax.verify", "abelmax.catalog"]
+heavy = ["numpy", "abelmax.perms", "abelmax.search", "abelmax.verify", "abelmax.catalog",
+         "dataclasses", "inspect"]
+heavy = [m for m in heavy if m not in sys.modules]
 import abelmax.cli
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
@@ -207,9 +216,16 @@ def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(capsys, monkeypat
     assert not any(name in os.environ for name in _BLAS_VARS)
 
 
-@pytest.mark.parametrize("func", ["g", "h", "f", "exceptions"])
-def test_cli_number_theory_starts_without_the_group_machinery(func):
-    code, loaded = _probe(_IMPORT_PROBE, "numtheory", func, "1000")
+@pytest.mark.parametrize("argv", [
+    ("numtheory", "g", "1000"),
+    ("numtheory", "h", "1000"),
+    ("numtheory", "f", "1000"),
+    ("numtheory", "exceptions", "1000"),
+    ("numtheory", "ratio", "1000"),
+    ("series", "1000"),
+], ids=["g", "h", "f", "exceptions", "ratio", "series"])
+def test_cli_number_theory_starts_without_the_group_machinery(argv):
+    code, loaded = _probe(_IMPORT_PROBE, *argv)
     assert code == 0
     assert loaded == {"import": [], "run": []}
 

@@ -155,6 +155,27 @@ def test_factored_integer_division():
     assert a.p_part(2) == 16 and a.p_part(7) == 1
 
 
+def test_record_classes_compare_and_print_as_dataclasses_did():
+    fi = nt.FactoredInteger.from_int(12)
+    assert fi == nt.FactoredInteger({2: 2, 3: 1}, 12)
+    assert fi == nt.FactoredInteger(factors={2: 2, 3: 1}, value=12)
+    assert fi != nt.FactoredInteger({2: 2, 3: 1}, 24)
+    assert fi != ({2: 2, 3: 1}, 12)
+    assert repr(fi) == "FactoredInteger(factors={2: 2, 3: 1}, value=12)"
+    assert nt.FactoredInteger() == nt.FactoredInteger.one()
+    with pytest.raises(TypeError):
+        hash(fi)
+    s = nt.AsymptoticSample(1000, 599.5, 1.199)
+    assert s == nt.AsymptoticSample(n=1000, log_f=599.5, ratio=1.199)
+    assert s != nt.AsymptoticSample(1000, 599.5, 1.2)
+    assert s != (1000, 599.5, 1.199)
+    assert repr(s) == "AsymptoticSample(n=1000, log_f=599.5, ratio=1.199)"
+    assert hash(s) == hash(nt.AsymptoticSample(1000, 599.5, 1.199))
+    with pytest.raises(AttributeError):
+        s.n = 2000
+    assert nt.asymptotic_ratio(1000) == nt.asymptotic_ratio(1000)
+
+
 @given(st.integers(1, 100000), st.integers(1, 100000))
 @settings(max_examples=60)
 def test_factored_integer_mul(a, b):
@@ -252,10 +273,25 @@ def test_order_bound_cap():
         nt.order_bound(nt.EXACT_BOUND_CAP + 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 10, 97, 1000, 9973, 10000])
+# 194 and 19946 are twice a prime, the last one the sum takes
+@pytest.mark.parametrize("n", [1, 2, 6, 10, 97, 194, 1000, 9973, 10000, 19946])
 def test_order_bound_log_matches_exact(n):
     exact = math.log(nt.order_bound(n).value)
     assert abs(nt.order_bound_log(n) - exact) <= 1e-9 * exact
+
+
+# 999958 is twice the prime 499979
+@pytest.mark.parametrize("n", [2, 4, 30, 31, 62, 999958, 10**6])
+def test_order_bound_log_is_the_fsum_over_the_primes_to_half_n(n):
+    # the reference reads the primes in ascending order, not by wheel
+    # class; fsum is correctly rounded, so the order cannot move a bit
+    primes = nt.sieve_primes(n // 2)
+    terms = [math.log(n), *map(math.log, primes)]
+    for p in primes:
+        if p * p <= n:
+            e = nt.floor_log(p, n)
+            terms.append((e * (e + 1) // 2 - 1) * math.log(p))
+    assert nt.order_bound_log(n) == math.fsum(terms)
 
 
 def test_order_bound_log_ignores_the_blas_thread_count():
