@@ -63,11 +63,6 @@ class GF2m:
             return 0
         return self.exp_table[self.log_table[x] + self.log_table[y]]
 
-    def inverse(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.exp_table[self.size - 1 - self.log_table[x]]
-
     def frobenius(self, x: int) -> int:
         return self.mul(x, x)
 
@@ -415,17 +410,7 @@ def load_manifest(path: str | Path) -> list[GroupSpec]:
     return _parse_manifest(Path(path).read_text(encoding="utf-8"))
 
 
-def _packaged_manifest(name: str) -> list[GroupSpec]:
-    return _parse_manifest(
-        resources.files("abelmax").joinpath(f"data/{name}").read_text(encoding="utf-8")
-    )
-
-
 def default_catalog_specs() -> list[GroupSpec]:
     """The pinned default catalog shipped with the package."""
-    return _packaged_manifest("default_catalog.txt")
-
-
-def extended_catalog_specs() -> list[GroupSpec]:
-    """Default catalog plus the generator-file groups (M11, M12)."""
-    return _packaged_manifest("extended_catalog.txt")
+    data = resources.files("abelmax").joinpath("data/default_catalog.txt")
+    return _parse_manifest(data.read_text(encoding="utf-8"))

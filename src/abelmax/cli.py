@@ -27,7 +27,8 @@ take its flag: there a bad value is a usage error, elsewhere it is
 ignored.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
-failure, 2 usage error, 3 capacity error.
+failure, 2 usage error (including a path that cannot be read or
+written), 3 capacity error.
 
 Of the package, only ``errors`` and ``numtheory`` are imported with
 this module, so ``numtheory`` and ``series`` start without the group
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"abelmax: capacity error: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         # GeneratorFileError is a ValueError
         print(f"abelmax: {exc}", file=sys.stderr)
         return 2

@@ -252,9 +252,6 @@ class FactoredInteger(_Record):
     def divides(self, other: "FactoredInteger") -> bool:
         return all(other.factors.get(p, 0) >= e for p, e in self.factors.items())
 
-    def p_part(self, p: int) -> int:
-        return p ** self.factors.get(p, 0)
-
     def factored_str(self) -> str:
         if not self.factors:
             return "1"

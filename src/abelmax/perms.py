@@ -23,8 +23,7 @@ sort keys on columns 0..max(base), which already order distinct rows.
 Conjugacy classes come from the generators' conjugation maps by
 min-label propagation, before the canonical sort, so that element
 orders are computed once per class; the table records each position's
-class number.  Membership in a group with a chain is a sift of one row
-through it; a subgroup looks the row up in its table.
+class number.
 
 Every set of positions in a table is an ascending, duplicate-free int64
 array.  A subgroup is a ``PermGroup`` too, with no chain of its own: its
@@ -397,11 +396,6 @@ class ElementTable:
     class_of: np.ndarray
     class_sizes: np.ndarray
 
-    def positions(self, rows: np.ndarray) -> np.ndarray:
-        """Positions, as an int64 array, of the elements given as the rows
-        of a (k, degree) array, in the order of the rows."""
-        return self.index.find(rows[:, self.index.base])
-
     def position(self, p: Permutation) -> int:
         """Position of the permutation p; ValueError if it is not a row."""
         if p.degree == self.matrix.shape[1]:
@@ -595,7 +589,7 @@ class PermGroup:
     other whole-group tables are built lazily and cached.
     """
 
-    def __init__(self, generators: list[Permutation], degree: int | None = None):
+    def __init__(self, generators: list[Permutation]):
         if not generators:
             raise ValueError(
                 "empty generator list; use PermGroup.trivial(degree) for the trivial group"
@@ -604,8 +598,6 @@ class PermGroup:
         if len(degs) != 1:
             raise ValueError(f"generators have mixed degrees {sorted(degs)}")
         self.degree = degs.pop()
-        if degree is not None and degree != self.degree:
-            raise ValueError("declared degree does not match generators")
         self.generators = list(generators)
         self.parent = self.members = None
         self.chain = StabilizerChain(self.generators, self.degree)
@@ -623,21 +615,6 @@ class PermGroup:
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    def contains(self, p: Permutation) -> bool:
-        """Membership: a group with a chain sifts p through it, so that
-        asking does not enumerate the group; a subgroup looks p up in its
-        table."""
-        if self.parent is None:
-            if p.degree != self.degree:
-                return False
-            residue, _ = self.chain._strip(np.array([p.images], dtype=self.chain.dtype), 0)
-            return np.array_equal(residue[0], np.arange(self.degree))
-        try:
-            self.element_table().position(p)
-        except ValueError:
-            return False
-        return True
 
     def is_abelian(self) -> bool:
         g = self.generators
@@ -768,24 +745,18 @@ class PermGroup:
             raise ValueError("is_normal needs a subgroup of this group")
         return self.element_table().is_class_union(sub.members)
 
-    def normal_closure(self, elements) -> "PermGroup":
-        """Smallest normal subgroup of G containing the given elements."""
-        table = self.element_table()
-        found = self._class_closure([table.position(p) for p in elements])
-        return self._subgroup(table.class_members(found))
-
-    def _class_closure(self, positions: list[int]) -> frozenset[int]:
-        """Class numbers of the normal closure of the given positions:
-        their classes, grown by right multiplication by them a whole class
-        at a time.  A union N of classes with N s = N for each given s is
-        closed under their conjugates, as n g s g^-1 = g (g^-1 n g) s g^-1."""
+    def _class_closure(self, x: int) -> frozenset[int]:
+        """Class numbers of the normal closure of the element at position
+        x: its class, grown by right multiplication by x a whole class at
+        a time.  A union N of classes with N x = N is closed under the
+        conjugates of x, as n g x g^-1 = g (g^-1 n g) x g^-1."""
         table = self.element_table()
         _, classes = self.conjugacy_classes()
         class_of = table.class_of
-        found = list(dict.fromkeys([0, *class_of[positions].tolist()]))
+        found = list(dict.fromkeys([0, int(class_of[x])]))
         for c in found:  # grows as classes join
-            # the classes of x s for every x in class c and given s
-            products = table.products(classes[c], positions)
+            # the classes of y x for every y in class c
+            products = table.products(classes[c], [x])
             new = np.flatnonzero(np.bincount(class_of[products].ravel())).tolist()
             found += [d for d in new if d not in found]
         return frozenset(found)
@@ -801,7 +772,7 @@ class PermGroup:
         """
         reps, _ = self.conjugacy_classes()
         table = self.element_table()
-        closures = {self._class_closure([r]) for r in reps[1:]}
+        closures = {self._class_closure(r) for r in reps[1:]}
         minimal = [
             self._subgroup(table.class_members(n))
             for n in closures
@@ -815,7 +786,7 @@ class PermGroup:
         group: the normal closure of each nontrivial class is every class."""
         reps, classes = self.conjugacy_classes()
         return self.order_value > 1 and all(
-            len(self._class_closure([r])) == len(classes) for r in reps[1:]
+            len(self._class_closure(r)) == len(classes) for r in reps[1:]
         )
 
     # ── Sylow subgroups ─────────────────────────────────────────────

@@ -287,6 +287,17 @@ def test_cli_mgroup_file_spec(capsys):
     assert code == 0 and "m: 11" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["mgroup", "file:{dir}"],
+    ["verify", "all", "--manifest", "{dir}"],
+    ["verify", "a", "cyclic:2", "--out", "{dir}"],
+])
+def test_cli_directory_for_a_file_is_usage_error(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("abelmax: ") and "Is a directory" in err
+
+
 def test_cli_mgroup_bad_spec_lists_families(capsys):
     code, _, err = run_cli(capsys, "mgroup", "banana:3")
     assert code == 2
@@ -381,6 +392,16 @@ def test_cli_verify_all_matches_the_golden_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--format", "csv")
     assert code == 0
     assert out.encode() == (DATA / "verify_all.csv").read_bytes()
+
+
+def test_cli_verify_extended_catalog_matches_the_golden_report(capsys):
+    # the default catalog's rows and M11's and M12's, frozen the same way
+    code, out, _ = run_cli(
+        capsys, "verify", "all", "--manifest", "src/abelmax/data/extended_catalog.txt",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.encode() == (DATA / "verify_extended.csv").read_bytes()
 
 
 def test_cli_verify_bad_suite_is_usage_error(capsys):

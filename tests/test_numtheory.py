@@ -152,7 +152,6 @@ def test_factored_integer_division():
     with pytest.raises(ValueError):
         b.exact_div(a)
     assert b.divides(a) and not a.divides(b)
-    assert a.p_part(2) == 16 and a.p_part(7) == 1
 
 
 def test_record_classes_compare_and_print_as_dataclasses_did():

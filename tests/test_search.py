@@ -113,7 +113,7 @@ def test_element_table_is_in_canonical_order(spec):
     assert orders.tolist() == [table.permutation(i).order() for i in range(len(table))]
     keys = [(-int(o), tuple(row)) for o, row in zip(orders[1:], matrix[1:].tolist())]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert table.positions(matrix).tolist() == list(range(len(table)))
+    assert table.index.find(matrix[:, table.index.base]).tolist() == list(range(len(table)))
 
 
 def _ten_transpositions_at_degree_300():
@@ -128,7 +128,7 @@ def test_element_table_wide_keys():
     assert table.matrix.dtype == np.uint16 and len(g.chain.base) == 10
     assert table.index.keys.dtype.kind == "V"
     assert len(table) == 1024
-    assert table.positions(table.matrix).tolist() == list(range(len(table)))
+    assert table.index.find(table.matrix[:, table.index.base]).tolist() == list(range(len(table)))
     assert len(g.conjugacy_classes()[1]) == 1024
     assert max_abelian_order(g).m == 1024
 
@@ -229,8 +229,9 @@ def test_normal_abelian_is_self_centralizing():
 def test_normal_abelian_contains_center():
     for g in [cat.dihedral_group(8), cat.sym_group(4).sylow_subgroup(2)]:
         w = max_abelian_normal(g)
-        sub = PermGroup(w.generators)
-        assert all(sub.contains(z) for z in g.center().enumerate_elements())
+        table = PermGroup(w.generators).element_table()
+        for z in g.center().enumerate_elements():
+            table.position(z)
 
 
 def test_normal_abelian_rejects_non_pgroup():
