@@ -19,12 +19,7 @@ Subcommands:
 Group specs use the catalog DSL (`sym:5`, `psl2:13`, `frobenius:5:4`,
 `agammal1:3`, `agl3_2`, `file:groups/m11.gens`); file paths resolve
 against the working directory.  A flag given to a subcommand that does
-not take it is a usage error.  Flags may also be set through
-environment variables with the ``ABELMAX_`` prefix (ABELMAX_ENUM_CAP,
-ABELMAX_FORMAT, ABELMAX_OUT); a command-line flag wins over its
-environment variable.  A variable is read only by the subcommands that
-take its flag: there a bad value is a usage error, elsewhere it is
-ignored.
+not take it is a usage error.  Flags are the only settings.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error (including a path that cannot be read or
@@ -64,48 +59,8 @@ _FORMATS = ("text", "json", "csv")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_format() -> str:
-    raw = os.environ.get("ABELMAX_FORMAT", "text")
-    if raw not in _FORMATS:
-        raise _UsageError(
-            f"ABELMAX_FORMAT must be one of {'|'.join(_FORMATS)}, got {raw!r}"
-        )
-    return raw
-
-
-def _resolve_env_defaults(args: argparse.Namespace) -> None:
-    """Fill each flag that the chosen subcommand takes and that was not
-    given from its ABELMAX_ variable.  A subcommand never reads the
-    variable of a flag it does not take, so a bad value there is not an
-    error."""
-    given = vars(args)
-    if "enum_cap" in given and args.enum_cap is None:
-        from .perms import DEFAULT_ENUM_CAP
-
-        args.enum_cap = _env_int("ABELMAX_ENUM_CAP", DEFAULT_ENUM_CAP)
-    if "format" in given and args.format is None:
-        args.format = _env_format()
-    if "out" in given and args.out is None:
-        args.out = os.environ.get("ABELMAX_OUT")
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    # each flag is attached only to the subcommands that act on it; the
-    # defaults of unset flags come from _resolve_env_defaults
+    # each flag is attached only to the subcommands that act on it
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
         "--enum-cap",
@@ -135,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("verify", parents=[cap, out], help="run a verification suite")
     p_vf.add_argument("suite", choices=["a", "goh", "lemma", "twoprime", "equality", "all"])
     p_vf.add_argument("specs", nargs="*", help="group specs (default: pinned catalog)")
-    p_vf.add_argument("--format", choices=_FORMATS, help="report format")
+    p_vf.add_argument("--format", choices=_FORMATS, default="text", help="report format")
     p_vf.add_argument(
         "--manifest",
         help="read group specs from a manifest file (one per line, # comments)",
@@ -176,11 +131,12 @@ def _cmd_numtheory(args) -> int:
 
 def _cmd_mgroup(args) -> int:
     from . import catalog
+    from .perms import DEFAULT_ENUM_CAP
     from .search import max_abelian_order
 
     spec = catalog.parse_spec(args.spec)
     group = catalog.build_group(spec, base_dir=Path.cwd())
-    group.element_table(args.enum_cap)
+    group.element_table(args.enum_cap or DEFAULT_ENUM_CAP)
     result = max_abelian_order(group)
     print(f"group: {spec.spec_string()}")
     print(f"order: {group.order_value} = {group.order.factored_str()}")
@@ -194,9 +150,10 @@ def _cmd_mgroup(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import catalog, verify
+    from .perms import DEFAULT_ENUM_CAP
 
     if args.manifest and args.specs:
-        raise _UsageError("give group specs or --manifest, not both")
+        raise ValueError("give group specs or --manifest, not both")
     if args.manifest:
         specs = catalog.load_manifest(args.manifest)
     elif args.specs:
@@ -204,7 +161,7 @@ def _cmd_verify(args) -> int:
     else:
         specs = catalog.default_catalog_specs()
     entries = catalog.build_catalog(specs, base_dir=Path.cwd())
-    report = verify.run_suite(args.suite, entries, enum_cap=args.enum_cap)
+    report = verify.run_suite(args.suite, entries, enum_cap=args.enum_cap or DEFAULT_ENUM_CAP)
     if args.format == "json":
         rendered = verify.report_to_json(report)
     elif args.format == "csv":
@@ -252,16 +209,12 @@ def main(argv=None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        _resolve_env_defaults(args)
-    except _UsageError as exc:
-        print(f"abelmax: {exc}", file=sys.stderr)
-        return 2
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "enum_cap", 1) < 1:
+    if getattr(args, "enum_cap", None) is not None and args.enum_cap < 1:
         print("abelmax: --enum-cap must be positive", file=sys.stderr)
         return 2
     try:
@@ -275,7 +228,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"abelmax: capacity error: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # GeneratorFileError is a ValueError
         print(f"abelmax: {exc}", file=sys.stderr)
         return 2
