@@ -7,7 +7,10 @@ points are chosen as the smallest moved point at each level, orbits are
 explored breadth-first with the generators in list order, so identical
 inputs always produce identical chains), built once per group.  The
 chain keeps every permutation as a numpy image row in the element
-table's dtype, and the table is the product of its transversal matrices.
+table's dtype, and the table is the product of its transversal matrices,
+each of its rows formed once, straight into its canonical place: the
+product in transversal order is released before the table is allocated,
+so a build never holds two table-sized arrays.
 
 Bulk element work (centralizers, conjugation, normal closures, the
 abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
@@ -25,8 +28,12 @@ min-label propagation, before the canonical sort, so that element
 orders are computed once per class; the table records each position's
 class number.
 
-Every set of positions in a table is an ascending, duplicate-free int64
-array.  A subgroup is a ``PermGroup`` too, with no chain of its own: its
+The arrays a table keeps per element (the index's positions, each
+position's order and class number) and the conjugation maps and class
+labels of a build are int32: the byte cap keeps a table below 2^29 rows,
+so int32 holds every position and every element order.  Every set of
+positions a table returns is an ascending, duplicate-free int64 array.
+A subgroup is a ``PermGroup`` too, with no chain of its own: its
 ``members`` are such an array of positions in its parent's table, found
 by Dimino's algorithm ``ElementTable.closure`` (or, adjoining a
 normalizing element, ``ElementTable.extend``), and its table is the
@@ -42,8 +49,9 @@ every search and check built on them, reads the cached table; a cap is
 passed only where a run starts enumerating (``verify.run_suite``,
 ``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).  A fixed
 byte cap, ``TABLE_BYTES_CAP``, is checked before the table and before
-each transversal of the chain is allocated; an orbit is never larger
-than the group, so the chain refuses no group whose table fits.
+each transversal of the chain is allocated; for the table it counts the
+matrix and the arrays kept per element.  An orbit is never larger than
+the group, so the chain refuses no group whose table fits.
 """
 
 from __future__ import annotations
@@ -59,12 +67,15 @@ from .numtheory import FactoredInteger
 
 DEFAULT_ENUM_CAP = 200_000
 
-# The most bytes an element table, or one level of a stabilizer chain,
-# may take: about 5x J1's 93 MB table, the largest the repository ships.
+# The most bytes an element table (its matrix and per-element arrays), or
+# one level of a stabilizer chain, may take: about 5x J1's 99 MB table, the
+# largest the repository ships.  Every row takes at least 29 bytes, so a
+# table has fewer than 2^25 rows.
 TABLE_BYTES_CAP = 1 << 29
 
-# The chain's Schreier generators and _row_orders take rows in blocks of
-# about this many entries, so their temporaries stay that small.
+# The chain's Schreier generators, _row_orders and the forming of a
+# table's rows take rows in blocks of about this many entries, so their
+# temporaries stay that small.
 _ROW_BLOCK = 1 << 16
 
 
@@ -179,13 +190,17 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={len(self.images)})"
 
 
-def _check_table_bytes(rows: int, degree: int, dtype: np.dtype, what: str) -> None:
-    """CapacityError when a (rows, degree) matrix of ``dtype`` would take
-    more than TABLE_BYTES_CAP bytes."""
-    nbytes = rows * degree * dtype.itemsize
-    if nbytes > TABLE_BYTES_CAP:
+def _check_table_bytes(
+    rows: int, degree: int, dtype: np.dtype, what: str, per_row: int = 0
+) -> None:
+    """CapacityError when a (rows, degree) matrix of ``dtype``, with
+    ``per_row`` more bytes kept for each row, would take more than
+    TABLE_BYTES_CAP bytes."""
+    nbytes, extra = rows * degree * dtype.itemsize, rows * per_row
+    if nbytes + extra > TABLE_BYTES_CAP:
+        kept = f" and {extra} more for its per-element arrays" if extra else ""
         raise CapacityError(
-            f"{what} of {rows} x {degree} entries needs {nbytes} bytes, "
+            f"{what} of {rows} x {degree} entries needs {nbytes} bytes{kept}, "
             f"above the table byte cap {TABLE_BYTES_CAP}"
         )
 
@@ -297,6 +312,15 @@ class StabilizerChain:
 _SORTED_SEARCH_MIN = 1 << 10
 
 
+def _key_dtype(base_length: int, degree: int, dtype: np.dtype) -> np.dtype:
+    """The dtype of a ``BaseImageIndex`` key: int64 when the base images,
+    read as base-``degree`` digits, fit in 63 bits; else a void scalar of
+    their bytes."""
+    if base_length * (degree - 1).bit_length() <= 63:
+        return np.dtype(np.int64)
+    return np.dtype((np.void, base_length * dtype.itemsize))
+
+
 class BaseImageIndex:
     """Row positions of an element table, keyed by images of the base.
 
@@ -305,21 +329,23 @@ class BaseImageIndex:
     63 bits, the base images are read as the digits of one base-``degree``
     int64; otherwise a key is the bytes of the base images as one void
     scalar.  ``keys`` holds the keys sorted and ``at`` the row position
-    of each, so a lookup is one ``np.searchsorted`` and the index holds
-    O(rows) memory.  A key is unique among the group's elements only: a
-    permutation outside the group can share one, so a caller holding an
-    arbitrary permutation compares the whole row it gets back.
+    of each, as int32 (TABLE_BYTES_CAP keeps a table below 2^29 rows), so
+    a lookup is one ``np.searchsorted`` and the index holds 12 bytes or
+    so per row.  Lookups return int64 positions, like every position set.
+    A key is unique among the group's elements only: a permutation outside
+    the group can share one, so a caller holding an arbitrary permutation
+    compares the whole row it gets back.
     """
 
     def __init__(self, matrix: np.ndarray, base):
         degree = matrix.shape[1]
         self.base = np.array(base, dtype=np.intp)
         self._weights = None
-        if len(self.base) * (degree - 1).bit_length() <= 63:
+        if _key_dtype(len(self.base), degree, matrix.dtype) == np.int64:
             powers = [degree**e for e in range(len(self.base) - 1, -1, -1)]
             self._weights = np.array(powers, dtype=np.int64)
         keys = self.key(matrix[:, self.base])
-        self.at = np.argsort(keys, kind="stable")
+        self.at = np.argsort(keys, kind="stable").astype(np.int32)
         self.keys = keys[self.at]
 
     def key(self, images: np.ndarray) -> np.ndarray:
@@ -332,9 +358,14 @@ class BaseImageIndex:
         return images.view(np.dtype((np.void, images.itemsize * images.shape[1])))[:, 0]
 
     def search(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row positions for a (k, len(base)) array of base images, and
-        whether each key is present; where it is not, the position is
+        """Row positions (int64) for a (k, len(base)) array of base images,
+        and whether each key is present; where it is not, the position is
         that of some other row."""
+        positions, found = self._search(images)
+        return positions.astype(np.int64), found
+
+    def _search(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``search`` with the positions in the int32 of ``at``."""
         keys = self.key(images)
         if len(keys) < _SORTED_SEARCH_MIN:
             k = self.keys.searchsorted(keys)
@@ -353,8 +384,8 @@ class BaseImageIndex:
     def reordered(self, order: np.ndarray) -> "BaseImageIndex":
         """The index of the rows reordered so that row i is former row order[i]."""
         moved = copy.copy(self)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order))
+        inverse = np.empty(len(order), dtype=np.int32)
+        inverse[order] = np.arange(len(order), dtype=np.int32)
         moved.at = inverse[self.at]
         return moved
 
@@ -371,9 +402,12 @@ class ElementTable:
     base images.  ``orders`` and ``class_of`` hold each position's element
     order and conjugacy class number (classes are numbered as
     ``PermGroup.conjugacy_classes`` lists them), and ``class_sizes`` the
-    size of each class.  A subgroup, like every set
-    of positions the table takes or returns, is an ascending, duplicate-free
-    int64 array of positions.  Adjoining an element x that normalizes a
+    size of each class.  What the table keeps per element is int32
+    (``orders``, ``class_of`` and the index's ``at``): TABLE_BYTES_CAP
+    keeps a table below 2^29 rows, so int32 holds every position and every
+    element order.  A subgroup, like every set of positions the table
+    takes or returns, is an ascending, duplicate-free int64 array of
+    positions.  Adjoining an element x that normalizes a
     subgroup H (Sylow growth, the search's nodes) is ``extend``, which
     forms H<x> from the powers of x in one gather; a subgroup from arbitrary
     generators is ``closure``, Dimino's algorithm.  A subgroup is normal
@@ -422,7 +456,8 @@ class ElementTable:
         x_l(x_r(.)), for the positions ``left`` and ``right``: the one
         place that forms and looks up the base images of products."""
         base = self.index.base
-        images = self.matrix[left][:, self.matrix[right][:, base]]
+        # only the base columns of the right factors are gathered
+        images = self.matrix[left][:, self.matrix[np.ix_(right, base)]]
         return self.index.find(images.reshape(-1, len(base))).reshape(images.shape[:2])
 
     def extend(self, subgroup: np.ndarray, x: int) -> np.ndarray:
@@ -508,18 +543,19 @@ class ElementTable:
         return self.matrix.shape[0]
 
 
-def _row_orders(rows: np.ndarray) -> np.ndarray:
-    """The order of each permutation row of a (k, degree) array: the lcm
-    of its cycle lengths.  Pointer doubling labels each point with the
-    smallest point of its cycle (after t rounds a label is the minimum
-    of 2^t successive points); a bincount of the labels gives the cycle
-    lengths.  Rows go in blocks of about _ROW_BLOCK entries, so the
-    int64 temporaries stay that small whatever the table's size."""
-    k, degree = rows.shape
-    orders = np.empty(k, dtype=np.int64)
+def _row_orders(matrix: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The int32 order of the permutation row of ``matrix`` at each of
+    ``positions``: the lcm of its cycle lengths.  Pointer doubling labels
+    each point with the smallest point of its cycle (after t rounds a
+    label is the minimum of 2^t successive points); a bincount of the
+    labels gives the cycle lengths.  Rows are read in blocks of about
+    _ROW_BLOCK entries, so the int64 temporaries stay that small whatever
+    the table's size."""
+    k, degree = len(positions), matrix.shape[1]
+    orders = np.empty(k, dtype=np.int32)
     per_block = max(1, _ROW_BLOCK // degree)
     for s in range(0, k, per_block):
-        block = rows[s : s + per_block]
+        block = matrix[positions[s : s + per_block]]
         size = block.size
         # the images as positions in the flattened block
         ptr = (block + np.arange(0, size, degree)[:, None]).ravel()
@@ -533,28 +569,31 @@ def _row_orders(rows: np.ndarray) -> np.ndarray:
 
 
 def _conjugation_maps(matrix, index: BaseImageIndex, generators) -> list[np.ndarray]:
-    """For each generator g, the map from the row x_i of ``matrix`` to the
-    position of g x_i g^-1.  Only its base images g[x_i[g^-1[base]]] are
-    built, since they fix the element."""
+    """For each generator g, the int32 map from the row x_i of ``matrix``
+    to the position of g x_i g^-1.  Only its base images g[x_i[g^-1[base]]]
+    are built, since they fix the element."""
     maps = []
     for g in generators:
         garr = np.array(g.images, dtype=matrix.dtype)
         ginv = np.array(g.inverse().images)
-        maps.append(index.find(garr[matrix[:, ginv[index.base]]]))
+        # int32 straight from the index: no int64 map is ever formed
+        positions, found = index._search(garr[matrix[:, ginv[index.base]]])
+        assert found.all(), "a conjugate outside the table"
+        maps.append(positions)
     return maps
 
 
 def _class_labels(conj_maps: list[np.ndarray]) -> np.ndarray:
-    """Each position's smallest conjugate position, by min-label
+    """Each position's smallest conjugate position (int32), by min-label
     propagation: each label takes the smaller of its own and its image's
     under every map, then the label of its label, until nothing changes.
     The labels then agree along every map, so on every class."""
-    label = np.arange(len(conj_maps[0]))
+    label = np.arange(len(conj_maps[0]), dtype=np.int32)
     while True:
         new = label
         for cmap in conj_maps:
-            new = np.minimum(new, new[cmap])
-        new = new[new]
+            new = np.minimum(new, new.take(cmap))
+        new = new.take(new)
         if np.array_equal(new, label):
             return label
         label = new
@@ -565,17 +604,19 @@ def _classes_by_label(
 ) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
     """(representatives, classes, class_of, class_sizes) of the positions
     grouped by equal label: a representative is its class's smallest
-    position, classes are listed by representative, each ascending,
-    ``class_of`` gives each position's class number in that list and
-    ``class_sizes`` each class's size."""
-    n = len(labels)
-    first = np.full(n, n, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(n))
-    reps, class_of = np.unique(first[labels], return_inverse=True)
+    position, classes are listed by representative, each ascending (int64),
+    ``class_of`` gives each position's class number in that list (int32)
+    and ``class_sizes`` each class's size."""
+    # the first position with each label is its class's smallest
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int32)
+    number[by_first] = np.arange(len(first), dtype=np.int32)
+    class_of = number[inverse]
     members = np.argsort(class_of, kind="stable")
-    starts = np.flatnonzero(np.diff(class_of[members], prepend=-1))
-    sizes = np.diff(starts, append=n)
-    return reps.tolist(), np.split(members, starts[1:]), class_of, sizes
+    sizes = np.bincount(class_of)
+    classes = np.split(members, np.cumsum(sizes)[:-1])
+    return first[by_first].tolist(), classes, class_of, sizes
 
 
 class PermGroup:
@@ -651,6 +692,12 @@ class PermGroup:
         """Every element, as products u_0 u_1 ... u_k of the chain's
         transversals, sorted once into the canonical order.
 
+        The index, the conjugation maps, the orders and the canonical
+        order come from the product in transversal order; that product is
+        then released, and each row is formed once more from the
+        transversals straight into its canonical place, a block of rows
+        at a time, so the build never holds two table-sized arrays.
+
         Conjugacy classes are found on the product order, before the
         sort: element order is a class invariant, so ``_row_orders``
         takes one row per class and its value is broadcast to the
@@ -683,25 +730,41 @@ class PermGroup:
             raise CapacityError(
                 f"group order {n} exceeds element-enumeration cap {cap}"
             )
-        _check_table_bytes(n, self.degree, self.chain.dtype, "an element table")
-        matrix = np.arange(self.degree, dtype=self.chain.dtype)[None, :]
-        for transversal in reversed(self.chain._transversals):
-            # row (a, b) of the product is u_a * m_b
-            matrix = transversal[:, matrix].reshape(-1, self.degree)
-        index = BaseImageIndex(matrix, self.chain.base)
+        base, degree, dtype = self.chain.base, self.degree, self.chain.dtype
+        # beside its row, each element keeps its index key, its int32
+        # ``at``, order and class number, and its int64 place in a class list
+        per_row = _key_dtype(len(base), degree, dtype).itemsize + 3 * 4 + 8
+        _check_table_bytes(n, degree, dtype, "an element table", per_row)
+        # with R the product of the levels below the first, product row
+        # a |R| + r is u_a * R[r]; np.take keeps each product contiguous
+        identity = np.arange(degree, dtype=dtype)[None, :]
+        first, *below = self.chain._transversals or [identity]
+        rest = identity
+        for transversal in reversed(below):
+            rest = np.take(transversal, rest, axis=1).reshape(-1, degree)
+        matrix = np.take(first, rest, axis=1).reshape(-1, degree)
+        index = BaseImageIndex(matrix, base)
         labels = _class_labels(_conjugation_maps(matrix, index, self.generators))
         class_reps = np.flatnonzero(labels == np.arange(n))
-        orders = np.zeros(n, dtype=np.int64)
-        orders[class_reps] = _row_orders(matrix[class_reps])
+        orders = np.zeros(n, dtype=np.int32)
+        orders[class_reps] = _row_orders(matrix, class_reps)
         orders = orders[labels]
         # rows that agree on columns 0..max(base) agree on the base, so
         # they are one element: those columns give the full row order
-        last = max(self.chain.base, default=-1)
-        keys = tuple(matrix[:, i] for i in range(last, -1, -1))
-        canon = np.lexsort(keys + (-orders, orders > 1))
+        last = max(base, default=-1)
+        columns = tuple(matrix[:, i] for i in range(last, -1, -1))
+        canon = np.lexsort(columns + (-orders, orders > 1))
+        # row i of the table is product row canon[i], formed anew
+        del matrix, columns
+        table, flat = np.empty((n, degree), dtype=dtype), first.ravel()
+        per_block = max(1, _ROW_BLOCK // degree)
+        for s in range(0, n, per_block):
+            a, r = np.divmod(canon[s : s + per_block], len(rest))
+            # u_a[R[r]], with u_a's entries read from the flattened level
+            table[s : s + per_block] = flat[(a * degree)[:, None] + rest[r]]
         reps, classes, *by_class = _classes_by_label(labels[canon])
         self._table = ElementTable(
-            matrix[canon], index.reordered(canon), orders[canon], *by_class
+            table, index.reordered(canon), orders[canon], *by_class
         )
         self._classes = reps, classes
         return self._table
@@ -819,8 +882,9 @@ class PermGroup:
             # the p-elements are those whose order divides p^e
             candidates = np.flatnonzero(target % orders == 0)
             rows = matrix[candidates]
-            # x^-1(base) for each candidate x; a permutation's argsort is its inverse
-            inv_base = rows.argsort(axis=1)[:, table.index.base]
+            # x^-1(b) for each candidate x and base point b: the column
+            # where x's row holds b
+            inv_base = np.stack([(rows == b).argmax(axis=1) for b in table.index.base], 1)
             inside = np.zeros(len(table), dtype=bool)
         while len(member) < target:
             inside[member] = True

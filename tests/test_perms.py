@@ -181,6 +181,53 @@ def test_table_byte_cap_refuses_before_allocating():
         g.element_table()
 
 
+def _table_bytes(g):
+    """Bytes the finished element table of g holds: its matrix, the index's
+    keys and positions, each position's order and class number, and the
+    class lists."""
+    table = g.element_table()
+    arrays = [table.matrix, table.index.keys, table.index.at, table.orders,
+              table.class_of, table.class_sizes, *g.conjugacy_classes()[1]]
+    return sum(a.nbytes for a in arrays)
+
+
+def test_table_byte_cap_counts_the_per_element_arrays(monkeypatch):
+    # sym:5's matrix is 120 x 5 uint8, 600 bytes; with each row's int64
+    # key, int32 index position, order and class number, and int64 place
+    # in a class list, the table keeps 33 bytes a row
+    from abelmax import perms
+    from abelmax.catalog import build_group
+
+    g = build_group("sym:5")
+    table = g.element_table()
+    assert table.matrix.nbytes == 600
+    assert _table_bytes(g) - table.class_sizes.nbytes == 120 * 33
+    monkeypatch.setattr(perms, "TABLE_BYTES_CAP", 2000)
+    with pytest.raises(CapacityError, match="needs 600 bytes and 3360 more"):
+        build_group("sym:5").element_table()
+
+
+def test_table_build_holds_one_table():
+    # the build releases the transversal product before it forms the rows
+    # in canonical order, so it never holds two table-sized arrays: on
+    # cyclic:2000 (a 2000 x 2000 uint16 matrix) the traced peak of the
+    # build stays within 1.5x the bytes the finished table holds
+    import tracemalloc
+
+    from abelmax.catalog import build_group
+
+    g = build_group("cyclic:2000")
+    tracemalloc.start()
+    try:
+        g.element_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = _table_bytes(g)
+    assert held > 2000 * 2000 * 2
+    assert peak <= 1.5 * held, f"peak {peak} bytes, table {held} bytes"
+
+
 def test_enumeration_closed_under_product(s4):
     elems = s4.enumerate_elements()
     table = s4.element_table()
@@ -310,6 +357,77 @@ def test_element_table_products_against_permutation_products(
     assert got.shape == (2 * rows, 2 * cols) and got.dtype == np.int64
     expected = [[table.position(elems[x] * elems[y]) for y in right] for x in left]
     assert got.tolist() == expected
+
+
+# sha256 of each table's matrix bytes, its orders and class numbers as
+# int64, its class lists and its index keys, pinned when every per-element
+# array was int64: the layout may change, the values may not
+_TABLE_DIGESTS = {
+    "sym:2": "5bf9060bad452ac5441d06347e9e3f8e0a10f2525cea88d270b57902a903731b",
+    "sym:3": "6e00651d65fb85fa2a8bd79cad1f436f7683951b5202371b82e0175fa623c7ea",
+    "sym:4": "67766b2cee78cac8881cb9b1d0c5fa7d423c527973bd808e1eeab2d3311d7e54",
+    "sym:5": "4db2bc63837af965c82359037bc74140c89c45ad1aa42036383fb2c111f4f806",
+    "sym:6": "976b05640a3f6697de29a7f95414b94f09930815dcbdc1b61bbfd9d6799f0d9c",
+    "sym:7": "1bb73f04828fb58b0b1dbbedae1e85165dbff6f238faa1dcc9c18e2ff7e83790",
+    "alt:4": "5bb41d9b6b23d7caaffde22c342a659468c1a67efb72f8300b5bc551caadb5bc",
+    "alt:5": "e406529b67328686e36a5bcd48e164c20c87d62dfbe179d3a1101a77917bf0ea",
+    "alt:6": "8a2a63a831cb43b28ed70888020eff4c5f1e0c3615e5b17cf3d7d72d73647310",
+    "alt:7": "173caf181a5b307c43d817a542997b3359fef56a7d57a3a48143731b3f0a9725",
+    "alt:8": "9a4452a097c29ef1fb521737e8c601fe15a1f801f40c27ae4b880ad97f910601",
+    "cyclic:12": "b856cfc26ca9814c1970d171deab3bcaf6ee8fbb568894b60f0a5f8e97fcd791",
+    "cyclic:30": "f3ec9143ed10c0d969aea1d6bed0921a4e750a050479cfc90eacdd2b96f1b363",
+    "dihedral:8": "35bd0396afdabe35610437727bb273d479aca765daba88d35ec815246a4ff648",
+    "dihedral:12": "f941bf5b123d7f99524074ee75ddca17d2c9b84f1f0f2a303c9c1f967692f5a9",
+    "elem_abelian:3:2": "b92f35113df471156cb681087271bcbe0643a70aedbeca0f7e3ac43452f2d8b7",
+    "elem_abelian:2:4": "41a340e8659bf4764f992037ca8c36ef2ea3f5040289c5c39b8a1441b87a98d8",
+    "psl2:7": "96d5c94291ef7343b68e770156c30d19d0c8162e931c82a8e8af235f4a89e903",
+    "psl2:11": "789ccfe11138c034db7c170d5e81545c86b10630d1858f224966af8f34dcd856",
+    "psl2:13": "7489590d042a063af6040574914615f19bec05da1a7ae882679422f8d1fc5407",
+    "pgl2:7": "b92413da03df176b58fe14798943c8beeeca99586edd7a9f5c5824a4a1cd41d3",
+    "frobenius:5:4": "2d3ea7f521b14433d1e9ded15b29640c443f232af628e9eb65ce9227e9635517",
+    "frobenius:7:3": "f5536bb2c3b7561f8868c8320e3bda32391b6d089611aa3f584ada6b8cef8299",
+    "agammal1:3": "a54ca5f68ac5599f18532bfcc384448aef4cf5a57c368233434d03596c2ba4a3",
+    "agammal1:4": "761b37e84ce04f2e968344114b8bdf643bbaf6ffc40309241b2ccecf817806a9",
+    "agl3_2": "9685768c9de5a7f8ebd51e960dd64b643f253d4c86389f5e675360d1081b02ec",
+    "file:groups/m12.gens": "b3afd28ea81e55fc216c458458df1049700b8d485033413b96689ce27801dc7e",
+}
+
+
+def test_element_tables_are_pinned():
+    import hashlib
+
+    from abelmax.catalog import build_group, default_catalog_specs
+
+    specs = [s.spec_string() for s in default_catalog_specs()] + ["file:groups/m12.gens"]
+    assert sorted(specs) == sorted(_TABLE_DIGESTS)
+    for spec in specs:
+        g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+        table = g.element_table()
+        h = hashlib.sha256(table.matrix.tobytes())
+        h.update(table.orders.astype(np.int64).tobytes())
+        h.update(table.class_of.astype(np.int64).tobytes())
+        for members in g.conjugacy_classes()[1]:
+            h.update(members.astype(np.int64).tobytes())
+        h.update(table.index.keys.tobytes())
+        assert h.hexdigest() == _TABLE_DIGESTS[spec], spec
+
+
+def test_element_table_dtypes():
+    # what a table keeps per element is int32; every set of positions it
+    # returns is an int64 array
+    from abelmax.catalog import build_group
+
+    g = build_group("sym:5")
+    table = g.element_table()
+    sylow = g.sylow_subgroup(2)
+    for t in (table, sylow.element_table()):
+        assert t.index.at.dtype == t.orders.dtype == t.class_of.dtype == np.int32
+    assert table.products([1, 2], [3, 4, 5]).dtype == np.int64
+    assert table.index.find(table.matrix[:3][:, table.index.base]).dtype == np.int64
+    members, _ = table.closure([1, 7])
+    for positions in (members, table.extend(sylow.members, 1), table.class_members([1, 2]),
+                      *g.conjugacy_classes()[1], sylow.members):
+        assert_position_set(positions)
 
 
 @pytest.mark.parametrize(
