@@ -8,7 +8,8 @@ Subcommands:
   holding fewer than two primes.  g, h and f are refused above
   ``numtheory.EXACT_BOUND_CAP`` (exit 3).
 * ``mgroup SPEC [--enum-cap N]`` - maximal abelian subgroup order of
-  one group.
+  one group.  Its witness cycles are printed on the 0-indexed points,
+  although generator files are 1-indexed.
 * ``verify {a|goh|lemma|twoprime|equality|all} [SPEC ...]`` - run a
   check suite over the given groups (default: the pinned catalog);
   takes ``--enum-cap N``, ``--format text|json|csv``, ``--out PATH``

@@ -25,8 +25,9 @@ and commutation tests form base images, never whole rows; and the canonical
 sort keys on columns 0..max(base), which already order distinct rows.
 Conjugacy classes come from the generators' conjugation maps by
 min-label propagation, before the canonical sort, so that element
-orders are computed once per class; the table records each position's
-class number.
+orders are computed once per class; the table, the only holder of the
+classes, records each position's class number and each class's size and
+smallest position, and keeps no lists of members.
 
 The arrays a table keeps per element (the index's positions, each
 position's order and class number) and the conjugation maps and class
@@ -50,8 +51,9 @@ passed only where a run starts enumerating (``verify.run_suite``,
 ``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).  A fixed
 byte cap, ``TABLE_BYTES_CAP``, is checked before the table and before
 each transversal of the chain is allocated; for the table it counts the
-matrix and the arrays kept per element.  An orbit is never larger than
-the group, so the chain refuses no group whose table fits.
+matrix and, for each row, its index key and 12 bytes of int32 (the
+index's position, order and class number).  An orbit is never larger
+than the group, so the chain refuses no group whose table fits.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ DEFAULT_ENUM_CAP = 200_000
 
 # The most bytes an element table (its matrix and per-element arrays), or
 # one level of a stabilizer chain, may take: about 5x J1's 99 MB table, the
-# largest the repository ships.  Every row takes at least 29 bytes, so a
+# largest the repository ships.  Every row takes at least 21 bytes, so a
 # table has fewer than 2^25 rows.
 TABLE_BYTES_CAP = 1 << 29
 
@@ -400,28 +402,29 @@ class ElementTable:
     (conjugacy classes, subgroups, the abelian-subgroup search) reads row
     positions in this order through ``index``, which finds a row from its
     base images.  ``orders`` and ``class_of`` hold each position's element
-    order and conjugacy class number (classes are numbered as
-    ``PermGroup.conjugacy_classes`` lists them), and ``class_sizes`` the
-    size of each class.  What the table keeps per element is int32
+    order and conjugacy class number, ``class_sizes`` each class's size and
+    ``class_reps`` its smallest position (int64, ascending: classes are
+    numbered by it); ``class_members`` gives a class's members.  What the
+    table keeps per element, beside its row and index key, is int32
     (``orders``, ``class_of`` and the index's ``at``): TABLE_BYTES_CAP
     keeps a table below 2^29 rows, so int32 holds every position and every
     element order.  A subgroup, like every set of positions the table
     takes or returns, is an ascending, duplicate-free int64 array of
-    positions.  Adjoining an element x that normalizes a
-    subgroup H (Sylow growth, the search's nodes) is ``extend``, which
-    forms H<x> from the powers of x in one gather; a subgroup from arbitrary
-    generators is ``closure``, Dimino's algorithm.  A subgroup is normal
-    exactly when its positions are a union of whole classes,
-    ``is_class_union``, and its own table is this one's rows at those
-    positions, which stay in canonical order, with an index on the same
-    base.  Centralizers, in the search and in ``PermGroup.centralizer``,
-    come from one primitive, ``commuting``, which tests a block of rows
-    against a given set of positions rather than the whole table.  Rows are
-    compared and sorted on the base columns only: ``index`` keys on the base
-    images; ``products``, the one place that multiplies elements by position,
-    looks up base images of products and ``commuting`` compares them; and the
-    canonical order is the lexicographic order of columns 0..max(base), which
-    equals that of whole rows.
+    positions.  Adjoining an element x that normalizes a subgroup H (Sylow
+    growth, the search's nodes) is ``extend``, which forms H<x> from the
+    powers of x in one gather; a subgroup from arbitrary generators is
+    ``closure``, Dimino's algorithm.  A subgroup is normal exactly when its
+    positions are a union of whole classes, ``is_class_union``, and its own
+    table is this one's rows at those positions, which stay in canonical
+    order, with an index on the same base.  Centralizers, in the search and
+    in ``PermGroup.centralizer``, come from one primitive, ``commuting``,
+    which tests a block of rows against a given set of positions rather
+    than the whole table.  Rows are compared and sorted on the base columns
+    only: ``index`` keys on the base images; ``products``, the one place
+    that multiplies elements by position, looks up base images of products
+    and ``commuting`` compares them; and the canonical order is the
+    lexicographic order of columns 0..max(base), which equals that of whole
+    rows.
     """
 
     matrix: np.ndarray
@@ -429,6 +432,7 @@ class ElementTable:
     orders: np.ndarray
     class_of: np.ndarray
     class_sizes: np.ndarray
+    class_reps: np.ndarray
 
     def position(self, p: Permutation) -> int:
         """Position of the permutation p; ValueError if it is not a row."""
@@ -599,24 +603,19 @@ def _class_labels(conj_maps: list[np.ndarray]) -> np.ndarray:
         label = new
 
 
-def _classes_by_label(
-    labels: np.ndarray,
-) -> tuple[list[int], list[np.ndarray], np.ndarray, np.ndarray]:
-    """(representatives, classes, class_of, class_sizes) of the positions
-    grouped by equal label: a representative is its class's smallest
-    position, classes are listed by representative, each ascending (int64),
-    ``class_of`` gives each position's class number in that list (int32)
-    and ``class_sizes`` each class's size."""
+def _classes_by_label(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(class_of, class_sizes, class_reps) of the positions grouped by
+    equal label: a class's representative is its smallest position, classes
+    are numbered by representative, ``class_of`` gives each position's class
+    number (int32), ``class_sizes`` each class's size and ``class_reps``
+    the representatives, ascending (int64)."""
     # the first position with each label is its class's smallest
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     number = np.empty(len(first), dtype=np.int32)
     number[by_first] = np.arange(len(first), dtype=np.int32)
     class_of = number[inverse]
-    members = np.argsort(class_of, kind="stable")
-    sizes = np.bincount(class_of)
-    classes = np.split(members, np.cumsum(sizes)[:-1])
-    return first[by_first].tolist(), classes, class_of, sizes
+    return class_of, np.bincount(class_of), first[by_first]
 
 
 class PermGroup:
@@ -644,7 +643,6 @@ class PermGroup:
         self.chain = StabilizerChain(self.generators, self.degree)
         self.order: FactoredInteger = self.chain.order()
         self._table: ElementTable | None = None
-        self._classes: tuple[list[int], list[np.ndarray]] | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -683,7 +681,7 @@ class PermGroup:
         sub.degree, sub.generators = self.degree, list(generators)
         sub.parent, sub.members = self, members
         sub.order = FactoredInteger.from_int(len(members))
-        sub._table = sub._classes = None
+        sub._table = None
         return sub
 
     # ── element enumeration ─────────────────────────────────────────
@@ -701,11 +699,10 @@ class PermGroup:
         Conjugacy classes are found on the product order, before the
         sort: element order is a class invariant, so ``_row_orders``
         takes one row per class and its value is broadcast to the
-        members.  The classes are carried through the sort; the table
-        records each position's class number and the group caches the
-        classes for ``conjugacy_classes``.  The first call checks
-        ``cap``, then TABLE_BYTES_CAP; later calls return the cached table
-        whatever their cap.
+        members.  The classes are carried through the sort as each
+        position's class number.  The first call checks ``cap``, then
+        TABLE_BYTES_CAP; later calls return the cached table whatever their
+        cap.
 
         A subgroup's table is the parent's rows and orders at ``members``,
         already canonical as a subset of a sorted table, indexed on the
@@ -720,10 +717,9 @@ class PermGroup:
             index = BaseImageIndex(matrix, whole.index.base)
             gens = self.generators or [self.identity()]
             labels = _class_labels(_conjugation_maps(matrix, index, gens))
-            reps, classes, *by_class = _classes_by_label(labels)
+            classes = _classes_by_label(labels)
             orders = whole.orders[self.members]
-            self._table = ElementTable(matrix, index, orders, *by_class)
-            self._classes = reps, classes
+            self._table = ElementTable(matrix, index, orders, *classes)
             return self._table
         n = self.order_value
         if n > cap:
@@ -731,9 +727,9 @@ class PermGroup:
                 f"group order {n} exceeds element-enumeration cap {cap}"
             )
         base, degree, dtype = self.chain.base, self.degree, self.chain.dtype
-        # beside its row, each element keeps its index key, its int32
-        # ``at``, order and class number, and its int64 place in a class list
-        per_row = _key_dtype(len(base), degree, dtype).itemsize + 3 * 4 + 8
+        # beside its row, each element keeps its index key and its int32
+        # ``at``, order and class number
+        per_row = _key_dtype(len(base), degree, dtype).itemsize + 3 * 4
         _check_table_bytes(n, degree, dtype, "an element table", per_row)
         # with R the product of the levels below the first, product row
         # a |R| + r is u_a * R[r]; np.take keeps each product contiguous
@@ -762,11 +758,10 @@ class PermGroup:
             a, r = np.divmod(canon[s : s + per_block], len(rest))
             # u_a[R[r]], with u_a's entries read from the flattened level
             table[s : s + per_block] = flat[(a * degree)[:, None] + rest[r]]
-        reps, classes, *by_class = _classes_by_label(labels[canon])
+        classes = _classes_by_label(labels[canon])
         self._table = ElementTable(
-            table, index.reordered(canon), orders[canon], *by_class
+            table, index.reordered(canon), orders[canon], *classes
         )
-        self._classes = reps, classes
         return self._table
 
     def enumerate_elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
@@ -775,16 +770,12 @@ class PermGroup:
 
     # ── conjugacy classes ───────────────────────────────────────────
 
-    def conjugacy_classes(self) -> tuple[list[int], list[np.ndarray]]:
-        """Return (class representatives, classes) as element indices.
-
-        The representative of a class is its smallest element index,
-        i.e. its first member in the table's canonical order; classes
-        are listed by representative index, identity first.  They are
-        computed with the element table, by ``element_table``.
-        """
-        self.element_table()
-        return self._classes
+    def conjugacy_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The element table's (``class_reps``, ``class_sizes``): each
+        class's smallest position and its size, identity first.  A class's
+        members are ``ElementTable.class_members([c])``."""
+        table = self.element_table()
+        return table.class_reps, table.class_sizes
 
     # ── centralizers ────────────────────────────────────────────────
 
@@ -797,7 +788,9 @@ class PermGroup:
         return self._subgroup(members)
 
     def center(self) -> "PermGroup":
-        return self.centralizer(self.generators)
+        """The union of the classes of one element."""
+        table = self.element_table()
+        return self._subgroup(table.class_members(np.flatnonzero(table.class_sizes == 1)))
 
     # ── normal-structure queries ────────────────────────────────────
 
@@ -814,12 +807,11 @@ class PermGroup:
         a time.  A union N of classes with N x = N is closed under the
         conjugates of x, as n g x g^-1 = g (g^-1 n g) x g^-1."""
         table = self.element_table()
-        _, classes = self.conjugacy_classes()
         class_of = table.class_of
         found = list(dict.fromkeys([0, int(class_of[x])]))
         for c in found:  # grows as classes join
             # the classes of y x for every y in class c
-            products = table.products(classes[c], [x])
+            products = table.products(table.class_members([c]), [x])
             new = np.flatnonzero(np.bincount(class_of[products].ravel())).tolist()
             found += [d for d in new if d not in found]
         return frozenset(found)
@@ -835,7 +827,7 @@ class PermGroup:
         """
         reps, _ = self.conjugacy_classes()
         table = self.element_table()
-        closures = {self._class_closure(r) for r in reps[1:]}
+        closures = {self._class_closure(r) for r in reps[1:].tolist()}
         minimal = [
             self._subgroup(table.class_members(n))
             for n in closures
@@ -847,9 +839,9 @@ class PermGroup:
     def is_simple(self) -> bool:
         """True when the only normal subgroups are trivial and the whole
         group: the normal closure of each nontrivial class is every class."""
-        reps, classes = self.conjugacy_classes()
+        reps, sizes = self.conjugacy_classes()
         return self.order_value > 1 and all(
-            len(self._class_closure(r)) == len(classes) for r in reps[1:]
+            len(self._class_closure(r)) == len(sizes) for r in reps[1:].tolist()
         )
 
     # ── Sylow subgroups ─────────────────────────────────────────────

@@ -123,7 +123,7 @@ class _AbelianDFS:
 
     def __init__(self, group, accept=lambda closure: True):
         self.table = group.element_table()
-        self.class_reps, self.classes = group.conjugacy_classes()
+        self.class_reps, self.class_sizes = group.conjugacy_classes()
         self.accept = accept
         self.nodes = 0
         self.best_order = 1
@@ -140,8 +140,9 @@ class _AbelianDFS:
             self.best_chain = [1]
         all_idx = np.arange(n, dtype=np.int64)
         # class 0 is the identity
-        for root, conj_class in zip(self.class_reps[1:], self.classes[1:]):
-            if n // len(conj_class) <= self.best_order:
+        reps, sizes = self.class_reps.tolist(), self.class_sizes.tolist()
+        for root, size in zip(reps[1:], sizes[1:]):
+            if n // size <= self.best_order:
                 continue
             cent = np.flatnonzero(t.commuting([root], all_idx)[0])
             closure, _ = t.closure([root])

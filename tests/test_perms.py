@@ -22,6 +22,11 @@ def assert_position_set(positions):
     assert positions.ndim == 1 and (np.diff(positions) > 0).all()
 
 
+def class_lists(table):
+    """The members of each conjugacy class, by class number."""
+    return [table.class_members([c]) for c in range(len(table.class_sizes))]
+
+
 @pytest.fixture(scope="module")
 def s3():
     return PermGroup([cycles(3, (0, 1)), cycles(3, (0, 1, 2))])
@@ -183,27 +188,28 @@ def test_table_byte_cap_refuses_before_allocating():
 
 def _table_bytes(g):
     """Bytes the finished element table of g holds: its matrix, the index's
-    keys and positions, each position's order and class number, and the
-    class lists."""
+    keys and positions, each position's order and class number, and each
+    class's size and representative."""
     table = g.element_table()
     arrays = [table.matrix, table.index.keys, table.index.at, table.orders,
-              table.class_of, table.class_sizes, *g.conjugacy_classes()[1]]
+              table.class_of, table.class_sizes, table.class_reps]
     return sum(a.nbytes for a in arrays)
 
 
 def test_table_byte_cap_counts_the_per_element_arrays(monkeypatch):
     # sym:5's matrix is 120 x 5 uint8, 600 bytes; with each row's int64
-    # key, int32 index position, order and class number, and int64 place
-    # in a class list, the table keeps 33 bytes a row
+    # key and int32 index position, order and class number, the table
+    # keeps 25 bytes a row
     from abelmax import perms
     from abelmax.catalog import build_group
 
     g = build_group("sym:5")
     table = g.element_table()
     assert table.matrix.nbytes == 600
-    assert _table_bytes(g) - table.class_sizes.nbytes == 120 * 33
+    per_class = table.class_sizes.nbytes + table.class_reps.nbytes
+    assert _table_bytes(g) - per_class == 120 * 25
     monkeypatch.setattr(perms, "TABLE_BYTES_CAP", 2000)
-    with pytest.raises(CapacityError, match="needs 600 bytes and 3360 more"):
+    with pytest.raises(CapacityError, match="needs 600 bytes and 2400 more"):
         build_group("sym:5").element_table()
 
 
@@ -226,6 +232,26 @@ def test_table_build_holds_one_table():
     held = _table_bytes(g)
     assert held > 2000 * 2000 * 2
     assert peak <= 1.5 * held, f"peak {peak} bytes, table {held} bytes"
+
+
+def test_table_keeps_its_rows_and_twelve_bytes_more_a_row():
+    # with M12's chain built, the traced bytes the table build leaves
+    # behind are its matrix, each row's index key and its three int32
+    # entries, and little else: no per-class member lists
+    import tracemalloc
+
+    from abelmax.catalog import build_group
+
+    g = build_group("file:groups/m12.gens", base_dir=Path(__file__).resolve().parents[1])
+    tracemalloc.start()
+    try:
+        table = g.element_table()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(table)
+    bound = table.matrix.nbytes + n * (table.index.keys.itemsize + 12) + 64 * 1024
+    assert held <= bound, f"held {held} bytes, bound {bound} bytes"
 
 
 def test_enumeration_closed_under_product(s4):
@@ -295,7 +321,7 @@ def test_element_table_commuting_against_products(spec):
 
     everything = np.arange(n, dtype=np.int64)
     sparse = everything[1::3]
-    reps, classes = g.conjugacy_classes()
+    reps, classes = g.conjugacy_classes()[0].tolist(), class_lists(table)
 
     def commuting(i, members):
         return members[table.commuting([i], members)[0]]
@@ -406,7 +432,7 @@ def test_element_tables_are_pinned():
         h = hashlib.sha256(table.matrix.tobytes())
         h.update(table.orders.astype(np.int64).tobytes())
         h.update(table.class_of.astype(np.int64).tobytes())
-        for members in g.conjugacy_classes()[1]:
+        for members in class_lists(table):
             h.update(members.astype(np.int64).tobytes())
         h.update(table.index.keys.tobytes())
         assert h.hexdigest() == _TABLE_DIGESTS[spec], spec
@@ -426,7 +452,7 @@ def test_element_table_dtypes():
     assert table.index.find(table.matrix[:3][:, table.index.base]).dtype == np.int64
     members, _ = table.closure([1, 7])
     for positions in (members, table.extend(sylow.members, 1), table.class_members([1, 2]),
-                      *g.conjugacy_classes()[1], sylow.members):
+                      *class_lists(table), sylow.members):
         assert_position_set(positions)
 
 
@@ -623,11 +649,11 @@ def test_minimal_normal_subgroups_and_simplicity_on_large_tables(spec, minimal, 
 # ── conjugacy classes ───────────────────────────────────────────────
 
 def test_conjugacy_classes_s4(s4):
-    reps, classes = s4.conjugacy_classes()
+    table = s4.element_table()
+    classes = class_lists(table)
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
     assert sum(len(c) for c in classes) == 24
     # class function sanity: all members share the element order
-    table = s4.element_table()
     for cls in classes:
         assert len({int(table.orders[i]) for i in cls}) == 1
 
@@ -659,10 +685,12 @@ def test_conjugacy_classes_against_products(spec):
                     orbit.append(y)
         seen |= members
         expected.add(frozenset(members))
-    reps, classes = g.conjugacy_classes()
+    reps, classes = g.conjugacy_classes()[0].tolist(), class_lists(table)
     assert {frozenset(c.tolist()) for c in classes} == expected
     assert all(c.tolist() == sorted(c.tolist()) for c in classes)
     assert reps == [min(c.tolist()) for c in classes] == sorted(reps)
+    # each representative is the smallest member of its class
+    assert all(table.class_reps[c] == cls[0] for c, cls in enumerate(classes))
 
 
 def _degree_300_group():
@@ -919,7 +947,7 @@ def test_subgroup_queries_build_no_stabilizer_chain(
     sylow = g.sylow_subgroup(2)
     assert sylow.order_value == 2 ** g.order.factors[2]
     # the Sylow subgroup answers queries as a group of its own
-    reps, classes = sylow.conjugacy_classes()
+    classes = class_lists(sylow.element_table())
     assert sum(map(len, classes)) == sylow.order_value
     assert sylow.center().order_value == 2
     assert max_abelian_normal(sylow).order == {"sym:5": 4, "agl3_2": 16}[spec]
@@ -958,10 +986,9 @@ def test_subgroup_tables_equal_the_tables_of_rebuilt_groups():
             assert np.array_equal(got.class_of, want.class_of)
             assert np.array_equal(got.class_sizes, np.bincount(got.class_of))
             assert np.array_equal(want.class_sizes, np.bincount(want.class_of))
-            (got_reps, got_classes), (want_reps, want_classes) = (
-                sub.conjugacy_classes(), ref.conjugacy_classes()
-            )
-            assert got_reps == want_reps
+            got_reps, want_reps = sub.conjugacy_classes()[0], ref.conjugacy_classes()[0]
+            assert got_reps.tolist() == want_reps.tolist()
+            got_classes, want_classes = class_lists(got), class_lists(want)
             assert [c.tolist() for c in got_classes] == [c.tolist() for c in want_classes]
             checked += 1
     assert checked == 141

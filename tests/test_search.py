@@ -199,6 +199,34 @@ def test_oracle_equivalence_spot(spec):
     assert max_abelian_order(g).m == max_abelian_brute(g).m
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [s.spec_string() for s in cat.default_catalog_specs()]
+    + ["file:groups/m11.gens", "file:groups/m12.gens", "file:groups/j1.gens"],
+)
+def test_oracle_through_centralizers_of_prime_order_elements(spec):
+    """The oracle above its cap: an abelian A > 1 holds an element x of
+    prime order and lies in C_G(x), so m(G) is the largest m(C_G(x)) over
+    the class representatives x of prime order.  Each C_G(x) is rebuilt
+    from its generators with a chain and table of its own, and
+    ``max_abelian_brute`` runs on that.  Shared with production: the class
+    representatives and sizes come from the element table, and each
+    centralizer from ``ElementTable.commuting``.  The rebuilt chain's
+    order times the class size must be |G|, which checks the class sizes
+    against an independent chain."""
+    g = cat.build_group(spec, base_dir=_REPO)
+    table = g.element_table()
+    best = 1
+    for x, size in zip(*(a.tolist() for a in g.conjugacy_classes())):
+        order = int(table.orders[x])
+        if order == 1 or any(order % p == 0 for p in range(2, order)):
+            continue
+        c = PermGroup(g.centralizer([table.permutation(x)]).generators)
+        assert c.order_value * size == g.order_value
+        best = max(best, max_abelian_brute(c).m)
+    assert best == max_abelian_order(g).m
+
+
 # ── normal abelian subgroups of p-groups ────────────────────────────
 
 def test_normal_abelian_d8():
