@@ -86,6 +86,13 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
             lambda proc: "\nm: 19\n" in proc.stdout and proc.stdout.endswith("nodes: 4\n"),
             170, 300,
         ),
+        # normal closures grow a round of classes at a time, and products
+        # gather base images, not the whole rows of a round's classes
+        (
+            ("verify", "all", "file:groups/j1.gens", "file:groups/m12.gens"), 0,
+            lambda proc: ", 0 failed," in proc.stdout,
+            190, 60,
+        ),
         # under the order cap, but one level of its chain would take
         # 100000 x 100000 uint32 entries: refused before it is allocated
         (
@@ -94,7 +101,8 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
             200, 5,
         ),
     ],
-    ids=["exceptions-10000000", "ratio-100000000", "mgroup-j1", "mgroup-cyclic-100000"],
+    ids=["exceptions-10000000", "ratio-100000000", "mgroup-j1", "verify-j1-m12",
+         "mgroup-cyclic-100000"],
 )
 def test_cli_in_bounded_memory(argv, code, output_ok, max_mb, max_seconds):
     repo = Path(__file__).resolve().parents[1]

@@ -73,7 +73,6 @@ def test_not_a_permutation_rejected():
 def test_cycle_roundtrip():
     p = cycles(7, (0, 3, 5), (1, 2))
     assert p.cycle_string() == "(0,3,5)(1,2)"
-    assert p.cycle_string(one_indexed=True) == "(1,4,6)(2,3)"
     assert Permutation.from_cycles(7, p.cycles()) == p
 
 
@@ -232,6 +231,24 @@ def test_table_build_holds_one_table():
     held = _table_bytes(g)
     assert held > 2000 * 2000 * 2
     assert peak <= 1.5 * held, f"peak {peak} bytes, table {held} bytes"
+
+
+def test_products_read_no_whole_rows():
+    # products gathers the entries x_l(x_r(base)) alone: on cyclic:2000 a
+    # product by one element of all 2000 rows (8 MB of uint16 whole rows)
+    # peaks far below the rows' bytes
+    import tracemalloc
+
+    from abelmax.catalog import build_group
+
+    table = build_group("cyclic:2000").element_table()
+    tracemalloc.start()
+    try:
+        table.products(np.arange(2000), [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_table_keeps_its_rows_and_twelve_bytes_more_a_row():
@@ -703,16 +720,30 @@ def _degree_300_group():
     ])
 
 
-@pytest.mark.parametrize("spec", ["cyclic:2000", "sym:6", "agl3_2", "degree-300"])
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2000", "sym:6", "agl3_2", "degree-300"])
 def test_element_table_orders_are_lcms_of_cycle_lengths(spec):
-    # the table's orders come from vectorised pointer doubling over one
-    # row per class; the reference walks each Permutation's cycles
+    # the table's orders are the lcms of the base points' cycle lengths,
+    # walked for one row per class (cyclic:1 has an empty base); the
+    # reference walks each Permutation's cycles
     from abelmax.catalog import build_group
 
     g = _degree_300_group() if spec == "degree-300" else build_group(spec)
     table = g.element_table()
     expected = [table.permutation(i).order() for i in range(len(table))]
     assert table.orders.tolist() == expected
+
+
+@pytest.mark.parametrize("spec", ["agl3_2", "degree-300"])
+def test_base_cycles_predecessors_are_inverse_base_images(spec):
+    from abelmax.catalog import build_group
+    from abelmax.perms import _base_cycles
+
+    g = _degree_300_group() if spec == "degree-300" else build_group(spec)
+    table = g.element_table()
+    base = table.index.base.tolist()
+    _, before = _base_cycles(table.matrix, np.arange(len(table)), base)
+    expected = [[table.permutation(i).inverse()(b) for b in base] for i in range(len(table))]
+    assert before.tolist() == expected
 
 
 # ── Sylow subgroups ─────────────────────────────────────────────────
