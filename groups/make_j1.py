@@ -194,9 +194,7 @@ def gens_text() -> str:
         "# Janko's group J1 on 266 points, derived by groups/make_j1.py from",
         "# Janko's 7x7 matrices over GF(11): its action on the cosets of L2(11).",
         f"degree {group.degree}",
-        # the file's points are 1-indexed
-        *("gen " + "".join(f"({','.join(str(a + 1) for a in c)})" for c in g.cycles())
-          for g in gens),
+        *(f"gen {g.cycle_string(one_indexed=True)}" for g in gens),
         f"expect_order {ORDER}",
     ]
     return "\n".join(lines) + "\n"

@@ -19,14 +19,11 @@ that this module owns (identity first, then element order descending,
 then image tuple ascending).  Two elements are equal exactly when they
 agree on the chain's base, so elements are compared, multiplied and
 measured on their base images (Seress, *Permutation Group Algorithms*,
-§4.1): ``BaseImageIndex`` keys rows on them and resolves them with
-``np.searchsorted``; ``ElementTable.products`` gathers the entries
-x(y(base)) alone; orders and inverses' base images come from walking
-the base points' cycles (``_base_cycles``); and the canonical sort keys
-on columns 0..max(base), which already order distinct rows.  Only the
-forming of the table and ``ElementTable.commuting`` take whole rows of a
-set of positions: numpy takes the search's small subsets faster as rows
-(single entries took M12's search 0.082 s against 0.032 s, 2 vCPUs).
+§4.1): ``BaseImageIndex`` keys rows on them, ``ElementTable.products``
+reads the entries x(y(base)), ``_base_cycles`` walks the base points'
+cycles for orders and inverses, and the canonical sort keys on columns
+0..max(base).  Only forming the table and ``commuting`` take whole rows,
+faster than entries on the search's small subsets (M12: 0.032 vs 0.082 s).
 Conjugacy classes come from the generators' conjugation maps by
 min-label propagation, before the canonical sort, so that element
 orders are computed once per class; the table, the only holder of the
@@ -79,9 +76,8 @@ DEFAULT_ENUM_CAP = 200_000
 # table has fewer than 2^25 rows.
 TABLE_BYTES_CAP = 1 << 29
 
-# The chain's Schreier generators, the forming of a table's rows and the
-# search's commuting tests take rows in blocks of about this many entries,
-# so their temporaries stay that small.
+# Schreier generators, table rows, products, base-point walks and commuting
+# tests go in blocks of about this many entries, to bound their temporaries.
 _ROW_BLOCK = 1 << 16
 
 
@@ -179,11 +175,12 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*map(len, self.cycles()))
 
-    def cycle_string(self) -> str:
+    def cycle_string(self, one_indexed: bool = False) -> str:
+        shift = 1 if one_indexed else 0
         cs = self.cycles()
         if not cs:
             return "()"
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in cs)
+        return "".join("(" + ",".join(str(a + shift) for a in c) + ")" for c in cs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -422,8 +419,7 @@ class ElementTable:
     order, with an index on the same base.  Centralizers, in the search and
     in ``PermGroup.centralizer``, come from one primitive, ``commuting``,
     which tests a block of rows against a given set of positions rather
-    than the whole table.  ``products`` is the one place that multiplies
-    elements by position.
+    than the whole table.
     """
 
     matrix: np.ndarray
@@ -455,14 +451,18 @@ class ElementTable:
         return np.flatnonzero(wanted[self.class_of])
 
     def products(self, left, right) -> np.ndarray:
-        """The (len(left), len(right)) int64 positions of x_l * x_r, i.e.
-        x_l(x_r(.)), for the positions ``left`` and ``right``: the one
-        place that forms and looks up the base images of products, read
-        as single entries x_l(x_r(b)) of the flattened matrix."""
-        offsets = np.asarray(left, dtype=np.int64) * self.matrix.shape[1]
-        at = offsets[:, None, None] + self.matrix[np.ix_(right, self.index.base)][None]
-        images = self.matrix.reshape(-1).take(at)
-        return self.index.find(images.reshape(-1, at.shape[2])).reshape(at.shape[:2])
+        """The (len(left), len(right)) int64 positions of x_l * x_r =
+        x_l(x_r(.)): the one product by position, reading the entries
+        x_l(x_r(base)) of the flat matrix, about _ROW_BLOCK at a time."""
+        left = np.asarray(left, dtype=np.int64)
+        right_base = self.matrix[np.ix_(right, self.index.base)]
+        out = np.empty((len(left), len(right_base)), dtype=np.int64)
+        per_block = max(1, _ROW_BLOCK // max(1, right_base.size))
+        for s in range(0, len(left), per_block):
+            at = left[s : s + per_block, None, None] * self.matrix.shape[1] + right_base
+            images = self.matrix.reshape(-1).take(at).reshape(-1, right_base.shape[1])
+            out[s : s + per_block] = self.index.find(images).reshape(at.shape[:2])
+        return out
 
     def extend(self, subgroup: np.ndarray, x: int) -> np.ndarray:
         """Positions of H<x> for the subgroup H at ``subgroup``, which is
@@ -547,26 +547,30 @@ class ElementTable:
         return self.matrix.shape[0]
 
 
-def _base_cycles(matrix: np.ndarray, positions, base) -> tuple[np.ndarray, np.ndarray]:
-    """For the row x of ``matrix`` at each of ``positions`` and each base
-    point b, the length of b's cycle under x and its predecessor x^-1(b),
-    as two (len(positions), len(base)) int64 arrays.  All walks step at
-    once, reading only the entries x(b), x^2(b), ... until back at b.  x^k
-    is 1 exactly when it fixes the base: x's order is its lengths' lcm."""
-    positions, base = np.asarray(positions, dtype=np.int64), np.asarray(base, dtype=np.int64)
-    lengths = np.empty((len(positions), len(base)), dtype=np.int64)
-    before = np.empty_like(lengths)
-    # the live walks: their output slots, row offsets, start and last points
-    slot, offset = np.arange(lengths.size), np.repeat(positions * matrix.shape[1], len(base))
-    start = point = np.tile(base, len(positions))
-    flat, step = matrix.reshape(-1), 1
-    while slot.size:
-        after = flat.take(offset + point)
-        back, going = after == start, after != start
-        lengths.flat[slot[back]], before.flat[slot[back]] = step, point[back]
-        slot, offset, start = slot[going], offset[going], start[going]
-        point, step = after[going], step + 1
-    return lengths, before
+def _base_cycles(matrix: np.ndarray, positions: np.ndarray, base) -> tuple[np.ndarray, np.ndarray]:
+    """For the row x at each of the int64 ``positions``, x's order (int64)
+    and x^-1(base) in the matrix's dtype.  Each walk b, x(b), x^2(b), ...
+    reads only the entries it visits, back to b; x^k is 1 exactly when it
+    fixes the base, so x's order is the lcm of the walks' lengths, about
+    _ROW_BLOCK of which step at a time."""
+    orders = np.empty(len(positions), dtype=np.int64)
+    before = np.empty((len(positions), len(base)), dtype=matrix.dtype)
+    flat, per_block = matrix.reshape(-1), max(1, _ROW_BLOCK // max(1, len(base)))
+    for s in range(0, len(positions), per_block):
+        rows, inverse = positions[s : s + per_block], before[s : s + per_block]
+        lengths = np.empty(inverse.shape, dtype=np.int64)
+        # the live walks: their output slots, row offsets, start and last points
+        slot, offset = np.arange(lengths.size), np.repeat(rows * matrix.shape[1], len(base))
+        start = point = np.tile(base, len(rows))
+        step = 1
+        while slot.size:
+            after = flat.take(offset + point)
+            back, going = after == start, after != start
+            lengths.flat[slot[back]], inverse.flat[slot[back]] = step, point[back]
+            slot, offset, start = slot[going], offset[going], start[going]
+            point, step = after[going], step + 1
+        orders[s : s + len(rows)] = np.lcm.reduce(lengths, axis=1, initial=1)
+    return orders, before
 
 
 def _conjugation_maps(matrix, index: BaseImageIndex, generators) -> list[np.ndarray]:
@@ -694,12 +698,11 @@ class PermGroup:
         at a time, so the build never holds two table-sized arrays.
 
         Conjugacy classes are found on the product order, before the
-        sort: element order is a class invariant, so it is computed, by
-        ``_base_cycles``, for one row per class and broadcast to the
-        members.  The classes are carried through the sort as each
-        position's class number.  The first call checks ``cap``, then
-        TABLE_BYTES_CAP; later calls return the cached table whatever their
-        cap.
+        sort: element order is a class invariant, so ``_base_cycles``
+        walks one row per class.  The classes are carried through the sort
+        as each position's class number.  The first call checks ``cap``,
+        then TABLE_BYTES_CAP; later calls return the cached table whatever
+        their cap.
 
         A subgroup's table is the parent's rows and orders at ``members``,
         already canonical as a subset of a sorted table, indexed on the
@@ -740,8 +743,7 @@ class PermGroup:
         labels = _class_labels(_conjugation_maps(matrix, index, self.generators))
         class_reps = np.flatnonzero(labels == np.arange(n))
         orders = np.zeros(n, dtype=np.int32)
-        lengths, _ = _base_cycles(matrix, class_reps, base)
-        orders[class_reps] = np.lcm.reduce(lengths, axis=1, initial=1)
+        orders[class_reps] = _base_cycles(matrix, class_reps, base)[0]
         orders = orders[labels]
         # rows that agree on columns 0..max(base) agree on the base, so
         # they are one element: those columns give the full row order
@@ -801,10 +803,9 @@ class PermGroup:
 
     def _class_closure(self, x: int) -> frozenset[int]:
         """Class numbers of the normal closure of the element at position
-        x: its class, grown by right multiplication by x of the classes
-        that joined in the round before, one ``products`` call a round.  A
-        union N of classes with N x = N is closed under the conjugates of x,
-        as n g x g^-1 = g (g^-1 n g) x g^-1."""
+        x: its class, grown by right multiplication by x of each round's
+        new classes.  A union N of classes with N x = N is closed under the
+        conjugates of x, as n g x g^-1 = g (g^-1 n g) x g^-1."""
         table = self.element_table()
         found = np.zeros(len(table.class_sizes), dtype=bool)
         found[[0, table.class_of[x]]] = True
@@ -857,8 +858,7 @@ class PermGroup:
         conjugates every generator of P into P.  That element normalizes
         P, so ``ElementTable.extend``, the search's closure step, gives
         the larger subgroup.  Each step tests all the p-elements outside P
-        at once, one generator h of P at a time, on the base images
-        x(h(x^-1(base))), with x^-1(base) walked once by ``_base_cycles``.
+        at once, one generator of P at a time, on base images.
         """
         e = self.order.factors.get(p, 0)
         if e == 0:

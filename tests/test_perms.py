@@ -73,6 +73,7 @@ def test_not_a_permutation_rejected():
 def test_cycle_roundtrip():
     p = cycles(7, (0, 3, 5), (1, 2))
     assert p.cycle_string() == "(0,3,5)(1,2)"
+    assert p.cycle_string(one_indexed=True) == "(1,4,6)(2,3)"
     assert Permutation.from_cycles(7, p.cycles()) == p
 
 
@@ -233,6 +234,26 @@ def test_table_build_holds_one_table():
     assert peak <= 1.5 * held, f"peak {peak} bytes, table {held} bytes"
 
 
+def test_table_build_walks_orders_in_blocks():
+    # every row of this abelian group is a class representative, and each
+    # walks its 17 base points: walked all at once, 2.2M walks took int64
+    # temporaries of 134 MB, 13x the table.  In blocks of about _ROW_BLOCK
+    # walks the peak is set before the walk, when the 17 generators' int32
+    # conjugation maps (8.9 MB) are held beside the table's rows and index
+    import tracemalloc
+
+    g = PermGroup([cycles(34, (2 * i, 2 * i + 1)) for i in range(17)])
+    assert g.order_value == 131072
+    tracemalloc.start()
+    try:
+        g.element_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = _table_bytes(g)
+    assert peak <= 3 * held, f"peak {peak} bytes, table {held} bytes"
+
+
 def test_products_read_no_whole_rows():
     # products gathers the entries x_l(x_r(base)) alone: on cyclic:2000 a
     # product by one element of all 2000 rows (8 MB of uint16 whole rows)
@@ -249,6 +270,30 @@ def test_products_read_no_whole_rows():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_products_hold_a_block_beside_their_result():
+    # products forms its int64 flat indices for blocks of ``left`` of about
+    # _ROW_BLOCK entries: on M12 (uint8 rows of degree 12, 5 base points) a
+    # product by one element of all 95040 rows holds, beside its int64
+    # result, less than 1.5x the rows' 1.1 MB; indexing all 475200 gathered
+    # entries at once took 8.1 MB
+    import tracemalloc
+
+    from abelmax.catalog import build_group
+
+    g = build_group("file:groups/m12.gens", base_dir=Path(__file__).resolve().parents[1])
+    table = g.element_table()
+    left = np.arange(len(table))
+    tracemalloc.start()
+    try:
+        result = table.products(left, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.nbytes == 8 * 95040
+    held = peak - result.nbytes
+    assert held < 1.5 * table.matrix.nbytes, f"{held} bytes beside the result"
 
 
 def test_table_keeps_its_rows_and_twelve_bytes_more_a_row():
