@@ -282,14 +282,13 @@ def parse_spec(text: str) -> GroupSpec:
     return GroupSpec(family, params)
 
 
-def build_group(spec: GroupSpec | str, base_dir: str | Path | None = None) -> PermGroup:
+def build_group(spec: GroupSpec | str) -> PermGroup:
+    """The group of a spec; a generator file's path is read as given, so a
+    relative one resolves against the working directory."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if spec.family == "file":
-        path = Path(spec.path)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        return load_generator_file(path)
+        return load_generator_file(spec.path)
     _, builder = _FAMILIES[spec.family]
     return builder(*spec.params)
 
@@ -307,14 +306,12 @@ class CatalogEntry:
         return self.spec.spec_string()
 
 
-def build_catalog(
-    specs, base_dir: str | Path | None = None
-) -> list[CatalogEntry]:
+def build_catalog(specs) -> list[CatalogEntry]:
     entries = []
     for spec in specs:
         if isinstance(spec, str):
             spec = parse_spec(spec)
-        entries.append(CatalogEntry(spec, build_group(spec, base_dir)))
+        entries.append(CatalogEntry(spec, build_group(spec)))
     return entries
 
 

@@ -136,7 +136,7 @@ def _cmd_mgroup(args) -> int:
     from .search import max_abelian_order
 
     spec = catalog.parse_spec(args.spec)
-    group = catalog.build_group(spec, base_dir=Path.cwd())
+    group = catalog.build_group(spec)
     group.element_table(args.enum_cap or DEFAULT_ENUM_CAP)
     result = max_abelian_order(group)
     print(f"group: {spec.spec_string()}")
@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
         specs = [catalog.parse_spec(s) for s in args.specs]
     else:
         specs = catalog.default_catalog_specs()
-    entries = catalog.build_catalog(specs, base_dir=Path.cwd())
+    entries = catalog.build_catalog(specs)
     report = verify.run_suite(args.suite, entries, enum_cap=args.enum_cap or DEFAULT_ENUM_CAP)
     if args.format == "json":
         rendered = verify.report_to_json(report)

@@ -22,8 +22,11 @@ measured on their base images (Seress, *Permutation Group Algorithms*,
 §4.1): ``BaseImageIndex`` keys rows on them, ``ElementTable.products``
 reads the entries x(y(base)), ``_base_cycles`` walks the base points'
 cycles for orders and inverses, and the canonical sort keys on columns
-0..max(base).  Only forming the table and ``commuting`` take whole rows,
-faster than entries on the search's small subsets (M12: 0.032 vs 0.082 s).
+0..max(base).  Only forming the table and ``commuting`` take whole rows
+of a set of positions, faster than entries on the search's small subsets
+(M12: 0.032 vs 0.082 s); elsewhere a whole row is one element's:
+``extend`` squares x's row, ``sylow_subgroup`` reads each generator's
+row, and ``ElementTable.position`` compares one row.
 Conjugacy classes come from the generators' conjugation maps by
 min-label propagation, before the canonical sort, so that element
 orders are computed once per class; the table, the only holder of the
@@ -333,7 +336,8 @@ class BaseImageIndex:
     scalar.  ``keys`` holds the keys sorted and ``at`` the row position
     of each, as int32 (TABLE_BYTES_CAP keeps a table below 2^29 rows), so
     a lookup is one ``np.searchsorted`` and the index holds 12 bytes or
-    so per row.  Lookups return int64 positions, like every position set.
+    so per row.  ``find`` returns int64 positions, like every position set;
+    ``search`` returns the int32 of ``at`` with a found flag per key.
     A key is unique among the group's elements only: a permutation outside
     the group can share one, so a caller holding an arbitrary permutation
     compares the whole row it gets back.
@@ -360,14 +364,9 @@ class BaseImageIndex:
         return images.view(np.dtype((np.void, images.itemsize * images.shape[1])))[:, 0]
 
     def search(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row positions (int64) for a (k, len(base)) array of base images,
-        and whether each key is present; where it is not, the position is
-        that of some other row."""
-        positions, found = self._search(images)
-        return positions.astype(np.int64), found
-
-    def _search(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``search`` with the positions in the int32 of ``at``."""
+        """Row positions (the int32 of ``at``) for a (k, len(base)) array of
+        base images, and whether each key is present; where it is not, the
+        position is that of some other row."""
         keys = self.key(images)
         if len(keys) < _SORTED_SEARCH_MIN:
             k = self.keys.searchsorted(keys)
@@ -378,10 +377,10 @@ class BaseImageIndex:
         return self.at.take(k, mode="clip"), self.keys.take(k, mode="clip") == keys
 
     def find(self, images: np.ndarray) -> np.ndarray:
-        """Row positions of group elements given by their base images."""
+        """Row positions (int64) of group elements given by their base images."""
         positions, found = self.search(images)
         assert found.all(), "base images of no row in the table"
-        return positions
+        return positions.astype(np.int64)
 
     def reordered(self, order: np.ndarray) -> "BaseImageIndex":
         """The index of the rows reordered so that row i is former row order[i]."""
@@ -582,7 +581,7 @@ def _conjugation_maps(matrix, index: BaseImageIndex, generators) -> list[np.ndar
         garr = np.array(g.images, dtype=matrix.dtype)
         ginv = np.array(g.inverse().images)
         # int32 straight from the index: no int64 map is ever formed
-        positions, found = index._search(garr[matrix[:, ginv[index.base]]])
+        positions, found = index.search(garr[matrix[:, ginv[index.base]]])
         assert found.all(), "a conjugate outside the table"
         maps.append(positions)
     return maps

@@ -84,25 +84,6 @@ class MaxAbelianResult:
     wall_time: float
 
 
-@dataclass
-class PGroupBoundReport:
-    """Exponent data for a p-group of order p^k.
-
-    ``s`` is the exponent of a maximal-order abelian normal subgroup,
-    ``c`` the exponent of the center, and ``v`` = s.  ``bound_holds``
-    records k <= s(s+1)/2 and ``burnside_holds`` records
-    k - v <= (v-c)(v+c-1)/2.
-    """
-
-    p: int
-    k: int
-    s: int
-    c: int
-    v: int
-    bound_holds: bool
-    burnside_holds: bool
-
-
 class _AbelianDFS:
     """The pruned depth-first walk over abelian-subgroup chains.
 
@@ -286,16 +267,6 @@ def max_abelian_brute(
     )
 
 
-def _pgroup_exponent(order: int, p: int) -> int:
-    k = 0
-    while order % p == 0:
-        order //= p
-        k += 1
-    if order != 1:
-        raise ValueError("order is not a power of p")
-    return k
-
-
 def max_abelian_normal(pgroup: PermGroup) -> AbelianWitness:
     """An abelian normal subgroup of maximal order in a p-group.
 
@@ -317,24 +288,3 @@ def max_abelian_normal(pgroup: PermGroup) -> AbelianWitness:
     witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain, dfs.best_order)
     assert witness.normal_in_parent
     return witness
-
-
-def pgroup_bound_check(pgroup: PermGroup) -> PGroupBoundReport:
-    """Exponent bounds relating |P|, its center, and its largest abelian normal subgroup."""
-    factors = pgroup.order.factors
-    if len(factors) != 1 or pgroup.order_value == 1:
-        raise ValueError("input must be a nontrivial p-group")
-    (p, k), = factors.items()
-    witness = max_abelian_normal(pgroup)
-    s = _pgroup_exponent(witness.order, p)
-    c = _pgroup_exponent(pgroup.center().order_value, p)
-    v = s
-    return PGroupBoundReport(
-        p=p,
-        k=k,
-        s=s,
-        c=c,
-        v=v,
-        bound_holds=k <= s * (s + 1) // 2,
-        burnside_holds=(k - v) <= (v - c) * (v + c - 1) // 2,
-    )

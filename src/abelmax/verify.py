@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from . import numtheory as nt
 from .catalog import CatalogEntry, dihedral_group, elem_abelian_group
 from .perms import DEFAULT_ENUM_CAP, PermGroup, Permutation
-from .search import MaxAbelianResult, max_abelian_order, pgroup_bound_check
+from .search import MaxAbelianResult, max_abelian_normal, max_abelian_order
 
 PGROUP_SUITE_ORDER_BOUND = 10_000
 
@@ -371,17 +371,28 @@ def catalog_pgroup_inputs(
 
 
 def pgroup_bound_suite(pgroups: list[tuple[str, PermGroup]]) -> VerificationReport:
-    """Run the exponent-bound checks over a list of (id, p-group) pairs."""
+    """Run the exponent-bound checks over a list of (id, p-group) pairs.
+
+    With |P| = p^k, p^s the order of a largest abelian normal subgroup
+    and p^c that of the center, ``pgroup_bound`` checks k <= s(s+1)/2 and
+    ``burnside`` checks k - v <= (v-c)(v+c-1)/2, with v = s.  A trivial
+    or non-p-group input raises ValueError (from ``max_abelian_normal``).
+    """
     checks = []
     for gid, pg in pgroups:
-        rep = pgroup_bound_check(pg)
-        base = {"p": rep.p, "k": rep.k, "s": rep.s, "c": rep.c, "v": rep.v}
+        witness = max_abelian_normal(pg)
+        ((p, k),) = pg.order.factors.items()
+        s = nt.FactoredInteger.from_int(witness.order).factors[p]
+        assert witness.order == p**s
+        c = pg.center().order.factors[p]
+        base = {"p": p, "k": k, "s": s, "c": c, "v": s}
         for theorem, holds in (
-            ("pgroup_bound", rep.bound_holds),
-            ("burnside", rep.burnside_holds),
+            ("pgroup_bound", k <= s * (s + 1) // 2),
+            ("burnside", k - s <= (s - c) * (s + c - 1) // 2),
         ):
-            m, order = rep.p**rep.s, pg.order_value
-            checks.append(TheoremCheck(theorem, gid, holds, m, order, dict(base)))
+            checks.append(
+                TheoremCheck(theorem, gid, holds, witness.order, pg.order_value, dict(base))
+            )
     return VerificationReport.from_checks(checks)
 
 

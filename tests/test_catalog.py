@@ -211,11 +211,13 @@ def test_j1_is_in_no_pinned_catalog():
         assert not any("j1" in s.spec_string() for s in specs)
 
 
-def test_file_spec_resolves_against_base_dir(tmp_path):
+def test_file_spec_resolves_against_the_working_directory(tmp_path, monkeypatch):
     p = tmp_path / "c3.gens"
     p.write_text("degree 3\ngen (1,2,3)\nexpect_order 3\n")
-    g = cat.build_group("file:c3.gens", base_dir=tmp_path)
-    assert g.order_value == 3
+    monkeypatch.chdir(tmp_path)
+    (entry,) = cat.build_catalog(["file:c3.gens"])
+    assert entry.group.order_value == 3
+    assert entry.group_id == "file:c3.gens"
 
 
 def test_generator_file_parse_error_names_line(tmp_path):

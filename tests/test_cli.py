@@ -296,6 +296,17 @@ def test_cli_mgroup_file_spec(capsys):
     assert code == 0 and "m: 11" in out
 
 
+@pytest.mark.parametrize("argv", [["mgroup", "file:bad.gens"], ["verify", "a", "file:bad.gens"]])
+def test_cli_generator_file_error_names_the_path_as_typed(tmp_path, capsys, monkeypatch, argv):
+    # a relative path is read against the working directory and reported
+    # as the user typed it, not made absolute
+    (tmp_path / "bad.gens").write_text("degree 5\ngen (1,2,3\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("abelmax: bad.gens:2: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["mgroup", "file:{dir}"],
     ["verify", "all", "--manifest", "{dir}"],

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from abelmax import CapacityError
 from abelmax.perms import DEFAULT_ENUM_CAP, TABLE_BYTES_CAP, PermGroup, Permutation
 
+_REPO = Path(__file__).resolve().parents[1]
+
 
 def cycles(degree, *cs):
     return Permutation.from_cycles(degree, cs)
@@ -138,12 +140,13 @@ def test_chain_is_deterministic(s4):
     ],
     ids=["m12", "j1", "agl3_2", "cyclic:30"],
 )
-def test_chain_base_and_orbits_are_pinned(spec, base, orbits):
+def test_chain_base_and_orbits_are_pinned(spec, base, orbits, monkeypatch):
     # row r of a level's transversal maps its base point to the r-th
     # point of the orbit, the identity first
     from abelmax.catalog import build_group
 
-    g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(_REPO)
+    g = build_group(spec)
     chain = g.chain
     assert chain.base == base
     assert [len(t) for t in chain._transversals] == orbits
@@ -272,7 +275,7 @@ def test_products_read_no_whole_rows():
     assert peak < 1 << 20, f"peak {peak} bytes"
 
 
-def test_products_hold_a_block_beside_their_result():
+def test_products_hold_a_block_beside_their_result(monkeypatch):
     # products forms its int64 flat indices for blocks of ``left`` of about
     # _ROW_BLOCK entries: on M12 (uint8 rows of degree 12, 5 base points) a
     # product by one element of all 95040 rows holds, beside its int64
@@ -282,7 +285,8 @@ def test_products_hold_a_block_beside_their_result():
 
     from abelmax.catalog import build_group
 
-    g = build_group("file:groups/m12.gens", base_dir=Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(_REPO)
+    g = build_group("file:groups/m12.gens")
     table = g.element_table()
     left = np.arange(len(table))
     tracemalloc.start()
@@ -296,7 +300,7 @@ def test_products_hold_a_block_beside_their_result():
     assert held < 1.5 * table.matrix.nbytes, f"{held} bytes beside the result"
 
 
-def test_table_keeps_its_rows_and_twelve_bytes_more_a_row():
+def test_table_keeps_its_rows_and_twelve_bytes_more_a_row(monkeypatch):
     # with M12's chain built, the traced bytes the table build leaves
     # behind are its matrix, each row's index key and its three int32
     # entries, and little else: no per-class member lists
@@ -304,7 +308,8 @@ def test_table_keeps_its_rows_and_twelve_bytes_more_a_row():
 
     from abelmax.catalog import build_group
 
-    g = build_group("file:groups/m12.gens", base_dir=Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(_REPO)
+    g = build_group("file:groups/m12.gens")
     tracemalloc.start()
     try:
         table = g.element_table()
@@ -481,15 +486,16 @@ _TABLE_DIGESTS = {
 }
 
 
-def test_element_tables_are_pinned():
+def test_element_tables_are_pinned(monkeypatch):
     import hashlib
 
     from abelmax.catalog import build_group, default_catalog_specs
 
     specs = [s.spec_string() for s in default_catalog_specs()] + ["file:groups/m12.gens"]
     assert sorted(specs) == sorted(_TABLE_DIGESTS)
+    monkeypatch.chdir(_REPO)
     for spec in specs:
-        g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+        g = build_group(spec)
         table = g.element_table()
         h = hashlib.sha256(table.matrix.tobytes())
         h.update(table.orders.astype(np.int64).tobytes())
@@ -521,14 +527,13 @@ def test_element_table_dtypes():
 @pytest.mark.parametrize(
     "spec", ["sym:5", "agl3_2", "psl2:13", *SHORT_BASE, "cyclic:2000", "file:groups/m12.gens"]
 )
-def test_element_table_base_prefix_sort_is_the_full_row_sort(spec):
+def test_element_table_base_prefix_sort_is_the_full_row_sort(spec, monkeypatch):
     # the table is sorted on columns 0..max(base) only; sorting on every
     # column must leave each block of equal element order as it is
-    from pathlib import Path
-
     from abelmax.catalog import build_group
 
-    g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(_REPO)
+    g = build_group(spec)
     table = g.element_table()
     matrix, orders = table.matrix, table.orders
     for o in np.unique(orders).tolist():
@@ -692,14 +697,15 @@ def test_normal_closure_of_several_elements_against_conjugate_products(spec):
     [("file:groups/m12.gens", [95040], True), ("pgl2:7", [168], False),
      ("pgl2:13", [1092], False), ("sym:6", [360], False)],
 )
-def test_minimal_normal_subgroups_and_simplicity_on_large_tables(spec, minimal, simple):
+def test_minimal_normal_subgroups_and_simplicity_on_large_tables(
+    spec, minimal, simple, monkeypatch
+):
     # normal closures are compared as sets of classes and expanded to
     # positions only for the minimal normal subgroups returned
-    from pathlib import Path
-
     from abelmax.catalog import build_group
 
-    g = build_group(spec, base_dir=Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(_REPO)
+    g = build_group(spec)
     got = g.minimal_normal_subgroups()
     assert [h.order_value for h in got] == minimal
     for h in got:
@@ -901,7 +907,8 @@ def test_element_table_closure_of_m12_takes_pinned_positions_in_few_lookups(monk
     from abelmax import perms
     from abelmax.catalog import build_group
 
-    g = build_group("file:groups/m12.gens", base_dir=Path(__file__).resolve().parents[1])
+    monkeypatch.chdir(_REPO)
+    g = build_group("file:groups/m12.gens")
     table = g.element_table()
     calls = []
     find = perms.BaseImageIndex.find

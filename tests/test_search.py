@@ -7,13 +7,9 @@ import pytest
 
 from abelmax import CapacityError
 from abelmax import catalog as cat
+from abelmax import verify as vf
 from abelmax.perms import ElementTable, PermGroup, Permutation
-from abelmax.search import (
-    max_abelian_brute,
-    max_abelian_normal,
-    max_abelian_order,
-    pgroup_bound_check,
-)
+from abelmax.search import max_abelian_brute, max_abelian_normal, max_abelian_order
 from abelmax.verify import catalog_pgroup_inputs
 
 
@@ -89,8 +85,9 @@ _REPO = Path(__file__).resolve().parents[1]
         pytest.param("file:groups/j1.gens", 19, 4, marks=pytest.mark.extended),
     ],
 )
-def test_search_node_counts_are_pinned(spec, m, nodes):
-    r = max_abelian_order(cat.build_group(spec, base_dir=_REPO))
+def test_search_node_counts_are_pinned(spec, m, nodes, monkeypatch):
+    monkeypatch.chdir(_REPO)
+    r = max_abelian_order(cat.build_group(spec))
     assert (r.m, r.nodes_explored) == (m, nodes)
 
 
@@ -204,7 +201,7 @@ def test_oracle_equivalence_spot(spec):
     [s.spec_string() for s in cat.default_catalog_specs()]
     + ["file:groups/m11.gens", "file:groups/m12.gens", "file:groups/j1.gens"],
 )
-def test_oracle_through_centralizers_of_prime_order_elements(spec):
+def test_oracle_through_centralizers_of_prime_order_elements(spec, monkeypatch):
     """The oracle above its cap: an abelian A > 1 holds an element x of
     prime order and lies in C_G(x), so m(G) is the largest m(C_G(x)) over
     the class representatives x of prime order.  Each C_G(x) is rebuilt
@@ -214,7 +211,8 @@ def test_oracle_through_centralizers_of_prime_order_elements(spec):
     centralizer from ``ElementTable.commuting``.  The rebuilt chain's
     order times the class size must be |G|, which checks the class sizes
     against an independent chain."""
-    g = cat.build_group(spec, base_dir=_REPO)
+    monkeypatch.chdir(_REPO)
+    g = cat.build_group(spec)
     table = g.element_table()
     best = 1
     for x, size in zip(*(a.tolist() for a in g.conjugacy_classes())):
@@ -357,29 +355,39 @@ def test_normal_search_orders_are_pinned():
 
 # ── p-group bound reports ───────────────────────────────────────────
 
+def _bound_report(pg):
+    """The detail and both verdicts of the lemma suite's two checks on pg."""
+    bound, burnside = vf.pgroup_bound_suite([("P", pg)]).checks
+    assert (bound.theorem, burnside.theorem) == ("pgroup_bound", "burnside")
+    assert bound.detail == burnside.detail
+    d = bound.detail
+    assert bound.m == d["p"] ** d["s"] and bound.order == d["p"] ** d["k"]
+    return d, bound.passed, burnside.passed
+
+
 def test_bound_report_d8():
-    r = pgroup_bound_check(cat.dihedral_group(4))
-    assert (r.p, r.k, r.s, r.v) == (2, 3, 2, 2)
-    assert r.k == r.s * (r.s + 1) // 2  # equality case
-    assert r.bound_holds and r.burnside_holds
+    d, bound_holds, burnside_holds = _bound_report(cat.dihedral_group(4))
+    assert (d["p"], d["k"], d["s"], d["v"]) == (2, 3, 2, 2)
+    assert d["k"] == d["s"] * (d["s"] + 1) // 2  # equality case
+    assert bound_holds and burnside_holds
 
 
 def test_bound_report_cyclic_p():
-    r = pgroup_bound_check(cat.cyclic_group(7))
-    assert (r.k, r.s, r.c) == (1, 1, 1)
-    assert r.bound_holds
+    d, bound_holds, _ = _bound_report(cat.cyclic_group(7))
+    assert (d["k"], d["s"], d["c"]) == (1, 1, 1)
+    assert bound_holds
 
 
 def test_bound_report_sylow2_s8():
     p2 = cat.sym_group(8).sylow_subgroup(2)
-    r = pgroup_bound_check(p2)
-    assert r.k == 7
-    assert r.s >= 4  # the bound forces an abelian normal subgroup of order >= 16
-    assert r.bound_holds and r.burnside_holds
+    d, bound_holds, burnside_holds = _bound_report(p2)
+    assert d["k"] == 7
+    assert d["s"] >= 4  # the bound forces an abelian normal subgroup of order >= 16
+    assert bound_holds and burnside_holds
 
 
 def test_bound_report_rejects_trivial_and_mixed():
     with pytest.raises(ValueError):
-        pgroup_bound_check(PermGroup.trivial(2))
+        vf.pgroup_bound_suite([("trivial", PermGroup.trivial(2))])
     with pytest.raises(ValueError):
-        pgroup_bound_check(cat.sym_group(3))
+        vf.pgroup_bound_suite([("sym:3", cat.sym_group(3))])

@@ -220,21 +220,21 @@ def test_two_prime_fingerprints_catch_aliases():
     assert all(c.detail["flagged"] and c.detail["expected"] for c in report.checks)
 
 
-def test_cyclic_group_of_a_sporadic_order_is_not_expected():
+def test_cyclic_group_of_a_sporadic_order_is_not_expected(monkeypatch):
     # order 175560 = |J1|, but abelian: only a simple group of that order
     # is J1, so the order alone must not put a group on the expected list
-    data = Path(__file__).parent / "data"
-    (entry,) = cat.build_catalog(["file:cyclic_175560.gens"], base_dir=data)
+    monkeypatch.chdir(Path(__file__).parent / "data")
+    (entry,) = cat.build_catalog(["file:cyclic_175560.gens"])
     assert entry.group.order_value == 175_560
     assert not vf.is_expected_two_prime_group(entry)
 
 
-def test_j1_verdicts_of_verify_all():
+def test_j1_verdicts_of_verify_all(monkeypatch):
     # J1 is the simple group behind the sporadic order 175560: its two
     # large primes 11 and 19 are expected, so the refined statement's
     # failure to divide is an expected exception, not a failed check
-    repo = Path(__file__).resolve().parents[1]
-    (entry,) = cat.build_catalog(["file:groups/j1.gens"], base_dir=repo)
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    (entry,) = cat.build_catalog(["file:groups/j1.gens"])
     report = vf.run_suite("all", [entry])
     rows = {c.theorem: c for c in report.checks if c.group_id == entry.group_id}
     assert report.all_passed and report.summary["expected_exceptions"] == 2
@@ -256,7 +256,7 @@ def test_equality_scan(entries):
     assert len(open_items) == 1 and open_items[0].m == 10
 
 
-def test_isomorphic_aliases_pass_every_suite():
+def test_isomorphic_aliases_pass_every_suite(monkeypatch):
     # S2, S3, S3, S4 and S5 under other family names, and groups of order
     # n! that are not S_n (SL(2,3), C2 x A4, SL(2,5), C2 x A5 and C5 x S4
     # from generator files); the equality verdict follows the group
@@ -264,7 +264,8 @@ def test_isomorphic_aliases_pass_every_suite():
     others = ["cyclic:6", "dihedral:12", "dihedral:60"] + [
         f"file:{name}.gens" for name in ("sl2_3", "c2_x_a4", "sl2_5", "c2_x_a5", "c5_x_s4")
     ]
-    entries = cat.build_catalog(aliases + others, base_dir=Path(__file__).parent / "data")
+    monkeypatch.chdir(Path(__file__).parent / "data")
+    entries = cat.build_catalog(aliases + others)
     report = vf.run_suite("all", entries)
     assert report.all_passed
     expected = {c.group_id: c.detail["expected"]
@@ -408,7 +409,7 @@ def test_reports_are_deterministic(entries):
     assert ja == jb
 
 
-def test_order_of_psl2_13_alone_is_not_expected(tmp_path):
+def test_order_of_psl2_13_alone_is_not_expected(tmp_path, monkeypatch):
     # 1092 = |PSL(2, 13)| with an element of order 13, but only a simple
     # group of that order is PSL(2, 13): neither the cyclic group nor
     # Frobenius 13:12 x C7 (on disjoint points) may be expected
@@ -420,7 +421,8 @@ def test_order_of_psl2_13_alone_is_not_expected(tmp_path):
         "expect_order 1092\n"
     )
     specs = ["cyclic:1092", "file:frob13_12_x_c7.gens", "psl2:13", "frobenius:13:12"]
-    entries = cat.build_catalog(specs, base_dir=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    entries = cat.build_catalog(specs)
     assert not entries[1].group.is_abelian()
     report = vf.two_large_prime_scan(entries)
     assert report.all_passed
