@@ -28,7 +28,8 @@ for check in report.checks:
 
 print()
 print("structural classification of the single-large-prime witnesses:")
-by_id = {e.group_id: e for e in entries}
+groups = dict(entries)
+m_of = {c.group_id: c.m for c in report.checks if c.theorem == "divisibility"}
 for gid in ["frobenius:5:4", "sym:3", "agammal1:3", "alt:5", "psl2:7"]:
-    rep = verify.classify_large_prime_case(by_id[gid])
-    print(f"  {gid:<14} -> {rep.case}")
+    case = verify.classify_large_prime_case(groups[gid], m_of[gid])
+    print(f"  {gid:<14} -> {case}")

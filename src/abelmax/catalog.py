@@ -22,7 +22,7 @@ order (a mismatch is a hard error).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -225,7 +225,7 @@ def _least_primitive_root(p: int) -> int:
     return next(g for g in range(2, p) if _mod_order(g, p) == p - 1)
 
 
-# ── spec strings and catalog entries ────────────────────────────────
+# ── spec strings and catalogs ───────────────────────────────────────
 
 # each family's number of spec parameters and its constructor
 _FAMILIES = {
@@ -293,25 +293,13 @@ def build_group(spec: GroupSpec | str) -> PermGroup:
     return builder(*spec.params)
 
 
-@dataclass
-class CatalogEntry:
-    """A built catalog group together with its spec-string identity."""
-
-    spec: GroupSpec
-    group: PermGroup
-    cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def group_id(self) -> str:
-        return self.spec.spec_string()
-
-
-def build_catalog(specs) -> list[CatalogEntry]:
+def build_catalog(specs) -> list[tuple[str, PermGroup]]:
+    """An ``(id, group)`` pair per spec; the id is the spec string."""
     entries = []
     for spec in specs:
         if isinstance(spec, str):
             spec = parse_spec(spec)
-        entries.append(CatalogEntry(spec, build_group(spec)))
+        entries.append((spec.spec_string(), build_group(spec)))
     return entries
 
 

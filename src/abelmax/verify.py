@@ -1,5 +1,10 @@
 """Structured check suites over group catalogs.
 
+A group to check is an ``(id, group)`` pair, as ``catalog.build_catalog``
+returns them; the id is the spec string that names the group in
+reports.  ``run_suite`` computes each group's m(G) once per run and
+hands it to every per-group check, ``check(gid, G, m)``.
+
 Each check produces a TheoremCheck record carrying every number that
 decided the verdict, so a report can be re-derived by hand.  Reports
 serialize to JSON (nested) and CSV (one row per check, columns
@@ -23,7 +28,9 @@ The checks:
                               m/2 are exactly the expected ones.
 * ``equality``              - |G| = g(m(G)) exactly for the symmetric
                               groups S2..S5 and nothing else, recognised
-                              by order and element-order profile.
+                              by order and element-order profile.  The
+                              suite ends with the order-64 sub-case as
+                              an open item.
 * ``pgroup_bound``/``burnside`` - exponent bounds on p-groups.
 """
 
@@ -36,9 +43,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .catalog import CatalogEntry, dihedral_group, elem_abelian_group
+from .catalog import dihedral_group, elem_abelian_group
 from .perms import DEFAULT_ENUM_CAP, PermGroup, Permutation
-from .search import MaxAbelianResult, max_abelian_normal, max_abelian_order
+from .search import max_abelian_normal, max_abelian_order
 
 PGROUP_SUITE_ORDER_BOUND = 10_000
 
@@ -55,15 +62,6 @@ class TheoremCheck:
     m: int
     order: int
     detail: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class LargePrimeReport:
-    group_id: str
-    order: nt.FactoredInteger
-    m: int
-    large_primes: list[int]
-    case: str  # none | case1_frobenius | case2_s3 | case3_agammal | case4_almost_simple | unclassified
 
 
 @dataclass
@@ -89,51 +87,38 @@ class VerificationReport:
         return self.summary["failed"] == 0
 
 
-def entry_max_abelian(entry: CatalogEntry) -> MaxAbelianResult:
-    """m(G) for a catalog entry, computed once and cached on the entry."""
-    result = entry.cache.get("max_abelian")
-    if result is None:
-        result = max_abelian_order(entry.group)
-        entry.cache["max_abelian"] = result
-    return result
-
-
 # ── per-group checks ────────────────────────────────────────────────
 
-def divisibility_check(entry: CatalogEntry) -> TheoremCheck:
+def divisibility_check(gid: str, G: PermGroup, m: int) -> TheoremCheck:
     """|G| divides the product of all prime powers <= m(G)."""
-    m = entry_max_abelian(entry).m
     g_m = nt.prime_power_product(m)
-    order = entry.group.order
+    order = G.order
     divides = order.divides(g_m)
     detail = {"g_m": g_m.value, "order_factored": order.factored_str()}
     if divides:
         detail["quotient"] = g_m.value // order.value
-    return TheoremCheck("divisibility", entry.group_id, divides, m, order.value, detail)
+    return TheoremCheck("divisibility", gid, divides, m, order.value, detail)
 
 
-def large_primes(entry: CatalogEntry) -> LargePrimeReport:
-    """Prime divisors of |G| strictly above m(G)/2."""
-    m = entry_max_abelian(entry).m
-    order = entry.group.order
-    primes = sorted(p for p in order.factors if p > m / 2)
-    return LargePrimeReport(entry.group_id, order, m, primes, "none")
+def large_primes(G: PermGroup, m: int) -> list[int]:
+    """Prime divisors of |G| strictly above m(G)/2, ascending."""
+    return sorted(p for p in G.order.factors if p > m / 2)
 
 
-def refined_divisibility_check(entry: CatalogEntry) -> TheoremCheck:
+def refined_divisibility_check(gid: str, G: PermGroup, m: int) -> TheoremCheck:
     """|G| divides p * g(m)/h(m) for some prime p in (m/2, m].
 
     Groups with two large prime divisors fall outside the statement and
     are marked as expected exceptions; everything else must divide.
     """
-    rep = large_primes(entry)
-    m, order = rep.m, entry.group.order
+    order = G.order
     if order.value == 1:
         return TheoremCheck(
-            "refined_divisibility", entry.group_id, True, m, 1,
+            "refined_divisibility", gid, True, m, 1,
             {"divides": True, "inequality_holds": True, "chosen_p": 0,
              "expected_exception": "", "note": "trivial group"},
         )
+    primes = large_primes(G, m)
     g_m = nt.prime_power_product(m)
     h_m = nt.upper_half_prime_product(m)
     base = g_m.exact_div(h_m)
@@ -151,42 +136,76 @@ def refined_divisibility_check(entry: CatalogEntry) -> TheoremCheck:
         "chosen_p": chosen,
         "divides": chosen != 0,
         "inequality_holds": inequality_holds,
-        "large_primes": " ".join(map(str, rep.large_primes)),
+        "large_primes": " ".join(map(str, primes)),
         "expected_exception": "",
     }
     passed = chosen != 0
-    if not passed and len(rep.large_primes) >= 2:
+    if not passed and len(primes) >= 2:
         # outside the hypothesis; the inequality separates the named pair
         detail["expected_exception"] = (
             "two_large_primes" if inequality_holds else "named_inequality_exception"
         )
         passed = True
+    return TheoremCheck("refined_divisibility", gid, passed, m, order.value, detail)
+
+
+def two_prime_check(gid: str, G: PermGroup, m: int) -> TheoremCheck:
+    """Two large primes are flagged exactly on the expected groups."""
+    primes = large_primes(G, m)
+    flagged = len(primes) >= 2
+    expected = is_expected_two_prime_group(G)
     return TheoremCheck(
-        "refined_divisibility", entry.group_id, passed, m, order.value, detail
+        "two_prime", gid, flagged == expected, m, G.order_value,
+        {"large_primes": " ".join(map(str, primes)), "flagged": flagged, "expected": expected},
+    )
+
+
+def equality_check(gid: str, G: PermGroup, m: int) -> TheoremCheck:
+    """|G| = prime_power_product(m(G)) exactly; equality only at S2..S5."""
+    g_m = nt.prime_power_product(m)
+    equal = G.order_value == g_m.value
+    # the equality statement concerns nontrivial groups; |G| = 1 = g(1)
+    # vacuously and is not counted against the expected set
+    expected = G.order_value == 1 or _is_small_symmetric(G)
+    return TheoremCheck(
+        "equality", gid, equal == expected, m, G.order_value,
+        {"g_m": g_m.value, "equal": equal, "expected": expected},
+    )
+
+
+def _order64_open_item() -> TheoremCheck:
+    # The m = 10 equality case would need every group of order 2^6 checked
+    # for an abelian subgroup of order >= 2^4; that sweep is outside desk
+    # scale, so the item is recorded as open instead of silently dropped.
+    return TheoremCheck(
+        "equality",
+        "order-64-exhaustive",
+        True,
+        10,
+        nt.prime_power_product(10).value,
+        {
+            "status": "open_unverified",
+            "expected_exception": "open_item",
+            "note": "needs all 267 groups of order 64; not desk-checkable",
+        },
     )
 
 
 # ── classification of the large-prime cases ─────────────────────────
 
-def classify_large_prime_case(entry: CatalogEntry) -> LargePrimeReport:
+def classify_large_prime_case(G: PermGroup, m: int) -> str:
     """Which structural case a group with a large prime divisor falls in.
 
     The cases are tested most-specific first; a group that fits none of
     the predicates under the caps is reported ``unclassified`` rather
     than guessed.
     """
-    # m(G) enumerates G; the structural tests read that table
-    rep = large_primes(entry)
-    if not rep.large_primes:
-        raise ValueError(f"{entry.group_id} has no large prime divisor")
-    rep.case = _large_prime_case(entry.group, rep.large_primes)
-    return rep
-
-
-def _large_prime_case(G: PermGroup, primes: list[int]) -> str:
+    primes = large_primes(G, m)
+    if not primes:
+        raise ValueError(f"group of order {G.order_value} with m = {m} has no large prime divisor")
     if G.order_value == 6 and not G.is_abelian():
         return "case2_s3"
-    for p in sorted(primes, reverse=True):
+    for p in reversed(primes):
         if G.order.factors.get(p) == 1:
             P = G.sylow_subgroup(p)
             if G.is_normal(P) and G.centralizer(P.generators).order_value == p:
@@ -209,7 +228,7 @@ def _large_prime_case(G: PermGroup, primes: list[int]) -> str:
     return "unclassified"
 
 
-# ── fingerprints for the expected two-large-prime set ───────────────
+# ── group fingerprints ──────────────────────────────────────────────
 
 _A5_ORDER_PROFILE = Counter({1: 1, 2: 15, 3: 20, 5: 24})
 
@@ -218,7 +237,7 @@ def _order_profile(group: PermGroup) -> Counter:
     return Counter(int(o) for o in group.element_table().orders)
 
 
-def is_expected_two_prime_group(entry: CatalogEntry) -> bool:
+def is_expected_two_prime_group(G: PermGroup) -> bool:
     """Order-plus-structure fingerprint for the groups allowed two large primes.
 
     Matches the order-6 nonabelian group, the order-60 simple group,
@@ -226,7 +245,6 @@ def is_expected_two_prime_group(entry: CatalogEntry) -> bool:
     (p+1)/2 prime) with an element of order p, and the nonabelian
     simple groups of the two sporadic orders.
     """
-    G = entry.group
     n = G.order_value
     if n == 6:
         return not G.is_abelian()
@@ -251,32 +269,6 @@ def is_expected_two_prime_group(entry: CatalogEntry) -> bool:
     return False
 
 
-# ── catalog scans ───────────────────────────────────────────────────
-
-def two_large_prime_scan(entries: list[CatalogEntry]) -> VerificationReport:
-    """Flag groups with two large primes; they must be exactly the expected set."""
-    checks = []
-    for entry in entries:
-        rep = large_primes(entry)
-        flagged = len(rep.large_primes) >= 2
-        expected = is_expected_two_prime_group(entry)
-        checks.append(
-            TheoremCheck(
-                "two_prime",
-                entry.group_id,
-                flagged == expected,
-                rep.m,
-                rep.order.value,
-                {
-                    "large_primes": " ".join(map(str, rep.large_primes)),
-                    "flagged": flagged,
-                    "expected": expected,
-                },
-            )
-        )
-    return VerificationReport.from_checks(checks)
-
-
 # the element-order profiles of S2..S5, keyed by the group order n!
 _SYMMETRIC_ORDER_PROFILES = {
     2: Counter({1: 1, 2: 1}),
@@ -296,50 +288,10 @@ def _is_small_symmetric(group: PermGroup) -> bool:
     return profile is not None and _order_profile(group) == profile
 
 
-def equality_scan(entries: list[CatalogEntry]) -> VerificationReport:
-    """Test |G| = prime_power_product(m(G)) exactly; equality only at S2..S5."""
-    checks = []
-    for entry in entries:
-        m = entry_max_abelian(entry).m
-        g_m = nt.prime_power_product(m)
-        equal = entry.group.order_value == g_m.value
-        # the equality statement concerns nontrivial groups; |G| = 1 = g(1)
-        # vacuously and is not counted against the expected set
-        expected = entry.group.order_value == 1 or _is_small_symmetric(entry.group)
-        checks.append(
-            TheoremCheck(
-                "equality",
-                entry.group_id,
-                equal == expected,
-                m,
-                entry.group.order_value,
-                {"g_m": g_m.value, "equal": equal, "expected": expected},
-            )
-        )
-    # The m = 10 equality case would need every group of order 2^6 checked
-    # for an abelian subgroup of order >= 2^4; that sweep is outside desk
-    # scale, so the item is recorded as open instead of silently dropped.
-    checks.append(
-        TheoremCheck(
-            "equality",
-            "order-64-exhaustive",
-            True,
-            10,
-            nt.prime_power_product(10).value,
-            {
-                "status": "open_unverified",
-                "expected_exception": "open_item",
-                "note": "needs all 267 groups of order 64; not desk-checkable",
-            },
-        )
-    )
-    return VerificationReport.from_checks(checks)
-
-
 # ── p-group suite ───────────────────────────────────────────────────
 
 def catalog_pgroup_inputs(
-    entries: list[CatalogEntry], enum_cap: int = DEFAULT_ENUM_CAP
+    entries: list[tuple[str, PermGroup]], enum_cap: int = DEFAULT_ENUM_CAP
 ) -> list[tuple[str, PermGroup]]:
     """Sylow subgroups of the catalog groups up to
     ``PGROUP_SUITE_ORDER_BOUND``, plus a fixed family of explicit
@@ -347,13 +299,13 @@ def catalog_pgroup_inputs(
     A Sylow subgroup is the subgroup itself, whose table is a slice of
     its group's, so only the explicit p-groups build stabilizer chains."""
     inputs: list[tuple[str, PermGroup]] = []
-    for entry in entries:
-        order = entry.group.order_value
+    for gid, G in entries:
+        order = G.order_value
         if order > PGROUP_SUITE_ORDER_BOUND or order == 1:
             continue
-        entry.group.element_table(enum_cap)
-        for p in entry.group.order.factors:
-            inputs.append((f"sylow({entry.group_id},{p})", entry.group.sylow_subgroup(p)))
+        G.element_table(enum_cap)
+        for p in G.order.factors:
+            inputs.append((f"sylow({gid},{p})", G.sylow_subgroup(p)))
     for n in (4, 8, 16, 32):
         inputs.append((f"dihedral:{n}", dihedral_group(n)))
     # the Sylow subgroups of sym:8 from explicit generators rather than
@@ -396,40 +348,48 @@ def pgroup_bound_suite(pgroups: list[tuple[str, PermGroup]]) -> VerificationRepo
     return VerificationReport.from_checks(checks)
 
 
-# ── suite drivers ───────────────────────────────────────────────────
+# ── suite driver ────────────────────────────────────────────────────
+
+# each per-group suite's check, in the order that "all" runs them;
+# "all" then ends with the p-group suite "lemma"
+_PER_GROUP_CHECKS = {
+    "a": divisibility_check,
+    "goh": refined_divisibility_check,
+    "twoprime": two_prime_check,
+    "equality": equality_check,
+}
+
 
 def run_suite(
     suite: str,
-    entries: list[CatalogEntry],
+    entries: list[tuple[str, PermGroup]],
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VerificationReport:
-    """Run one of the named suites: a, goh, lemma, twoprime, equality, all.
+    """Run one of the named suites (a, goh, lemma, twoprime, equality,
+    all) over ``(id, group)`` pairs.
 
     ``enum_cap`` is checked where tables are first built: here, on each
-    entry in order (every suite but ``lemma`` computes each m(G)), and in
+    group in order (for every suite but ``lemma``), and in
     ``catalog_pgroup_inputs`` for the p-groups that ``lemma`` checks.
+    Every suite but ``lemma`` then computes each m(G) once and passes it
+    to its checks; ``equality`` appends the order-64 open item.
     """
-    if suite == "lemma":
-        return pgroup_bound_suite(catalog_pgroup_inputs(entries, enum_cap))
-    if suite not in ("a", "goh", "twoprime", "equality", "all"):
+    if suite not in (*_PER_GROUP_CHECKS, "lemma", "all"):
         raise ValueError(
             f"unknown suite {suite!r}; valid: a, goh, lemma, twoprime, equality, all"
         )
-    for entry in entries:
-        entry.group.element_table(enum_cap)
-    if suite == "a":
-        return VerificationReport.from_checks([divisibility_check(e) for e in entries])
-    if suite == "goh":
-        return VerificationReport.from_checks(
-            [refined_divisibility_check(e) for e in entries]
-        )
-    if suite == "twoprime":
-        return two_large_prime_scan(entries)
-    if suite == "equality":
-        return equality_scan(entries)
-    checks = []  # "all": every suite's checks, in this order
-    for name in ("a", "goh", "twoprime", "equality", "lemma"):
-        checks.extend(run_suite(name, entries, enum_cap).checks)
+    checks = []
+    if suite != "lemma":
+        for _, G in entries:
+            G.element_table(enum_cap)
+        ms = [max_abelian_order(G).m for _, G in entries]
+        for name in _PER_GROUP_CHECKS if suite == "all" else (suite,):
+            check = _PER_GROUP_CHECKS[name]
+            checks += [check(gid, G, m) for (gid, G), m in zip(entries, ms)]
+            if name == "equality":
+                checks.append(_order64_open_item())
+    if suite in ("lemma", "all"):
+        checks += pgroup_bound_suite(catalog_pgroup_inputs(entries, enum_cap)).checks
     return VerificationReport.from_checks(checks)
 
 

@@ -94,13 +94,13 @@ def test_acceptance_02_extended_mathieu(path, expected):
 
 def test_acceptance_03_oracle_equivalence(entries):
     t0 = time.perf_counter()
-    small = [e for e in entries if e.group.order_value <= 2000]
+    small = [(gid, G) for gid, G in entries if G.order_value <= 2000]
     mismatches = []
-    for e in small:
-        a = vf.entry_max_abelian(e).m
-        b = max_abelian_brute(e.group).m
+    for gid, G in small:
+        a = max_abelian_order(G).m
+        b = max_abelian_brute(G).m
         if a != b:
-            mismatches.append((e.group_id, a, b))
+            mismatches.append((gid, a, b))
     elapsed = time.perf_counter() - t0
     ok = len(small) >= 15 and not mismatches and elapsed <= 300
     record(
@@ -157,11 +157,12 @@ def test_acceptance_06_refined_divisibility(entries):
 
 
 def test_acceptance_07_two_prime_scan_and_classification(entries):
-    report = vf.two_large_prime_scan(entries)
+    report = vf.run_suite("twoprime", entries)
     flagged = {c.group_id for c in report.checks if c.detail["flagged"]}
-    by_id = {e.group_id: e for e in entries}
+    groups = dict(entries)
+    m_of = {c.group_id: c.m for c in report.checks}
     cases = {
-        gid: vf.classify_large_prime_case(by_id[gid]).case
+        gid: vf.classify_large_prime_case(groups[gid], m_of[gid])
         for gid in ["frobenius:5:4", "sym:3", "agammal1:3", "alt:5", "psl2:7"]
     }
     ok = (
@@ -180,7 +181,7 @@ def test_acceptance_07_two_prime_scan_and_classification(entries):
 
 
 def test_acceptance_08_equality_scan(entries):
-    report = vf.equality_scan(entries)
+    report = vf.run_suite("equality", entries)
     equal = {c.group_id for c in report.checks if c.detail.get("equal")}
     ok = report.all_passed and equal == {"sym:2", "sym:3", "sym:4", "sym:5"}
     record(8, f"|G| = g(m) exactly at {sorted(equal)}", ok)

@@ -158,8 +158,8 @@ def test_parse_spec_errors():
 
 def test_build_catalog_ids():
     entries = cat.build_catalog(["sym:3", "alt:5"])
-    assert [e.group_id for e in entries] == ["sym:3", "alt:5"]
-    assert [e.group.order_value for e in entries] == [6, 60]
+    assert [gid for gid, _ in entries] == ["sym:3", "alt:5"]
+    assert [G.order_value for _, G in entries] == [6, 60]
 
 
 def test_default_catalog_builds_and_is_pinned():
@@ -215,9 +215,9 @@ def test_file_spec_resolves_against_the_working_directory(tmp_path, monkeypatch)
     p = tmp_path / "c3.gens"
     p.write_text("degree 3\ngen (1,2,3)\nexpect_order 3\n")
     monkeypatch.chdir(tmp_path)
-    (entry,) = cat.build_catalog(["file:c3.gens"])
-    assert entry.group.order_value == 3
-    assert entry.group_id == "file:c3.gens"
+    ((gid, G),) = cat.build_catalog(["file:c3.gens"])
+    assert G.order_value == 3
+    assert gid == "file:c3.gens"
 
 
 def test_generator_file_parse_error_names_line(tmp_path):

@@ -429,6 +429,18 @@ def test_cli_verify_bad_suite_is_usage_error(capsys):
     assert code == 2
 
 
+def test_cli_verify_suites_are_the_run_suite_names():
+    # the parser keeps its own list, so that building it imports no numpy
+    import argparse
+
+    from abelmax import verify as vf
+    from abelmax.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert sorted(suite.choices) == sorted([*vf._PER_GROUP_CHECKS, "lemma", "all"])
+
+
 def test_cli_enum_cap_must_be_positive(capsys):
     code, _, err = run_cli(capsys, "verify", "a", "sym:4", "--enum-cap", "0")
     assert code == 2 and "positive" in err

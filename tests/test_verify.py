@@ -10,6 +10,7 @@ import pytest
 from abelmax import catalog as cat
 from abelmax import numtheory as nt
 from abelmax import verify as vf
+from abelmax.search import max_abelian_order
 
 
 @pytest.fixture(scope="module")
@@ -19,35 +20,38 @@ def entries():
 
 @pytest.fixture(scope="module")
 def by_id(entries):
-    return {e.group_id: e for e in entries}
+    """(group, m(G)) of each default-catalog group, by id."""
+    return {gid: (G, max_abelian_order(G).m) for gid, G in entries}
 
 
-def entry_for(spec):
-    return cat.build_catalog([spec])[0]
+def checked(spec):
+    """The (id, group, m) arguments of a per-group check, for a fresh group."""
+    ((gid, G),) = cat.build_catalog([spec])
+    return gid, G, max_abelian_order(G).m
 
 
 # ── divisibility (unconditional) ────────────────────────────────────
 
 def test_divisibility_s5():
-    chk = vf.divisibility_check(entry_for("sym:5"))
+    chk = vf.divisibility_check(*checked("sym:5"))
     assert chk.passed and chk.m == 6
     assert chk.detail["g_m"] == 120 and chk.detail["quotient"] == 1
 
 
 def test_divisibility_a5():
-    chk = vf.divisibility_check(entry_for("alt:5"))
+    chk = vf.divisibility_check(*checked("alt:5"))
     assert chk.passed and chk.m == 5
     assert chk.detail["g_m"] == 120 and chk.detail["quotient"] == 2
 
 
 def test_divisibility_m11():
-    chk = vf.divisibility_check(entry_for("file:groups/m11.gens"))
+    chk = vf.divisibility_check(*checked("file:groups/m11.gens"))
     assert chk.passed and chk.m == 11
     assert chk.detail["g_m"] == 665280 and chk.detail["quotient"] == 84
 
 
 def test_divisibility_detail_supports_rederivation(by_id):
-    chk = vf.divisibility_check(by_id["sym:6"])
+    chk = vf.divisibility_check("sym:6", *by_id["sym:6"])
     assert chk.detail["g_m"] == nt.prime_power_product(chk.m).value
     assert chk.detail["g_m"] == chk.order * chk.detail["quotient"]
 
@@ -55,25 +59,25 @@ def test_divisibility_detail_supports_rederivation(by_id):
 # ── refined divisibility ────────────────────────────────────────────
 
 def test_refined_s4():
-    chk = vf.refined_divisibility_check(entry_for("sym:4"))
+    chk = vf.refined_divisibility_check(*checked("sym:4"))
     assert chk.passed and chk.detail["divides"]
     assert chk.detail["chosen_p"] == 3
     assert chk.detail["g_m"] == 24 and chk.detail["h_m"] == 3
 
 
 def test_refined_s5():
-    chk = vf.refined_divisibility_check(entry_for("sym:5"))
+    chk = vf.refined_divisibility_check(*checked("sym:5"))
     assert chk.passed and chk.detail["chosen_p"] == 5
 
 
 def test_refined_named_exceptions():
-    s3 = vf.refined_divisibility_check(entry_for("sym:3"))
+    s3 = vf.refined_divisibility_check(*checked("sym:3"))
     assert s3.passed
     assert not s3.detail["divides"]
     assert not s3.detail["inequality_holds"]  # 3*6/6 = 3 < 6
     assert s3.detail["expected_exception"] == "named_inequality_exception"
 
-    a5 = vf.refined_divisibility_check(entry_for("alt:5"))
+    a5 = vf.refined_divisibility_check(*checked("alt:5"))
     assert a5.passed
     assert not a5.detail["divides"]
     assert not a5.detail["inequality_holds"]  # 5*120/15 = 40 < 60
@@ -81,7 +85,7 @@ def test_refined_named_exceptions():
 
 
 def test_refined_two_prime_exemption_keeps_inequality():
-    chk = vf.refined_divisibility_check(entry_for("psl2:13"))
+    chk = vf.refined_divisibility_check(*checked("psl2:13"))
     assert chk.passed
     assert not chk.detail["divides"]
     assert chk.detail["inequality_holds"]
@@ -109,15 +113,15 @@ def test_refined_passes_catalog_except_exceptions(entries):
 # ── large primes and classification ─────────────────────────────────
 
 def test_large_primes_examples(by_id):
-    assert vf.large_primes(by_id["alt:5"]).large_primes == [3, 5]
-    assert vf.large_primes(by_id["psl2:13"]).large_primes == [7, 13]
-    assert vf.large_primes(by_id["sym:6"]).large_primes == [5]
+    assert vf.large_primes(*by_id["alt:5"]) == [3, 5]
+    assert vf.large_primes(*by_id["psl2:13"]) == [7, 13]
+    assert vf.large_primes(*by_id["sym:6"]) == [5]
 
 
 def test_large_primes_divide_order(by_id):
     for gid in ["alt:5", "psl2:13", "sym:6", "agl3_2"]:
-        rep = vf.large_primes(by_id[gid])
-        assert all(rep.order.value % p == 0 and p > rep.m / 2 for p in rep.large_primes)
+        G, m = by_id[gid]
+        assert all(G.order_value % p == 0 and p > m / 2 for p in vf.large_primes(G, m))
 
 
 @pytest.mark.parametrize(
@@ -131,51 +135,75 @@ def test_large_primes_divide_order(by_id):
     ],
 )
 def test_classification(by_id, gid, case):
-    assert vf.classify_large_prime_case(by_id[gid]).case == case
+    assert vf.classify_large_prime_case(*by_id[gid]) == case
 
 
 def test_classification_post_hoc_predicates(by_id):
     # re-verify each returned case from first principles
-    g = by_id["frobenius:5:4"].group
+    g = by_id["frobenius:5:4"][0]
     sylow5 = g.sylow_subgroup(5)
     assert g.is_normal(sylow5) and g.centralizer(sylow5.generators).order_value == 5
 
-    g = by_id["agammal1:3"].group
+    g = by_id["agammal1:3"][0]
     minimals = g.minimal_normal_subgroups()
     assert any(
-        h.order_value == 8 and h.is_abelian() and 7 in vf.large_primes(by_id["agammal1:3"]).large_primes
+        h.order_value == 8 and h.is_abelian() and 7 in vf.large_primes(*by_id["agammal1:3"])
         for h in minimals
     )
 
-    g = by_id["alt:5"].group
+    g = by_id["alt:5"][0]
     (n,) = g.minimal_normal_subgroups()
     assert n.order_value == 60 and g.centralizer(n.generators).order_value == 1
 
 
 def test_classification_requires_large_prime(by_id):
     with pytest.raises(ValueError, match="no large prime"):
-        vf.classify_large_prime_case(by_id["alt:8"])  # m = 16, no prime > 8
+        vf.classify_large_prime_case(*by_id["alt:8"])  # m = 16, no prime > 8
 
 
 def test_agammal1_2_classifies_as_case3():
     # the a = 2 field gives the order-24 symmetric group; the classifier
     # reports the elementary-abelian minimal normal subgroup case
-    entry = entry_for("agammal1:2")
-    assert vf.classify_large_prime_case(entry).case == "case3_agammal"
+    _, G, m = checked("agammal1:2")
+    assert vf.classify_large_prime_case(G, m) == "case3_agammal"
+
+
+def test_every_default_catalog_group_is_classified(by_id):
+    got = {}
+    for gid, (G, m) in by_id.items():
+        if vf.large_primes(G, m):
+            got.setdefault(vf.classify_large_prime_case(G, m), set()).add(gid)
+        else:
+            with pytest.raises(ValueError, match="no large prime"):
+                vf.classify_large_prime_case(G, m)
+            got.setdefault(None, set()).add(gid)
+    assert got == {
+        "case1_frobenius": {"sym:2", "frobenius:5:4", "frobenius:7:3"},
+        "case2_s3": {"sym:3"},
+        "case3_agammal": {"sym:4", "alt:4", "agammal1:3"},
+        "case4_almost_simple": {
+            "sym:5", "sym:6", "sym:7", "alt:5", "alt:6", "alt:7",
+            "psl2:7", "psl2:11", "psl2:13", "pgl2:7",
+        },
+        None: {
+            "alt:8", "cyclic:12", "cyclic:30", "dihedral:8", "dihedral:12",
+            "elem_abelian:3:2", "elem_abelian:2:4", "agammal1:4", "agl3_2",
+        },
+    }
 
 
 # ── scans ───────────────────────────────────────────────────────────
 
 def test_two_prime_scan_default_catalog(entries):
-    report = vf.two_large_prime_scan(entries)
+    report = vf.run_suite("twoprime", entries)
     assert report.all_passed
     flagged = {c.group_id for c in report.checks if c.detail["flagged"]}
     assert flagged == {"sym:3", "alt:5", "psl2:13"}
 
 
-def test_no_catalog_group_has_three_large_primes(entries):
-    for entry in entries:
-        assert len(vf.large_primes(entry).large_primes) <= 2
+def test_no_catalog_group_has_three_large_primes(by_id):
+    for G, m in by_id.values():
+        assert len(vf.large_primes(G, m)) <= 2
 
 
 def test_random_products_stay_in_group(entries):
@@ -185,8 +213,8 @@ def test_random_products_stay_in_group(entries):
     from abelmax.perms import Permutation
 
     rng = np.random.default_rng(20260809)
-    for entry in entries:
-        table = entry.group.element_table()
+    for _, G in entries:
+        table = G.element_table()
         n = len(table)
         for i, j in rng.integers(0, n, size=(1000, 2)):
             prod = Permutation(table.matrix[int(i)].tolist()) * Permutation(
@@ -197,7 +225,7 @@ def test_random_products_stay_in_group(entries):
 
 def test_two_prime_scan_subset_without_psl2_13():
     entries = cat.build_catalog(["sym:3", "alt:5", "sym:6", "pgl2:7"])
-    report = vf.two_large_prime_scan(entries)
+    report = vf.run_suite("twoprime", entries)
     assert report.all_passed
     flagged = {c.group_id for c in report.checks if c.detail["flagged"]}
     assert flagged == {"sym:3", "alt:5"}
@@ -205,7 +233,7 @@ def test_two_prime_scan_subset_without_psl2_13():
 
 def test_pgl2_13_not_flagged():
     entries = cat.build_catalog(["pgl2:13"])
-    report = vf.two_large_prime_scan(entries)
+    report = vf.run_suite("twoprime", entries)
     (chk,) = report.checks
     assert chk.passed and not chk.detail["flagged"]
     assert chk.m == 14  # p + 1
@@ -215,7 +243,7 @@ def test_pgl2_13_not_flagged():
 def test_two_prime_fingerprints_catch_aliases():
     # isomorphic copies under other family names are still expected
     entries = cat.build_catalog(["dihedral:3", "frobenius:3:2", "psl2:5"])
-    report = vf.two_large_prime_scan(entries)
+    report = vf.run_suite("twoprime", entries)
     assert report.all_passed
     assert all(c.detail["flagged"] and c.detail["expected"] for c in report.checks)
 
@@ -224,9 +252,9 @@ def test_cyclic_group_of_a_sporadic_order_is_not_expected(monkeypatch):
     # order 175560 = |J1|, but abelian: only a simple group of that order
     # is J1, so the order alone must not put a group on the expected list
     monkeypatch.chdir(Path(__file__).parent / "data")
-    (entry,) = cat.build_catalog(["file:cyclic_175560.gens"])
-    assert entry.group.order_value == 175_560
-    assert not vf.is_expected_two_prime_group(entry)
+    ((_, G),) = cat.build_catalog(["file:cyclic_175560.gens"])
+    assert G.order_value == 175_560
+    assert not vf.is_expected_two_prime_group(G)
 
 
 def test_j1_verdicts_of_verify_all(monkeypatch):
@@ -234,9 +262,9 @@ def test_j1_verdicts_of_verify_all(monkeypatch):
     # large primes 11 and 19 are expected, so the refined statement's
     # failure to divide is an expected exception, not a failed check
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    (entry,) = cat.build_catalog(["file:groups/j1.gens"])
-    report = vf.run_suite("all", [entry])
-    rows = {c.theorem: c for c in report.checks if c.group_id == entry.group_id}
+    entries = cat.build_catalog(["file:groups/j1.gens"])
+    report = vf.run_suite("all", entries)
+    rows = {c.theorem: c for c in report.checks if c.group_id == "file:groups/j1.gens"}
     assert report.all_passed and report.summary["expected_exceptions"] == 2
     assert {(c.m, c.order) for c in rows.values()} == {(19, 175_560)}
     assert rows["divisibility"].detail["quotient"] == 254_592
@@ -248,7 +276,7 @@ def test_j1_verdicts_of_verify_all(monkeypatch):
 
 
 def test_equality_scan(entries):
-    report = vf.equality_scan(entries)
+    report = vf.run_suite("equality", entries)
     assert report.all_passed
     equal = {c.group_id for c in report.checks if c.detail.get("equal")}
     assert equal == {"sym:2", "sym:3", "sym:4", "sym:5"}
@@ -377,6 +405,23 @@ def test_run_suite_all_builds_chains_only_for_explicit_pgroups(monkeypatch):
     assert len(built) == 9
 
 
+def test_run_suite_computes_each_m_once(entries, monkeypatch):
+    searched = []
+    search = vf.max_abelian_order
+
+    def counting(G):
+        searched.append(G)
+        return search(G)
+
+    monkeypatch.setattr(vf, "max_abelian_order", counting)
+    vf.run_suite("all", entries)
+    assert len(searched) == 26
+    assert all(a is b for a, (_, b) in zip(searched, entries))
+    searched.clear()
+    vf.run_suite("lemma", entries)
+    assert searched == []
+
+
 def test_run_suite_rejects_unknown(entries):
     with pytest.raises(ValueError, match="unknown suite"):
         vf.run_suite("everything", entries)
@@ -423,8 +468,8 @@ def test_order_of_psl2_13_alone_is_not_expected(tmp_path, monkeypatch):
     specs = ["cyclic:1092", "file:frob13_12_x_c7.gens", "psl2:13", "frobenius:13:12"]
     monkeypatch.chdir(tmp_path)
     entries = cat.build_catalog(specs)
-    assert not entries[1].group.is_abelian()
-    report = vf.two_large_prime_scan(entries)
+    assert not entries[1][1].is_abelian()
+    report = vf.run_suite("twoprime", entries)
     assert report.all_passed
     assert [c.detail["expected"] for c in report.checks] == [False, False, True, False]
     assert [c.detail["flagged"] for c in report.checks] == [False, False, True, False]
