@@ -1,10 +1,11 @@
 """Constructors for the named group families, plus generator-file ingestion.
 
-Families are addressed by compact spec strings (`sym:5`, `psl2:13`,
-`frobenius:5:4`, `agammal1:3`, `agl3_2`, `file:groups/m11.gens`); the
-same strings are used as group identifiers in reports and on the
-command line.  Catalog manifests are plain text files with one spec
-string per line and `#` comments.
+A group's only name is its canonical spec string (`sym:5`, `psl2:13`,
+`frobenius:5:4`, `agammal1:3`, `agl3_2`, `file:groups/m11.gens`), on
+the command line, in manifests and as its id in reports.
+``build_catalog`` turns specs into ``(id, group)`` pairs; every checked
+group comes in through it.  Catalog manifests are plain text files
+with one spec string per line and `#` comments.
 
 Generator files use 1-indexed disjoint-cycle notation:
 
@@ -22,7 +23,6 @@ order (a mismatch is a hard error).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -243,64 +243,47 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A parsed group spec: family tag plus integer params or a file path."""
-
-    family: str
-    params: tuple[int, ...] = ()
-    path: str | None = None
-
-    def spec_string(self) -> str:
-        if self.family == "file":
-            return f"file:{self.path}"
-        return ":".join([self.family, *map(str, self.params)])
-
-
-def parse_spec(text: str) -> GroupSpec:
+def parse_spec(text: str) -> str:
+    """The canonical form of a spec: stripped, with decimal integer
+    parameters (``" sym:05 "`` gives ``"sym:5"``).  Raises ValueError for an
+    unknown family, a wrong parameter count or a non-integer parameter."""
     text = text.strip()
     if text.startswith("file:"):
         path = text[len("file:") :].strip()
         if not path:
             raise ValueError("file spec needs a path, e.g. file:groups/m11.gens")
-        return GroupSpec("file", (), path)
-    parts = text.split(":")
-    family = parts[0]
+        return f"file:{path}"
+    family, *args = text.split(":")
     if family not in _FAMILIES:
         raise ValueError(
             f"unknown group family {family!r}; valid families: "
             + ", ".join(sorted(_FAMILIES)) + ", file"
         )
     arity, _ = _FAMILIES[family]
-    args = parts[1:]
     if len(args) != arity:
         raise ValueError(f"{family} takes {arity} parameter(s), got {len(args)}")
     try:
-        params = tuple(int(a) for a in args)
+        params = [int(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer parameter in spec {text!r}") from None
-    return GroupSpec(family, params)
+    return ":".join([family, *map(str, params)])
 
 
-def build_group(spec: GroupSpec | str) -> PermGroup:
-    """The group of a spec; a generator file's path is read as given, so a
-    relative one resolves against the working directory."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    if spec.family == "file":
-        return load_generator_file(spec.path)
-    _, builder = _FAMILIES[spec.family]
-    return builder(*spec.params)
+def build_group(spec: str) -> PermGroup:
+    """The group of a canonical spec; a generator file's path is read as
+    given, so a relative one resolves against the working directory."""
+    if spec.startswith("file:"):
+        return load_generator_file(spec[len("file:") :])
+    family, *params = spec.split(":")
+    _, builder = _FAMILIES[family]
+    return builder(*map(int, params))
 
 
 def build_catalog(specs) -> list[tuple[str, PermGroup]]:
-    """An ``(id, group)`` pair per spec; the id is the spec string."""
-    entries = []
-    for spec in specs:
-        if isinstance(spec, str):
-            spec = parse_spec(spec)
-        entries.append((spec.spec_string(), build_group(spec)))
-    return entries
+    """An ``(id, group)`` pair per spec; the id is the canonical spec.
+    Every spec is parsed before any group is built."""
+    canonical = [parse_spec(spec) for spec in specs]
+    return [(spec, build_group(spec)) for spec in canonical]
 
 
 # ── generator files and manifests ───────────────────────────────────
@@ -358,6 +341,10 @@ def load_generator_file(path: str | Path) -> PermGroup:
                     )
                 gens.append(_parse_cycles(rest, degree, str(path), lineno))
             elif key == "expect_order":
+                if expect_order is not None:
+                    raise GeneratorFileError(
+                        "duplicate expect_order line", str(path), lineno
+                    )
                 if not rest.isdigit():
                     raise GeneratorFileError(
                         f"expect_order must be an integer, got {rest!r}",
@@ -380,7 +367,7 @@ def load_generator_file(path: str | Path) -> PermGroup:
     return group
 
 
-def _parse_manifest(text: str) -> list[GroupSpec]:
+def _parse_manifest(text: str) -> list[str]:
     """One spec string per line; `#` starts a comment, blank lines are skipped."""
     specs = []
     for raw in text.splitlines():
@@ -390,12 +377,12 @@ def _parse_manifest(text: str) -> list[GroupSpec]:
     return specs
 
 
-def load_manifest(path: str | Path) -> list[GroupSpec]:
-    """Read a catalog manifest: one spec string per line, `#` comments."""
+def load_manifest(path: str | Path) -> list[str]:
+    """A catalog manifest's canonical specs: one per line, `#` comments."""
     return _parse_manifest(Path(path).read_text(encoding="utf-8"))
 
 
-def default_catalog_specs() -> list[GroupSpec]:
-    """The pinned default catalog shipped with the package."""
+def default_catalog_specs() -> list[str]:
+    """The canonical specs of the pinned default catalog shipped with the package."""
     data = resources.files("abelmax").joinpath("data/default_catalog.txt")
     return _parse_manifest(data.read_text(encoding="utf-8"))

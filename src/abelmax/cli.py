@@ -19,8 +19,10 @@ Subcommands:
 
 Group specs use the catalog DSL (`sym:5`, `psl2:13`, `frobenius:5:4`,
 `agammal1:3`, `agl3_2`, `file:groups/m11.gens`); file paths resolve
-against the working directory.  A flag given to a subcommand that does
-not take it is a usage error.  Flags are the only settings.
+against the working directory, and a group is named by its canonical
+spec (`sym:05` prints as `sym:5`).  ``--manifest`` with specs is a
+usage error, even with an empty path.  A flag given to a subcommand
+that does not take it is a usage error.  Flags are the only settings.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error (including a path that cannot be read or
@@ -139,7 +141,7 @@ def _cmd_mgroup(args) -> int:
     group = catalog.build_group(spec)
     group.element_table(args.enum_cap or DEFAULT_ENUM_CAP)
     result = max_abelian_order(group)
-    print(f"group: {spec.spec_string()}")
+    print(f"group: {spec}")
     print(f"order: {group.order_value} = {group.order.factored_str()}")
     print(f"m: {result.m}")
     gens = " ".join(g.cycle_string() for g in result.witness.generators) or "()"
@@ -153,14 +155,12 @@ def _cmd_verify(args) -> int:
     from . import catalog, verify
     from .perms import DEFAULT_ENUM_CAP
 
-    if args.manifest and args.specs:
-        raise ValueError("give group specs or --manifest, not both")
-    if args.manifest:
+    if args.manifest is not None:
+        if args.specs:
+            raise ValueError("give group specs or --manifest, not both")
         specs = catalog.load_manifest(args.manifest)
-    elif args.specs:
-        specs = [catalog.parse_spec(s) for s in args.specs]
     else:
-        specs = catalog.default_catalog_specs()
+        specs = args.specs or catalog.default_catalog_specs()
     entries = catalog.build_catalog(specs)
     report = verify.run_suite(args.suite, entries, enum_cap=args.enum_cap or DEFAULT_ENUM_CAP)
     if args.format == "json":

@@ -186,10 +186,6 @@ class FactoredInteger(_Record):
         self.value = value
 
     @classmethod
-    def one(cls) -> "FactoredInteger":
-        return cls({}, 1)
-
-    @classmethod
     def from_factors(cls, factors: dict[int, int]) -> "FactoredInteger":
         value = 1
         for p in sorted(factors):

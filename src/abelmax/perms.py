@@ -305,7 +305,7 @@ class StabilizerChain:
 
     def order(self) -> FactoredInteger:
         sizes = (FactoredInteger.from_int(len(t)) for t in self._transversals)
-        return math.prod(sizes, start=FactoredInteger.one())
+        return math.prod(sizes, start=FactoredInteger())
 
 
 # BaseImageIndex.search sorts this many keys or more before it searches:

@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .catalog import dihedral_group, elem_abelian_group
+from .catalog import build_catalog
 from .perms import DEFAULT_ENUM_CAP, PermGroup, Permutation
 from .search import max_abelian_normal, max_abelian_order
 
@@ -294,8 +294,9 @@ def catalog_pgroup_inputs(
     entries: list[tuple[str, PermGroup]], enum_cap: int = DEFAULT_ENUM_CAP
 ) -> list[tuple[str, PermGroup]]:
     """Sylow subgroups of the catalog groups up to
-    ``PGROUP_SUITE_ORDER_BOUND``, plus a fixed family of explicit
-    p-groups, each with its element table built under ``enum_cap``.
+    ``PGROUP_SUITE_ORDER_BOUND``, plus explicit p-groups (dihedral and
+    elementary abelian ones from ``build_catalog``, and sym:8's two Sylow
+    subgroups from generators), each with its table built under ``enum_cap``.
     A Sylow subgroup is the subgroup itself, whose table is a slice of
     its group's, so only the explicit p-groups build stabilizer chains."""
     inputs: list[tuple[str, PermGroup]] = []
@@ -306,17 +307,14 @@ def catalog_pgroup_inputs(
         G.element_table(enum_cap)
         for p in G.order.factors:
             inputs.append((f"sylow({gid},{p})", G.sylow_subgroup(p)))
-    for n in (4, 8, 16, 32):
-        inputs.append((f"dihedral:{n}", dihedral_group(n)))
+    inputs += build_catalog(f"dihedral:{n}" for n in (4, 8, 16, 32))
     # the Sylow subgroups of sym:8 from explicit generators rather than
     # an enumeration of its 40320 elements: C2 wr C2 wr C2 and C3 x C3
     wreath = [[(0, 1)], [(0, 2), (1, 3)], [(0, 4), (1, 5), (2, 6), (3, 7)]]
     for p, cycles in ((2, wreath), (3, [[(0, 1, 2)], [(3, 4, 5)]])):
         gens = [Permutation.from_cycles(8, c) for c in cycles]
         inputs.append((f"sylow(sym:8,{p})", PermGroup(gens)))
-    inputs.append(("elem_abelian:2:4", elem_abelian_group(2, 4)))
-    inputs.append(("elem_abelian:3:2", elem_abelian_group(3, 2)))
-    inputs.append(("elem_abelian:5:2", elem_abelian_group(5, 2)))
+    inputs += build_catalog(["elem_abelian:2:4", "elem_abelian:3:2", "elem_abelian:5:2"])
     for _, pgroup in inputs:
         pgroup.element_table(enum_cap)
     return inputs

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from abelmax import GeneratorFileError
 from abelmax import catalog as cat
+from abelmax import perms
 from abelmax.perms import Permutation
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -144,7 +145,7 @@ def test_gf_rejects_unsupported_exponent():
 def test_parse_spec_roundtrip():
     for text in ["sym:5", "alt:7", "psl2:13", "frobenius:5:4", "agammal1:3",
                  "agl3_2", "file:groups/m11.gens"]:
-        assert cat.parse_spec(text).spec_string() == text
+        assert cat.parse_spec(text) == text
 
 
 def test_parse_spec_errors():
@@ -160,19 +161,38 @@ def test_build_catalog_ids():
     entries = cat.build_catalog(["sym:3", "alt:5"])
     assert [gid for gid, _ in entries] == ["sym:3", "alt:5"]
     assert [G.order_value for _, G in entries] == [6, 60]
+    # an id is the canonical spec, not the text as given
+    entries = cat.build_catalog([" sym:05 ", "frobenius:05:4"])
+    assert [gid for gid, _ in entries] == ["sym:5", "frobenius:5:4"]
+    assert [G.order_value for _, G in entries] == [120, 20]
+
+
+def test_build_catalog_rejects_a_bad_spec_before_building_any_group(monkeypatch):
+    built = []
+    real_chain = perms.StabilizerChain
+
+    def recording_chain(*args):
+        built.append(args)
+        return real_chain(*args)
+
+    monkeypatch.setattr(perms, "StabilizerChain", recording_chain)
+    with pytest.raises(ValueError, match="unknown group family 'monster'"):
+        cat.build_catalog(["sym:3", "monster"])
+    assert built == []
+    cat.build_catalog(["sym:3"])
+    assert len(built) == 1
 
 
 def test_default_catalog_builds_and_is_pinned():
-    specs = cat.default_catalog_specs()
-    ids = [s.spec_string() for s in specs]
+    ids = cat.default_catalog_specs()
     assert ids[:4] == ["sym:2", "sym:3", "sym:4", "sym:5"]
     assert "psl2:13" in ids and "agl3_2" in ids
     assert len(ids) == len(set(ids))
-    assert not any(s.family == "file" for s in specs)
+    assert not any(s.startswith("file:") for s in ids)
 
 
 def test_extended_catalog_adds_file_groups():
-    ids = [s.spec_string() for s in cat.load_manifest(_EXTENDED)]
+    ids = cat.load_manifest(_EXTENDED)
     assert "file:groups/m11.gens" in ids and "file:groups/m12.gens" in ids
 
 
@@ -208,7 +228,7 @@ def test_j1_file_is_rederived_from_janko_matrices():
 def test_j1_is_in_no_pinned_catalog():
     # the pinned catalogs' reports stay as they are; J1 is run by name
     for specs in (cat.default_catalog_specs(), cat.load_manifest(_EXTENDED)):
-        assert not any("j1" in s.spec_string() for s in specs)
+        assert not any("j1" in s for s in specs)
 
 
 def test_file_spec_resolves_against_the_working_directory(tmp_path, monkeypatch):
@@ -234,6 +254,13 @@ def test_generator_file_order_mismatch_is_hard_error(tmp_path):
         cat.load_generator_file(p)
 
 
+def test_generator_file_rejects_a_second_expect_order(tmp_path):
+    p = tmp_path / "twice.gens"
+    p.write_text("degree 3\ngen (1,2,3)\nexpect_order 6\nexpect_order 3\n")
+    with pytest.raises(GeneratorFileError, match=r"twice\.gens:4: duplicate expect_order line"):
+        cat.load_generator_file(p)
+
+
 def test_generator_file_rejects_out_of_range_point(tmp_path):
     p = tmp_path / "range.gens"
     p.write_text("degree 3\ngen (1,2,4)\n")
@@ -252,4 +279,4 @@ def test_manifest_loading(tmp_path):
     p = tmp_path / "cat.txt"
     p.write_text("# a comment\nsym:3\n\nalt:5  # trailing comment\n")
     specs = cat.load_manifest(p)
-    assert [s.spec_string() for s in specs] == ["sym:3", "alt:5"]
+    assert specs == ["sym:3", "alt:5"]

@@ -283,6 +283,11 @@ def test_cli_mgroup_sym6(capsys):
     assert code == 0 and "m: 9" in out
 
 
+def test_cli_mgroup_names_the_group_by_its_canonical_spec(capsys):
+    code, out, _ = run_cli(capsys, "mgroup", "sym:05")
+    assert code == 0 and out.splitlines()[0] == "group: sym:5"
+
+
 def test_cli_mgroup_degree_above_uint16(tmp_path, capsys):
     # points up to 69999 do not fit the 16-bit rows of smaller degrees
     path = tmp_path / "big.gens"
@@ -562,6 +567,15 @@ def test_cli_verify_manifest_and_specs_conflict(capsys, tmp_path):
         capsys, "verify", "a", "sym:5", "--manifest", str(manifest)
     )
     assert code == 2 and "not both" in err
+
+
+@pytest.mark.parametrize("specs", [[], ["sym:3"]])
+def test_cli_verify_empty_manifest_path_is_usage_error(capsys, specs):
+    # an empty --manifest is given, not absent: it neither falls back to
+    # the default catalog nor lets the specs through
+    code, out, err = run_cli(capsys, "verify", "a", *specs, "--manifest", "")
+    assert code == 2 and out == ""
+    assert ("not both" in err) == bool(specs)
 
 
 def test_cli_verify_handles_trivial_group(capsys):

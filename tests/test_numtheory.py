@@ -134,7 +134,7 @@ def test_factored_integer_roundtrip():
 
 
 def test_factored_integer_one():
-    assert nt.FactoredInteger.one().value == 1
+    assert nt.FactoredInteger().value == 1
     assert nt.FactoredInteger.from_int(1).factors == {}
 
 
@@ -161,7 +161,6 @@ def test_record_classes_compare_and_print_as_dataclasses_did():
     assert fi != nt.FactoredInteger({2: 2, 3: 1}, 24)
     assert fi != ({2: 2, 3: 1}, 12)
     assert repr(fi) == "FactoredInteger(factors={2: 2, 3: 1}, value=12)"
-    assert nt.FactoredInteger() == nt.FactoredInteger.one()
     with pytest.raises(TypeError):
         hash(fi)
     s = nt.AsymptoticSample(1000, 599.5, 1.199)

@@ -491,7 +491,7 @@ def test_element_tables_are_pinned(monkeypatch):
 
     from abelmax.catalog import build_group, default_catalog_specs
 
-    specs = [s.spec_string() for s in default_catalog_specs()] + ["file:groups/m12.gens"]
+    specs = default_catalog_specs() + ["file:groups/m12.gens"]
     assert sorted(specs) == sorted(_TABLE_DIGESTS)
     monkeypatch.chdir(_REPO)
     for spec in specs:

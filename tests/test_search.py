@@ -198,7 +198,7 @@ def test_oracle_equivalence_spot(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    [s.spec_string() for s in cat.default_catalog_specs()]
+    cat.default_catalog_specs()
     + ["file:groups/m11.gens", "file:groups/m12.gens", "file:groups/j1.gens"],
 )
 def test_oracle_through_centralizers_of_prime_order_elements(spec, monkeypatch):
