@@ -1,6 +1,6 @@
 """Compute maximal abelian subgroup orders, with witnesses.
 
-Builds a handful of groups from the catalog, runs the branch-and-bound
+Builds a handful of groups from the catalog, runs the centralizer
 search, and cross-checks the small ones against the exhaustive oracle.
 The witness generators printed for each group really do commute and
 really do generate a subgroup of the stated order; the test suite

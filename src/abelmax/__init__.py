@@ -5,7 +5,7 @@ The package has six parts:
 * ``numtheory`` - exact prime-power products and log-space bound arithmetic
 * ``perms``     - permutations, stabilizer chains, subgroup machinery
 * ``catalog``   - constructors for the named group families and generator files
-* ``search``    - the branch-and-bound search for the maximal abelian order
+* ``search``    - the centralizer search for the maximal abelian order
 * ``verify``    - the structured check suites and report serialization
 * ``cli``       - the ``abelmax`` command-line front end
 """

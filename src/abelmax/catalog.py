@@ -271,7 +271,17 @@ def parse_spec(text: str) -> str:
 
 def build_group(spec: str) -> PermGroup:
     """The group of a canonical spec; a generator file's path is read as
-    given, so a relative one resolves against the working directory."""
+    given, so a relative one resolves against the working directory.
+    Raises ValueError for a spec that ``parse_spec`` would change or
+    reject (``sym:05``, ``monster``): pass it through ``parse_spec`` first."""
+    try:
+        canonical = parse_spec(spec)
+    except ValueError:
+        canonical = None
+    if canonical != spec:
+        raise ValueError(
+            f"{spec!r} is not a canonical group spec; pass it through parse_spec first"
+        )
     if spec.startswith("file:"):
         return load_generator_file(spec[len("file:") :])
     family, *params = spec.split(":")

@@ -158,6 +158,8 @@ def _cmd_verify(args) -> int:
     if args.manifest is not None:
         if args.specs:
             raise ValueError("give group specs or --manifest, not both")
+        if not args.manifest:
+            raise ValueError("--manifest needs a file path, got an empty one")
         specs = catalog.load_manifest(args.manifest)
     else:
         specs = args.specs or catalog.default_catalog_specs()

@@ -410,7 +410,7 @@ class ElementTable:
     element order.  A subgroup, like every set of positions the table
     takes or returns, is an ascending, duplicate-free int64 array of
     positions.  Adjoining an element x that normalizes a subgroup H (Sylow
-    growth, the search's nodes) is ``extend``, which forms H<x> from the
+    growth, the abelian-normal search) is ``extend``, which forms H<x> from the
     powers of x in one gather; a subgroup from arbitrary generators is
     ``closure``, Dimino's algorithm.  A subgroup is normal exactly when its
     positions are a union of whole classes, ``is_class_union``, and its own
@@ -855,7 +855,7 @@ class PermGroup:
         and adjoins, until |P| is the p-part of the group order, the first
         p-element outside P (in the table's canonical order) that
         conjugates every generator of P into P.  That element normalizes
-        P, so ``ElementTable.extend``, the search's closure step, gives
+        P, so ``ElementTable.extend`` gives
         the larger subgroup.  Each step tests all the p-elements outside P
         at once, one generator of P at a time, on base images.
         """

@@ -1,43 +1,44 @@
 """Search for abelian subgroups of maximal order.
 
-``max_abelian_order`` is the production search: a depth-first
-branch-and-bound over abelian subgroups.  Each node holds a genuine
-subgroup (the closure of the elements adjoined so far, never a bare
-commuting set); children adjoin one element of the node's centralizer
-at a time, in the canonical order of the group's ``ElementTable``
-(identity first, then element order descending, then image tuple
-ascending; ``perms`` owns that order and this module only reads row
-positions from it), and each adjoined element must come later in that
-order than the previous choice, which eliminates permuted revisits of
-the same chain.  Adjoining is ``ElementTable.extend``, H<x> in one
-gather, which Sylow growth in ``perms`` uses as well.  A node's
-subgroup, centralizer and candidates are ascending int64 position
-arrays.  A subtree is cut when the centralizer of its subgroup is no
-larger than the best order found so far, since every abelian overgroup
-of A lies inside C_G(A).  The walk is rooted once per
-conjugacy class, at the class representatives ``conjugacy_classes``
-returns (the quantity searched for is conjugation-invariant, and any
-abelian subgroup is reached from the class representative of one of
-its elements), and is seeded with the best cyclic order so the
-bound bites immediately.
+``max_abelian_order`` is the production search, a memoized recursion
+over centralizers.  Every maximal abelian subgroup B of a group C
+contains the center Z(C).  If B is larger, it holds a non-central
+element, which conjugation in C moves to a class representative x of
+C; the conjugate of B is abelian, of the same order, and lies in
+C_C(x).  So
 
-Centralizers are computed inside the parent's centralizer.  A root is
-skipped on its class size alone, since |C(x)| = |G| / |x^G|; a root
-that survives gets its centralizer over the whole table once, and a
-child's is C(<A, x>) = C(A) ∩ C(x), read from ``ElementTable.commuting``
-over the rows of C(A) only.  A node tests its candidates against C(A) a
-block of rows at a time, so a node makes a few numpy calls rather than
-several per candidate.  A child's candidates are read from its row of
-that block, and the members of its subgroup are dropped by a
-``searchsorted``.  Candidates are elements of C(A), so the work per node
-shrinks with the centralizer instead of staying |G|.
+    m(C) = max(|Z(C)|, m(C_C(x)) over the non-central class reps x of C),
 
-``max_abelian_normal`` runs the same walk on a p-group and shares the
-centralizer bound: only normal subgroups count as found, and a subtree
-is cut when its centralizer is no larger than the best normal order so
-far.  A subgroup is normal exactly when its positions are a union of
-whole conjugacy classes (``ElementTable.is_class_union``), so it
-contains the class representatives at which the walk is rooted.
+and each C_C(x) is a proper subgroup of C.  A node is a centralizer
+C = C_G(X), held as its ascending int64 positions in G's
+``ElementTable``.  Its classes come from its own table: the root is G
+and reads G's table, and every other node is a ``_subgroup`` of G whose
+table is a slice of G's.  A node offers Z(C), the union of its classes
+of size one, as a candidate.  A child is C_C(x), the members of C that
+commute with x (``ElementTable.commuting`` over C's positions alone).
+Children are taken in ascending class size |x^C|, so in descending
+order |C_C(x)| = |C| / |x^C|, and the walk leaves a node at the first
+child no larger than the best order found: every abelian subgroup of
+that child, and of each later one, is no larger.  The best order is
+seeded with the cyclic subgroup of row 1, an element of maximal order
+in the canonical order that ``perms`` owns.  Different routes reach the
+same centralizer (C_G(x) ∩ C_G(y) from x or from y), so nodes are
+memoized by their positions, and each distinct centralizer is expanded
+once; ``nodes_explored`` counts them.
+
+``max_abelian_normal`` walks the abelian normal subgroups of a p-group
+P.  A largest one contains Z(P), since its product with Z(P) is abelian
+and normal, and every abelian normal N containing Z(P) is a union of
+classes reached from Z(P) by adjoining them one at a time.  A node is
+such an N with its centralizer C_P(N).  A child adjoins one class K of
+P that lies in C_P(N) \\ N and whose members commute pairwise.  The
+subgroup generated by N and K is abelian and normal; each member of K
+centralizes the subgroup grown so far, so it is adjoined by
+``ElementTable.extend``.  Its centralizer C_P(N) ∩ C_P(K) is read from
+the same ``commuting`` block that tested K, inside C_P(N).  Every
+abelian subgroup containing N lies in C_P(N), so a node whose
+centralizer is no larger than the best order is cut.  Nodes are
+memoized by their positions, as above.
 
 The pruned searches take no enumeration cap: the walk reads its group's
 element table, which ``PermGroup.element_table`` checks against the
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .perms import _ROW_BLOCK, ElementTable, PermGroup, Permutation
+from .perms import ElementTable, PermGroup, Permutation
 
 DEFAULT_BRUTE_CAP = 2000
 
@@ -84,114 +85,35 @@ class MaxAbelianResult:
     wall_time: float
 
 
-class _AbelianDFS:
-    """The pruned depth-first walk over abelian-subgroup chains.
-
-    Only a subgroup that ``accept`` admits (by default, every abelian
-    subgroup) can become the best, and the centralizer bound cuts
-    against the best accepted order: every abelian overgroup of A lies
-    in C_G(A), so a subtree whose centralizer is no larger than that
-    order holds no larger subgroup, accepted or not.  A root is skipped
-    on its class size alone, since |C(x)| = |G| / |x^G|; a root that
-    survives gets its centralizer over the whole table once, and each
-    child's centralizer is computed inside its parent's, as
-    C(<A, x>) = C(A) ∩ C(x): one row of a block that tests several
-    candidates x against C(A) at once.  The cyclic seed (row 1, an
-    element of maximal order) is taken only if accepted.  ``accept`` must agree on
-    conjugate subgroups, because the walk is rooted only at class
-    representatives.
-    """
-
-    def __init__(self, group, accept=lambda closure: True):
-        self.table = group.element_table()
-        self.class_reps, self.class_sizes = group.conjugacy_classes()
-        self.accept = accept
-        self.nodes = 0
-        self.best_order = 1
-        self.best_chain: list[int] = []
-
-    def run(self) -> None:
-        t = self.table
-        n = len(t)
-        if n == 1:
-            return
-        seed, _ = t.closure([1])
-        if self.accept(seed):
-            self.best_order = len(seed)
-            self.best_chain = [1]
-        all_idx = np.arange(n, dtype=np.int64)
-        # class 0 is the identity
-        reps, sizes = self.class_reps.tolist(), self.class_sizes.tolist()
-        for root, size in zip(reps[1:], sizes[1:]):
-            if n // size <= self.best_order:
-                continue
-            cent = np.flatnonzero(t.commuting([root], all_idx)[0])
-            closure, _ = t.closure([root])
-            self._visit(closure, [root])
-            self._expand(closure, [root], cent, _outside(cent, closure))
-
-    def _visit(self, closure: np.ndarray, chain: list[int]) -> None:
-        self.nodes += 1
-        if len(closure) > self.best_order and self.accept(closure):
-            self.best_order = len(closure)
-            self.best_chain = list(chain)
-
-    def _expand(self, closure, chain, cent, cand) -> None:
-        """Children of the subgroup ``closure`` with centralizer ``cent``
-        (ascending positions); ``cand`` are the elements of ``cent``
-        outside ``closure`` that may still be adjoined, ascending.  The
-        candidates are tested against ``cent`` a block of rows at a time:
-        one row first, so a node the bound cuts after its first child
-        tests one, then doubling while rows x |cent| x |base| stays within
-        _ROW_BLOCK entries, so the temporaries stay bounded."""
-        at = cent.searchsorted(cand)
-        most = max(1, _ROW_BLOCK // (len(cent) * len(self.table.index.base)))
-        start, size = 0, 1
-        while start < len(cand) and len(cent) > self.best_order:
-            block = cand[start : start + size]
-            commutes = self.table.commuting(block, cent)
-            counts = commutes.sum(axis=1).tolist()
-            for r, x in enumerate(block.tolist()):
-                # every child's centralizer lies inside ``cent``, so once
-                # the best order reaches it no remaining child can pass
-                if len(cent) <= self.best_order:
-                    return
-                if counts[r] <= self.best_order:
-                    continue
-                row = commutes[r]
-                bigger = self.table.extend(closure, x)
-                self._visit(bigger, chain + [x])
-                pos = start + r + 1
-                sub = _outside(cand[pos:][row[at[pos:]]], bigger)
-                if sub.size:
-                    self._expand(bigger, chain + [x], cent[row], sub)
-            start += size
-            size = min(2 * size, most)
-
-
-def _outside(positions: np.ndarray, subgroup: np.ndarray) -> np.ndarray:
-    """The ascending ``positions`` that are not in the ascending ``subgroup``."""
-    at = subgroup.searchsorted(positions)
-    return positions[subgroup.take(at, mode="clip") != positions]
-
-
-def _witness_from_chain(
-    group: PermGroup, table: ElementTable, chain: list[int], order: int
-) -> AbelianWitness:
-    sub = group.subgroup([table.permutation(i) for i in chain])
-    assert sub.order_value == order
-    return AbelianWitness(sub.generators, order, group.is_normal(sub))
-
-
 def max_abelian_order(group: PermGroup) -> MaxAbelianResult:
-    """Exact maximal abelian subgroup order, by pruned branch-and-bound."""
+    """Exact maximal abelian subgroup order, by memoized recursion over
+    centralizers."""
     t0 = time.perf_counter()
-    dfs = _AbelianDFS(group)
-    dfs.run()
-    witness = _witness_from_chain(group, dfs.table, dfs.best_chain, dfs.best_order)
-    return MaxAbelianResult(
-        dfs.best_order, witness, dfs.nodes, time.perf_counter() - t0
+    table = group.element_table()
+    best = table.closure([1])[0] if len(table) > 1 else np.zeros(1, dtype=np.int64)
+    seen: set[bytes] = set()
+
+    def visit(members: np.ndarray, local: ElementTable) -> None:
+        nonlocal best
+        seen.add(members.tobytes())
+        central = local.class_sizes[local.class_of] == 1
+        if np.count_nonzero(central) > len(best):
+            best = members[central]
+        reps, sizes = local.class_reps.tolist(), local.class_sizes.tolist()
+        for c in np.argsort(local.class_sizes, kind="stable").tolist():
+            if sizes[c] == 1:
+                continue
+            if len(members) // sizes[c] <= len(best):
+                return
+            child = members[table.commuting([int(members[reps[c]])], members)[0]]
+            if child.tobytes() not in seen:
+                visit(child, group._subgroup(child).element_table())
+
+    visit(np.arange(len(table), dtype=np.int64), table)
+    witness = AbelianWitness(
+        group._subgroup(best).generators, len(best), table.is_class_union(best)
     )
+    return MaxAbelianResult(len(best), witness, len(seen), time.perf_counter() - t0)
 
 
 def max_abelian_brute(
@@ -268,23 +190,39 @@ def max_abelian_brute(
 
 
 def max_abelian_normal(pgroup: PermGroup) -> AbelianWitness:
-    """An abelian normal subgroup of maximal order in a p-group.
-
-    The same pruned walk as ``max_abelian_order``, accepting only
-    subgroups whose positions are a union of whole conjugacy classes;
-    the centralizer bound cuts against the best normal order found.
-    Abelian input is returned whole.
-    """
+    """An abelian normal subgroup of maximal order in a p-group, by a
+    memoized walk up from the center, adjoining one class at a time."""
     factors = pgroup.order.factors
     if len(factors) != 1:
         raise ValueError(
             f"not a p-group: order {pgroup.order_value} = {pgroup.order.factored_str()}"
         )
-    if pgroup.is_abelian():
-        return AbelianWitness(list(pgroup.generators), pgroup.order_value, True)
-    dfs = _AbelianDFS(pgroup, accept=pgroup.element_table().is_class_union)
-    dfs.run()
-    assert dfs.best_chain  # the center guarantees a hit
-    witness = _witness_from_chain(pgroup, dfs.table, dfs.best_chain, dfs.best_order)
-    assert witness.normal_in_parent
-    return witness
+    table = pgroup.element_table()
+    best = np.flatnonzero(table.class_sizes[table.class_of] == 1)
+    seen: set[bytes] = set()
+
+    def visit(normal: np.ndarray, cent: np.ndarray) -> None:
+        nonlocal best
+        seen.add(normal.tobytes())
+        if len(normal) > len(best):
+            best = normal
+        # the classes inside C_P(N) and outside N
+        classes = table.class_of[cent]
+        whole = np.bincount(classes, minlength=len(table.class_sizes)) == table.class_sizes
+        whole[table.class_of[normal]] = False
+        for k in np.flatnonzero(whole).tolist():
+            if len(cent) <= len(best):
+                return
+            cls = cent[classes == k]
+            commutes = table.commuting(cls, cent)
+            if not commutes[:, cent.searchsorted(cls)].all():
+                continue
+            child = normal
+            for x in cls.tolist():
+                child = table.extend(child, x)
+            if child.tobytes() not in seen:
+                visit(child, cent[commutes.all(axis=0)])
+
+    visit(best, np.arange(len(table), dtype=np.int64))
+    assert table.is_class_union(best)
+    return AbelianWitness(pgroup._subgroup(best).generators, len(best), True)

@@ -183,6 +183,13 @@ def test_build_catalog_rejects_a_bad_spec_before_building_any_group(monkeypatch)
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("spec", [" sym:5", "sym:05", "monster", "sym:x", "file: groups/m11.gens"])
+def test_build_group_rejects_a_spec_that_is_not_canonical(spec):
+    with pytest.raises(ValueError, match="not a canonical group spec") as info:
+        cat.build_group(spec)
+    assert repr(spec) in str(info.value) and "parse_spec" in str(info.value)
+
+
 def test_default_catalog_builds_and_is_pinned():
     ids = cat.default_catalog_specs()
     assert ids[:4] == ["sym:2", "sym:3", "sym:4", "sym:5"]

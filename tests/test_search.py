@@ -1,5 +1,6 @@
 """Tests for the abelian-subgroup search and its brute-force oracle."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,28 @@ def test_brute_witness_is_valid():
     assert PermGroup(gens).order_value == r.m == 6
 
 
+# what the search reads of the element table and the group: classes,
+# centralizers and subgroup growth
+_SEARCH_PRIMITIVES = {
+    "commuting", "conjugacy_classes", "class_reps", "class_sizes", "class_of",
+    "centralizer", "extend", "closure",
+}
+
+
+def test_brute_reads_none_of_the_search_primitives():
+    # the oracle stays independent of the search: its body reads no
+    # attribute that names one of the search's primitives
+    source = Path(__file__).resolve().parents[1] / "src" / "abelmax" / "search.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    (brute,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "max_abelian_brute"
+    ]
+    read = {node.attr for node in ast.walk(brute) if isinstance(node, ast.Attribute)}
+    assert {"enumerate_elements", "images"} <= read
+    assert read & _SEARCH_PRIMITIVES == set()
+
+
 # ── production search goldens ───────────────────────────────────────
 
 @pytest.mark.parametrize(
@@ -65,26 +88,26 @@ _REPO = Path(__file__).resolve().parents[1]
 
 # m and the node count of every search: the tree walked is a function of
 # the canonical element order, so any drift in that order shows here.
-@pytest.mark.parametrize(
-    "spec,m,nodes",
-    [
-        ("sym:2", 2, 0), ("sym:3", 3, 0), ("sym:4", 4, 1), ("sym:5", 6, 2),
-        ("sym:6", 9, 22), ("sym:7", 12, 88),
-        ("alt:4", 4, 2), ("alt:5", 5, 0), ("alt:6", 9, 2), ("alt:7", 12, 4),
-        ("alt:8", 16, 33),
-        ("cyclic:12", 12, 0), ("cyclic:30", 30, 0),
-        ("dihedral:8", 8, 1), ("dihedral:12", 12, 1),
-        ("elem_abelian:3:2", 9, 2), ("elem_abelian:2:4", 16, 4),
-        ("psl2:7", 7, 1), ("psl2:11", 11, 1), ("psl2:13", 13, 0),
-        ("pgl2:7", 8, 2),
-        ("frobenius:5:4", 5, 0), ("frobenius:7:3", 7, 0),
-        ("agammal1:3", 8, 3), ("agammal1:4", 16, 21), ("agl3_2", 16, 31),
-        pytest.param("file:groups/m11.gens", 11, 2, marks=pytest.mark.extended),
-        pytest.param("file:groups/m12.gens", 16, 47, marks=pytest.mark.extended),
-        # J1 on 266 points: its Sylow 19-subgroups are self-centralizing
-        pytest.param("file:groups/j1.gens", 19, 4, marks=pytest.mark.extended),
-    ],
-)
+_NODE_PINS = [
+    ("sym:2", 2, 1), ("sym:3", 3, 1), ("sym:4", 4, 2), ("sym:5", 6, 3),
+    ("sym:6", 9, 9), ("sym:7", 12, 14),
+    ("alt:4", 4, 2), ("alt:5", 5, 1), ("alt:6", 9, 2), ("alt:7", 12, 4),
+    ("alt:8", 16, 10),
+    ("cyclic:12", 12, 1), ("cyclic:30", 30, 1),
+    ("dihedral:8", 8, 1), ("dihedral:12", 12, 1),
+    ("elem_abelian:3:2", 9, 1), ("elem_abelian:2:4", 16, 1),
+    ("psl2:7", 7, 2), ("psl2:11", 11, 2), ("psl2:13", 13, 1),
+    ("pgl2:7", 8, 3),
+    ("frobenius:5:4", 5, 1), ("frobenius:7:3", 7, 1),
+    ("agammal1:3", 8, 3), ("agammal1:4", 16, 6), ("agl3_2", 16, 7),
+    pytest.param("file:groups/m11.gens", 11, 3, marks=pytest.mark.extended),
+    pytest.param("file:groups/m12.gens", 16, 13, marks=pytest.mark.extended),
+    # J1 on 266 points: its Sylow 19-subgroups are self-centralizing
+    pytest.param("file:groups/j1.gens", 19, 5, marks=pytest.mark.extended),
+]
+
+
+@pytest.mark.parametrize("spec,m,nodes", _NODE_PINS)
 def test_search_node_counts_are_pinned(spec, m, nodes, monkeypatch):
     monkeypatch.chdir(_REPO)
     r = max_abelian_order(cat.build_group(spec))
@@ -131,21 +154,21 @@ def test_element_table_wide_keys():
 
 
 def test_abelian_search_stops_once_the_centralizer_is_reached(monkeypatch):
-    # in an abelian group every centralizer is the whole table, so once the
-    # best order equals it no further child may be tried; a node tests its
-    # candidates in blocks from one row up, so count the rows tested
+    # an abelian group is its own center, so the root offers the whole
+    # group and has no non-central class to recurse on: one node, and no
+    # commuting test at all
     g = _ten_transpositions_at_degree_300()
-    rows = []
+    calls = []
     original = ElementTable.commuting
 
     def counting(self, xs, members):
-        rows.append(len(xs))
+        calls.append(len(xs))
         return original(self, xs, members)
 
     monkeypatch.setattr(ElementTable, "commuting", counting)
     r = max_abelian_order(g)
-    assert (r.m, r.nodes_explored) == (1024, 10)
-    assert sum(rows) <= 20
+    assert (r.m, r.nodes_explored) == (1024, 1)
+    assert calls == []
 
 
 def test_search_trivial_group():
@@ -153,13 +176,20 @@ def test_search_trivial_group():
     assert r.m == 1 and r.witness.generators == []
 
 
-def test_search_witness_properties():
-    r = max_abelian_order(cat.build_group("sym:6"))
-    gens = r.witness.generators
-    assert all(a * b == b * a for a in gens for b in gens)
-    sub = PermGroup(gens)
-    assert sub.order_value == r.m == r.witness.order
-    assert sub.is_abelian()
+def test_search_witness_properties(monkeypatch):
+    # on every pinned group the witness generators lie in G, commute and
+    # generate a subgroup of order m, and ``normal_in_parent`` says whether
+    # that subgroup is a union of classes
+    monkeypatch.chdir(_REPO)
+    for spec, m, _ in (getattr(p, "values", p) for p in _NODE_PINS):
+        g = cat.build_group(spec)
+        r = max_abelian_order(g)
+        gens = r.witness.generators
+        assert all(a * b == b * a for a in gens for b in gens), spec
+        sub = g.subgroup(gens)
+        assert sub.order_value == r.m == r.witness.order == m, spec
+        assert PermGroup(gens).order_value == m, spec  # by a chain of its own
+        assert r.witness.normal_in_parent == g.is_normal(sub), spec
 
 
 def test_search_cap_propagates():
