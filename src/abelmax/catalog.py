@@ -18,6 +18,11 @@ Generator files use 1-indexed disjoint-cycle notation:
 Points are converted to the package's 0-indexed convention on load, and
 an `expect_order` line, when present, is checked against the computed
 order (a mismatch is a hard error).
+
+Every family with parameters acts transitively on its points, so its
+stabilizer chain refuses it exactly when a transversal of degree x
+degree entries is over ``perms.TABLE_BYTES_CAP``; each builder checks
+that after its parameters and before it builds a generator.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import GeneratorFileError
-from .numtheory import is_prime
-from .perms import PermGroup, Permutation
+from .numtheory import FactoredInteger, is_prime
+from .perms import PermGroup, Permutation, _check_transitive
 
 # Pinned primitive polynomials for the fields of order 2^a, as bit masks
 # (x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1).  Pinning them makes the field
@@ -72,6 +77,7 @@ class GF2m:
 def sym_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("sym requires n >= 1")
+    _check_transitive(n)
     if n == 1:
         return PermGroup.trivial(1)
     gens = [Permutation.from_cycles(n, [(0, 1)])]
@@ -83,6 +89,7 @@ def sym_group(n: int) -> PermGroup:
 def alt_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("alt requires n >= 1")
+    _check_transitive(n)
     if n <= 2:
         return PermGroup.trivial(n)
     if n == 3:
@@ -99,6 +106,7 @@ def alt_group(n: int) -> PermGroup:
 def cyclic_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("cyclic requires n >= 1")
+    _check_transitive(n)
     if n == 1:
         return PermGroup.trivial(1)
     return PermGroup([Permutation.from_cycles(n, [tuple(range(n))])])
@@ -108,6 +116,7 @@ def dihedral_group(n: int) -> PermGroup:
     """Symmetries of the regular n-gon: order 2n on n points (n >= 3)."""
     if n < 3:
         raise ValueError("dihedral requires n >= 3")
+    _check_transitive(n)
     rotation = Permutation.from_cycles(n, [tuple(range(n))])
     reflection = Permutation([(n - i) % n for i in range(n)])
     return PermGroup([rotation, reflection])
@@ -120,6 +129,7 @@ def elem_abelian_group(p: int, k: int) -> PermGroup:
     if k < 1:
         raise ValueError("elem_abelian requires exponent >= 1")
     size = p**k
+    _check_transitive(size)
     gens = []
     for i in range(k):
         step = p**i
@@ -138,6 +148,7 @@ def psl2_group(p: int) -> PermGroup:
     """
     if not is_prime(p) or p < 5:
         raise ValueError(f"psl2 parameter must be a prime >= 5, got {p}")
+    _check_transitive(p + 1)
     return PermGroup([_moebius_shift(p), _moebius_neginv(p)])
 
 
@@ -145,7 +156,8 @@ def pgl2_group(p: int) -> PermGroup:
     """PGL(2, p) on the projective line: PSL(2, p) plus x -> g*x, g a primitive root."""
     if not is_prime(p) or p < 3:
         raise ValueError(f"pgl2 parameter must be a prime >= 3, got {p}")
-    g = _least_primitive_root(p)
+    _check_transitive(p + 1)
+    g = _least_of_order(p - 1, p)
     scale = Permutation([g * x % p for x in range(p)] + [p])
     return PermGroup([_moebius_shift(p), _moebius_neginv(p), scale])
 
@@ -156,10 +168,11 @@ def frobenius_group(p: int, c: int) -> PermGroup:
         raise ValueError(f"frobenius base must be prime, got {p}")
     if c < 1 or (p - 1) % c != 0:
         raise ValueError(f"frobenius multiplier order {c} does not divide p-1 = {p - 1}")
+    _check_transitive(p)
     shift = Permutation([(x + 1) % p for x in range(p)])
     if c == 1:
         return PermGroup([shift])
-    g = next(g for g in range(2, p) if _mod_order(g, p) == c)
+    g = _least_of_order(c, p)
     return PermGroup([shift, Permutation([g * x % p for x in range(p)])])
 
 
@@ -213,16 +226,14 @@ def _moebius_neginv(p: int) -> Permutation:
     return Permutation(images)
 
 
-def _mod_order(g: int, p: int) -> int:
-    k, x = 1, g % p
-    while x != 1:
-        x = x * g % p
-        k += 1
-    return k
-
-
-def _least_primitive_root(p: int) -> int:
-    return next(g for g in range(2, p) if _mod_order(g, p) == p - 1)
+def _least_of_order(c: int, p: int) -> int:
+    """The least g > 1 of multiplicative order c mod the prime p, for
+    c > 1 dividing p - 1: g^c = 1 and g^(c/q) != 1 for each prime q | c."""
+    cofactors = [c // q for q in FactoredInteger.from_int(c).factors]
+    return next(
+        g for g in range(2, p)
+        if pow(g, c, p) == 1 and all(pow(g, e, p) != 1 for e in cofactors)
+    )
 
 
 # ── spec strings and catalogs ───────────────────────────────────────

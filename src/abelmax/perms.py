@@ -210,6 +210,13 @@ def _check_table_bytes(
         )
 
 
+def _check_transitive(degree: int) -> None:
+    """CapacityError when the stabilizer chain of a group transitive on
+    ``degree`` points would be refused: its first orbit is every point,
+    so its first transversal has ``degree`` x ``degree`` entries."""
+    _check_table_bytes(degree, degree, np.min_scalar_type(degree - 1), "a transversal")
+
+
 class StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain on image rows.
 
@@ -785,11 +792,6 @@ class PermGroup:
         for i in [table.position(p) for p in elements]:
             members = members[table.commuting([i], members)[0]]
         return self._subgroup(members)
-
-    def center(self) -> "PermGroup":
-        """The union of the classes of one element."""
-        table = self.element_table()
-        return self._subgroup(table.class_members(np.flatnonzero(table.class_sizes == 1)))
 
     # ── normal-structure queries ────────────────────────────────────
 

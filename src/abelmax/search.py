@@ -189,9 +189,9 @@ def max_abelian_brute(
     )
 
 
-def max_abelian_normal(pgroup: PermGroup) -> AbelianWitness:
-    """An abelian normal subgroup of maximal order in a p-group, by a
-    memoized walk up from the center, adjoining one class at a time."""
+def max_abelian_normal(pgroup: PermGroup) -> np.ndarray:
+    """The positions, in the p-group's element table, of an abelian normal
+    subgroup of maximal order, found by a memoized walk up from the center."""
     factors = pgroup.order.factors
     if len(factors) != 1:
         raise ValueError(
@@ -225,4 +225,4 @@ def max_abelian_normal(pgroup: PermGroup) -> AbelianWitness:
 
     visit(best, np.arange(len(table), dtype=np.int64))
     assert table.is_class_union(best)
-    return AbelianWitness(pgroup._subgroup(best).generators, len(best), True)
+    return best

@@ -324,24 +324,26 @@ def pgroup_bound_suite(pgroups: list[tuple[str, PermGroup]]) -> VerificationRepo
     """Run the exponent-bound checks over a list of (id, p-group) pairs.
 
     With |P| = p^k, p^s the order of a largest abelian normal subgroup
-    and p^c that of the center, ``pgroup_bound`` checks k <= s(s+1)/2 and
-    ``burnside`` checks k - v <= (v-c)(v+c-1)/2, with v = s.  A trivial
-    or non-p-group input raises ValueError (from ``max_abelian_normal``).
+    (the count of ``max_abelian_normal``'s positions) and p^c that of the
+    center (the count of classes of size one), ``pgroup_bound`` checks
+    k <= s(s+1)/2 and ``burnside`` checks k - v <= (v-c)(v+c-1)/2, with
+    v = s.  A trivial or non-p-group input raises ValueError (from
+    ``max_abelian_normal``).
     """
     checks = []
     for gid, pg in pgroups:
-        witness = max_abelian_normal(pg)
+        order = len(max_abelian_normal(pg))
+        center = int((pg.element_table().class_sizes == 1).sum())
         ((p, k),) = pg.order.factors.items()
-        s = nt.FactoredInteger.from_int(witness.order).factors[p]
-        assert witness.order == p**s
-        c = pg.center().order.factors[p]
+        s, c = (nt.FactoredInteger.from_int(n).factors[p] for n in (order, center))
+        assert order == p**s
         base = {"p": p, "k": k, "s": s, "c": c, "v": s}
         for theorem, holds in (
             ("pgroup_bound", k <= s * (s + 1) // 2),
             ("burnside", k - s <= (s - c) * (s + c - 1) // 2),
         ):
             checks.append(
-                TheoremCheck(theorem, gid, holds, witness.order, pg.order_value, dict(base))
+                TheoremCheck(theorem, gid, holds, order, pg.order_value, dict(base))
             )
     return VerificationReport.from_checks(checks)
 

@@ -2,15 +2,17 @@
 
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelmax import GeneratorFileError
+from abelmax import CapacityError, GeneratorFileError
 from abelmax import catalog as cat
 from abelmax import perms
+from abelmax.numtheory import is_prime
 from abelmax.perms import Permutation
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -77,6 +79,59 @@ def test_frobenius_rejects_bad_multiplier():
         cat.frobenius_group(7, 4)
     with pytest.raises(ValueError, match="prime"):
         cat.frobenius_group(8, 7)
+
+
+def _orders_by_powers(p: int) -> dict[int, int]:
+    """The multiplicative order of each g in 2..p-1 mod p, found by
+    multiplying by g until the power is 1."""
+    orders = {}
+    for g in range(2, p):
+        x, k = g, 1
+        while x != 1:
+            x, k = x * g % p, k + 1
+        orders[g] = k
+    return orders
+
+
+def test_multipliers_are_the_least_of_their_order():
+    # frobenius:p:c scales by the least g > 1 of order c, and pgl2:p by
+    # the least primitive root; the scale's image of 1 is g
+    for p in filter(is_prime, range(3, 200)):
+        orders = _orders_by_powers(p)
+        least = {}
+        for g, c in orders.items():
+            least.setdefault(c, g)
+        for c in range(2, p):
+            if (p - 1) % c == 0:
+                assert cat.frobenius_group(p, c).generators[1](1) == least[c], (p, c)
+        assert cat.pgl2_group(p).generators[2](1) == least[p - 1], p
+
+
+@pytest.mark.parametrize("spec", [
+    "sym:3000000", "alt:3000000", "cyclic:3000000", "dihedral:3000000",
+    "elem_abelian:2:22", "psl2:100003", "pgl2:100003", "frobenius:100003:2",
+])
+def test_families_over_the_byte_cap_are_refused_before_building_generators(spec):
+    # each family is transitive on its d points, so its chain's first
+    # transversal has d x d entries; the builder refuses that up front
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"a transversal of (\d+) x \1 entries"):
+            cat.build_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_families_are_refused_exactly_where_the_chain_refuses(monkeypatch):
+    monkeypatch.setattr(perms, "TABLE_BYTES_CAP", 10_000)
+    # 100 x 100 uint8 entries fit; 101 x 101 do not
+    assert cat.build_group("cyclic:100").order_value == 100
+    with pytest.raises(CapacityError, match="101 x 101"):
+        cat.build_group("cyclic:101")
+    with pytest.raises(CapacityError, match="101 x 101"):
+        perms.PermGroup([Permutation.from_cycles(101, [tuple(range(101))])])
 
 
 def test_psl2_rejects_composite():

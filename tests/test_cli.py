@@ -100,9 +100,15 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
             lambda proc: proc.stdout == "" and "40000000000 bytes" in proc.stderr,
             200, 5,
         ),
+        # on 2^22 points: refused before a generator of 2^22 images is built
+        (
+            ("mgroup", "elem_abelian:2:22"), 3,
+            lambda proc: proc.stdout == "" and "4194304 x 4194304" in proc.stderr,
+            100, 5,
+        ),
     ],
     ids=["exceptions-10000000", "ratio-100000000", "mgroup-j1", "verify-j1-m12",
-         "mgroup-cyclic-100000"],
+         "mgroup-cyclic-100000", "mgroup-elem-abelian-2-22"],
 )
 def test_cli_in_bounded_memory(argv, code, output_ok, max_mb, max_seconds):
     repo = Path(__file__).resolve().parents[1]

@@ -214,7 +214,7 @@ def test_search_lower_bounds():
         r = max_abelian_order(g)
         table = g.element_table()
         assert r.m >= int(table.orders.max())
-        assert r.m >= g.center().order_value
+        assert r.m >= int((table.class_sizes == 1).sum())
         assert (r.m == g.order_value) == g.is_abelian()
 
 
@@ -257,37 +257,58 @@ def test_oracle_through_centralizers_of_prime_order_elements(spec, monkeypatch):
 
 # ── normal abelian subgroups of p-groups ────────────────────────────
 
+@pytest.fixture(scope="module")
+def lemma_inputs():
+    """The (id, p-group) pairs the lemma suite checks on the default
+    catalog, and the quaternion group, with max_abelian_normal's positions."""
+    entries = cat.build_catalog(cat.default_catalog_specs())
+    inputs = catalog_pgroup_inputs(entries) + [("quaternion", quaternion_group())]
+    return [(gid, pg, max_abelian_normal(pg)) for gid, pg in inputs]
+
+
 def test_normal_abelian_d8():
-    w = max_abelian_normal(cat.dihedral_group(4))
-    assert w.order == 4
-    assert w.normal_in_parent
+    g = cat.dihedral_group(4)
+    best = max_abelian_normal(g)
+    assert len(best) == 4
+    assert g.element_table().is_class_union(best)
 
 
 def test_normal_abelian_elementary():
     g = cat.elem_abelian_group(3, 2)
-    w = max_abelian_normal(g)
-    assert w.order == 9
+    assert max_abelian_normal(g).tolist() == list(range(9))
 
 
 def test_normal_abelian_sylow_s6():
     p3 = cat.sym_group(6).sylow_subgroup(3)
-    assert max_abelian_normal(p3).order == 9
+    assert len(max_abelian_normal(p3)) == 9
 
 
-def test_normal_abelian_is_self_centralizing():
+def test_normal_abelian_positions_are_an_abelian_normal_subgroup(lemma_inputs):
+    assert len(lemma_inputs) == 74
+    for gid, pg, best in lemma_inputs:
+        table = pg.element_table()
+        assert best.dtype == np.int64, gid
+        assert (np.diff(best) > 0).all() and best[0] == 0
+        assert table.commuting(best, best).all()
+        assert table.is_class_union(best)
+        # closed under products, so a subgroup
+        assert np.isin(table.products(best, best), best).all()
+
+
+def test_normal_abelian_is_self_centralizing(lemma_inputs):
     # maximal abelian normal subgroups of nilpotent groups are self-centralizing
-    for g in [cat.dihedral_group(8), quaternion_group(),
-              cat.sym_group(6).sylow_subgroup(2)]:
-        w = max_abelian_normal(g)
-        assert g.centralizer(w.generators).order_value == w.order
+    for gid, pg, best in lemma_inputs:
+        table = pg.element_table()
+        everything = np.arange(len(table), dtype=np.int64)
+        centralizer = np.flatnonzero(table.commuting(best, everything).all(axis=0))
+        assert centralizer.tolist() == best.tolist(), gid
 
 
-def test_normal_abelian_contains_center():
-    for g in [cat.dihedral_group(8), cat.sym_group(4).sylow_subgroup(2)]:
-        w = max_abelian_normal(g)
-        table = PermGroup(w.generators).element_table()
-        for z in g.center().enumerate_elements():
-            table.position(z)
+def test_normal_abelian_contains_center(lemma_inputs):
+    for gid, pg, best in lemma_inputs:
+        table = pg.element_table()
+        center = table.class_members(np.flatnonzero(table.class_sizes == 1))
+        assert np.isin(center, best).all(), gid
 
 
 def test_normal_abelian_rejects_non_pgroup():
@@ -377,10 +398,32 @@ _NORMAL_SEARCH_PINS = [
 def test_normal_search_orders_are_pinned():
     entries = cat.build_catalog(cat.default_catalog_specs())
     got = [
-        (gid, pg.order_value, max_abelian_normal(pg).order, pg.center().order_value)
+        (
+            gid,
+            pg.order_value,
+            len(max_abelian_normal(pg)),
+            int((pg.element_table().class_sizes == 1).sum()),
+        )
         for gid, pg in catalog_pgroup_inputs(entries)
     ]
     assert got == _NORMAL_SEARCH_PINS
+
+
+def test_bound_suite_forms_no_subgroup(monkeypatch):
+    # both orders the lemma needs are counts in each p-group's table, so
+    # the suite runs no closure
+    inputs = catalog_pgroup_inputs(cat.build_catalog(cat.default_catalog_specs()))
+    calls = []
+    closure = ElementTable.closure
+
+    def counting_closure(self, positions):
+        calls.append(positions)
+        return closure(self, positions)
+
+    monkeypatch.setattr(ElementTable, "closure", counting_closure)
+    report = vf.pgroup_bound_suite(inputs)
+    assert len(report.checks) == 2 * len(inputs) == 146
+    assert calls == []
 
 
 # ── p-group bound reports ───────────────────────────────────────────

@@ -389,7 +389,7 @@ def test_every_table_is_built_under_the_suite_cap(monkeypatch):
 
 
 def test_run_suite_all_builds_chains_only_for_explicit_pgroups(monkeypatch):
-    # Sylow subgroups, centers and minimal normal subgroups are slices of
+    # Sylow subgroups and minimal normal subgroups are slices of
     # their parent's table; the only chains built after the catalog are
     # those of the nine explicit p-groups of the lemma suite
     from abelmax import perms
