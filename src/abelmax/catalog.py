@@ -31,9 +31,9 @@ import re
 from importlib import resources
 from pathlib import Path
 
-from .errors import GeneratorFileError
+from .errors import CapacityError, GeneratorFileError
 from .numtheory import FactoredInteger, is_prime
-from .perms import PermGroup, Permutation, _check_transitive
+from .perms import TABLE_BYTES_CAP, PermGroup, Permutation, _check_transitive
 
 # Pinned primitive polynomials for the fields of order 2^a, as bit masks
 # (x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1).  Pinning them makes the field
@@ -128,6 +128,13 @@ def elem_abelian_group(p: int, k: int) -> PermGroup:
         raise ValueError(f"elem_abelian base must be prime, got {p}")
     if k < 1:
         raise ValueError("elem_abelian requires exponent >= 1")
+    if k * (p.bit_length() - 1) >= 64:
+        # p^k >= 2^64 points, so 2^128 transversal entries: refused before
+        # p^k, whose decimal digits take time quadratic in their number, is formed
+        raise CapacityError(
+            f"a transversal of {p}^{k} x {p}^{k} entries is above the table "
+            f"byte cap {TABLE_BYTES_CAP}"
+        )
     size = p**k
     _check_transitive(size)
     gens = []

@@ -8,30 +8,33 @@ explored breadth-first with the generators in list order, so identical
 inputs always produce identical chains), built once per group.  The
 chain keeps every permutation as a numpy image row in the element
 table's dtype, and the table is the product of its transversal matrices,
-each of its rows formed once, straight into its canonical place: the
-product in transversal order is released before the table is allocated,
-so a build never holds two table-sized arrays.
+each of its rows formed once, straight into its place: the order is read
+from the product's columns 0..max(base) alone, so a build never holds
+two table-sized arrays.
 
 Bulk element work (centralizers, conjugation, normal closures, the
 abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
-matrix holding one image row per element, in a single canonical order
-that this module owns (identity first, then element order descending,
-then image tuple ascending).  Two elements are equal exactly when they
+matrix holding one image row per element, in ascending image order (so
+the identity first).  Lexicographic order is a property of the group
+alone, not of its generators.  Two elements are equal exactly when they
 agree on the chain's base, so elements are compared, multiplied and
 measured on their base images (Seress, *Permutation Group Algorithms*,
 §4.1): ``BaseImageIndex`` keys rows on them, ``ElementTable.products``
 reads the entries x(y(base)), ``_base_cycles`` walks the base points'
-cycles for orders and inverses, and the canonical sort keys on columns
+cycles for orders and inverses, and the sort keys on columns
 0..max(base).  Only forming the table and ``commuting`` take whole rows
 of a set of positions, faster than entries on the search's small subsets
 (M12: 0.032 vs 0.082 s); elsewhere a whole row is one element's:
 ``extend`` squares x's row, ``sylow_subgroup`` reads each generator's
 row, and ``ElementTable.position`` compares one row.
-Conjugacy classes come from the generators' conjugation maps by
-min-label propagation, before the canonical sort, so that element
-orders are computed once per class; the table, the only holder of the
-classes, records each position's class number and each class's size and
-smallest position, and keeps no lists of members.
+A group's table and a subgroup's are finished by one tail, on their
+final rows: the index, the generators' conjugation maps, the classes by
+min-label propagation, and the element orders, walked once per class.
+The table, the only holder of the classes, records each position's
+class number and each class's size and smallest position, and keeps no
+lists of members.  Where an element is picked (a generator, a seed, a
+candidate), the rule is ``ElementTable.by_order``: highest element order
+first, ties in row order.
 
 The arrays a table keeps per element (the index's positions, each
 position's order and class number) and the conjugation maps and class
@@ -41,8 +44,8 @@ positions a table returns is an ascending, duplicate-free int64 array.
 A subgroup is a ``PermGroup`` too, with no chain of its own: its
 ``members`` are such an array of positions in its parent's table, found
 by Dimino's algorithm ``ElementTable.closure`` (or, adjoining a
-normalizing element, ``ElementTable.extend``), and its table is the
-parent's rows at those positions.  It is normal exactly when its
+normalizing element, ``ElementTable.extend``), and its table's rows are
+the parent's at those positions.  It is normal exactly when its
 positions are a union of whole classes of the parent
 (``ElementTable.is_class_union``), so a normal closure is found as a set
 of class numbers and expanded to positions only to become a subgroup.
@@ -62,7 +65,6 @@ than the group, so the chain refuses no group whose table fits.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -389,28 +391,21 @@ class BaseImageIndex:
         assert found.all(), "base images of no row in the table"
         return positions.astype(np.int64)
 
-    def reordered(self, order: np.ndarray) -> "BaseImageIndex":
-        """The index of the rows reordered so that row i is former row order[i]."""
-        moved = copy.copy(self)
-        inverse = np.empty(len(order), dtype=np.int32)
-        inverse[order] = np.arange(len(order), dtype=np.int32)
-        moved.at = inverse[self.at]
-        return moved
-
 
 @dataclass
 class ElementTable:
-    """All group elements as a (N, degree) image matrix in canonical order.
+    """All group elements as a (N, degree) image matrix, rows ascending.
 
-    Row 0 is the identity; the other rows follow by element order
-    descending, then image tuple ascending.  ``PermGroup.element_table`` is
-    the only place that builds or orders a table, and every consumer
-    (conjugacy classes, subgroups, the abelian-subgroup search) reads row
-    positions in this order through ``index``, which finds a row from its
-    base images.  ``orders`` and ``class_of`` hold each position's element
-    order and conjugacy class number, ``class_sizes`` each class's size and
-    ``class_reps`` its smallest position (int64, ascending: classes are
-    numbered by it); ``class_members`` gives a class's members.  What the
+    The rows are in ascending image order, so row 0 is the identity.
+    ``PermGroup.element_table`` is the only place that builds or orders a
+    table, and every consumer (conjugacy classes, subgroups, the
+    abelian-subgroup search) reads row positions through ``index``, which
+    finds a row from its base images; one that picks elements picks them
+    by ``by_order``, highest element order first.  ``orders`` and
+    ``class_of`` hold each position's element order and conjugacy class
+    number, ``class_sizes`` each class's size and ``class_reps`` its
+    smallest position (int64, ascending: classes are numbered by it);
+    ``class_members`` gives a class's members.  What the
     table keeps per element, beside its row and index key, is int32
     (``orders``, ``class_of`` and the index's ``at``): TABLE_BYTES_CAP
     keeps a table below 2^29 rows, so int32 holds every position and every
@@ -421,8 +416,8 @@ class ElementTable:
     powers of x in one gather; a subgroup from arbitrary generators is
     ``closure``, Dimino's algorithm.  A subgroup is normal exactly when its
     positions are a union of whole classes, ``is_class_union``, and its own
-    table is this one's rows at those positions, which stay in canonical
-    order, with an index on the same base.  Centralizers, in the search and
+    table is this one's rows at those positions, which stay ascending,
+    with an index on the same base.  Centralizers, in the search and
     in ``PermGroup.centralizer``, come from one primitive, ``commuting``,
     which tests a block of rows against a given set of positions rather
     than the whole table.
@@ -455,6 +450,15 @@ class ElementTable:
         wanted = np.zeros(len(self.class_sizes), dtype=bool)
         wanted[list(classes)] = True
         return np.flatnonzero(wanted[self.class_of])
+
+    def by_order(self, positions) -> np.ndarray:
+        """The int64 ``positions``, highest element order first and equal
+        orders in the given order: the one rule by which elements are
+        picked (generators, seeds and candidates).  Given ascending
+        positions, ties are in row order; the result is not a position
+        set."""
+        positions = np.asarray(positions, dtype=np.int64)
+        return positions[np.argsort(-self.orders[positions], kind="stable")]
 
     def products(self, left, right) -> np.ndarray:
         """The (len(left), len(right)) int64 positions of x_l * x_r =
@@ -678,11 +682,12 @@ class PermGroup:
     def _subgroup(self, members: np.ndarray, generators=None) -> "PermGroup":
         """The subgroup at the ascending positions ``members``, which must
         be closed under the group operation.  Without ``generators`` it gets
-        a greedy generating set: each member, in ascending position, that
-        lies outside the closure of those chosen before it."""
+        a greedy generating set: each member, highest element order first
+        (``ElementTable.by_order``), that lies outside the closure of those
+        chosen before it."""
         if generators is None:
             table = self.element_table()
-            members, gens = table.closure(members)
+            members, gens = table.closure(table.by_order(members))
             generators = [table.permutation(i) for i in gens]
         sub = PermGroup.__new__(PermGroup)
         sub.degree, sub.generators = self.degree, list(generators)
@@ -694,39 +699,39 @@ class PermGroup:
     # ── element enumeration ─────────────────────────────────────────
 
     def element_table(self, cap: int = DEFAULT_ENUM_CAP) -> ElementTable:
-        """Every element, as products u_0 u_1 ... u_k of the chain's
-        transversals, sorted once into the canonical order.
+        """Every element, one row each in ascending image order, with the
+        index, classes and orders built from those rows.
 
-        The index, the conjugation maps, the orders and the canonical
-        order come from the product in transversal order; that product is
-        then released, and each row is formed once more from the
-        transversals straight into its canonical place, a block of rows
-        at a time, so the build never holds two table-sized arrays.
-
-        Conjugacy classes are found on the product order, before the
-        sort: element order is a class invariant, so ``_base_cycles``
-        walks one row per class.  The classes are carried through the sort
-        as each position's class number.  The first call checks ``cap``,
-        then TABLE_BYTES_CAP; later calls return the cached table whatever
-        their cap.
-
-        A subgroup's table is the parent's rows and orders at ``members``,
-        already canonical as a subset of a sorted table, indexed on the
-        parent's base, with classes from its own generators' conjugation
-        maps.  It is a slice of a table built under the cap: no cap check.
+        A group's rows are ``_rows(cap)``; a subgroup's are the parent's at
+        ``members``, in image order as a subset of sorted rows, indexed on
+        the parent's base: a slice of a table built under the cap, with no
+        cap check.  Either way, the classes come from the generators'
+        conjugation maps, and element order is a class invariant, so
+        ``_base_cycles`` walks one row per class.  The first call checks
+        ``cap``, then TABLE_BYTES_CAP; later calls return the cached table
+        whatever their cap.
         """
         if self._table is not None:
             return self._table
-        if self.parent is not None:
+        if self.parent is None:
+            matrix, base = self._rows(cap), self.chain.base
+        else:
             whole = self.parent.element_table()
-            matrix = whole.matrix[self.members]
-            index = BaseImageIndex(matrix, whole.index.base)
-            gens = self.generators or [self.identity()]
-            labels = _class_labels(_conjugation_maps(matrix, index, gens))
-            classes = _classes_by_label(labels)
-            orders = whole.orders[self.members]
-            self._table = ElementTable(matrix, index, orders, *classes)
-            return self._table
+            matrix, base = whole.matrix[self.members], whole.index.base
+        index = BaseImageIndex(matrix, base)
+        maps = _conjugation_maps(matrix, index, self.generators or [self.identity()])
+        class_of, class_sizes, class_reps = _classes_by_label(_class_labels(maps))
+        del maps
+        orders = _base_cycles(matrix, class_reps, base)[0].astype(np.int32)[class_of]
+        self._table = ElementTable(matrix, index, orders, class_of, class_sizes, class_reps)
+        return self._table
+
+    def _rows(self, cap: int) -> np.ndarray:
+        """The group's elements, as products u_0 u_1 ... u_k of the chain's
+        transversals, in ascending image order.  The order is read from the
+        product's columns 0..max(base) alone, and each row is then formed
+        once, straight into its place, a block of rows at a time, so the
+        build never holds two table-sized arrays."""
         n = self.order_value
         if n > cap:
             raise CapacityError(
@@ -744,31 +749,20 @@ class PermGroup:
         rest = identity
         for transversal in reversed(below):
             rest = np.take(transversal, rest, axis=1).reshape(-1, degree)
-        matrix = np.take(first, rest, axis=1).reshape(-1, degree)
-        index = BaseImageIndex(matrix, base)
-        labels = _class_labels(_conjugation_maps(matrix, index, self.generators))
-        class_reps = np.flatnonzero(labels == np.arange(n))
-        orders = np.zeros(n, dtype=np.int32)
-        orders[class_reps] = _base_cycles(matrix, class_reps, base)[0]
-        orders = orders[labels]
         # rows that agree on columns 0..max(base) agree on the base, so
         # they are one element: those columns give the full row order
-        last = max(base, default=-1)
-        columns = tuple(matrix[:, i] for i in range(last, -1, -1))
-        canon = np.lexsort(columns + (-orders, orders > 1))
-        # row i of the table is product row canon[i], formed anew
-        del matrix, columns
+        last = max(base, default=0)
+        prefix = np.take(first, rest[:, : last + 1], axis=1).reshape(-1, last + 1)
+        order = np.lexsort(tuple(prefix[:, i] for i in range(last, -1, -1)))
+        del prefix
+        # row i of the table is product row order[i]
         table, flat = np.empty((n, degree), dtype=dtype), first.ravel()
         per_block = max(1, _ROW_BLOCK // degree)
         for s in range(0, n, per_block):
-            a, r = np.divmod(canon[s : s + per_block], len(rest))
+            a, r = np.divmod(order[s : s + per_block], len(rest))
             # u_a[R[r]], with u_a's entries read from the flattened level
             table[s : s + per_block] = flat[(a * degree)[:, None] + rest[r]]
-        classes = _classes_by_label(labels[canon])
-        self._table = ElementTable(
-            table, index.reordered(canon), orders[canon], *classes
-        )
-        return self._table
+        return table
 
     def enumerate_elements(self, cap: int = DEFAULT_ENUM_CAP) -> list[Permutation]:
         table = self.element_table(cap)
@@ -805,18 +799,23 @@ class PermGroup:
     def _class_closure(self, x: int) -> frozenset[int]:
         """Class numbers of the normal closure of the element at position
         x: its class, grown by right multiplication by x of each round's
-        new classes.  A union N of classes with N x = N is closed under the
-        conjugates of x, as n g x g^-1 = g (g^-1 n g) x g^-1."""
+        new classes, a block of positions at a time: one block of
+        ``products``, about _ROW_BLOCK base images.  A union N of classes
+        with N x = N is closed under the conjugates of x, as
+        n g x g^-1 = g (g^-1 n g) x g^-1."""
         table = self.element_table()
         found = np.zeros(len(table.class_sizes), dtype=bool)
         found[[0, table.class_of[x]]] = True
-        new = np.flatnonzero(found)
-        while new.size:
+        new = found.copy()
+        per_block = max(1, _ROW_BLOCK // max(1, len(table.index.base)))
+        while new.any():
             # the classes of y x for every y in the classes that joined last
-            products = table.products(table.class_members(new), [x])
-            touched = np.flatnonzero(np.bincount(table.class_of[products.ravel()]))
-            new = touched[~found[touched]]
-            found[new] = True
+            touched = np.zeros_like(found)
+            for s in range(0, len(table), per_block):
+                ys = s + np.flatnonzero(new[table.class_of[s : s + per_block]])
+                touched[table.class_of[table.products(ys, [x]).ravel()]] = True
+            new = touched & ~found
+            found |= new
         return frozenset(np.flatnonzero(found).tolist())
 
     def minimal_normal_subgroups(self) -> list["PermGroup"]:
@@ -855,11 +854,12 @@ class PermGroup:
         P is kept as its ascending positions in the element table.  It
         starts as the p-part of the first element of order divisible by p
         and adjoins, until |P| is the p-part of the group order, the first
-        p-element outside P (in the table's canonical order) that
+        p-element outside P that
         conjugates every generator of P into P.  That element normalizes
         P, so ``ElementTable.extend`` gives
         the larger subgroup.  Each step tests all the p-elements outside P
-        at once, one generator of P at a time, on base images.
+        at once, one generator of P at a time, on base images.  "First"
+        is ``ElementTable.by_order``'s: highest element order, then row.
         """
         e = self.order.factors.get(p, 0)
         if e == 0:
@@ -867,7 +867,7 @@ class PermGroup:
         target = p**e
         table = self.element_table()
         matrix, orders = table.matrix, table.orders
-        seed_idx = int(np.nonzero(orders % p == 0)[0][0])
+        seed_idx = int(table.by_order(np.flatnonzero(orders % p == 0))[0])
         k = int(orders[seed_idx])
         while k % p == 0:
             k //= p
@@ -875,7 +875,7 @@ class PermGroup:
         member, _ = table.closure(gen_idx)
         if len(member) < target:
             # the p-elements are those whose order divides p^e
-            candidates = np.flatnonzero(target % orders == 0)
+            candidates = table.by_order(np.flatnonzero(target % orders == 0))
             _, inv_base = _base_cycles(matrix, candidates, table.index.base)
             inside = np.zeros(len(table), dtype=bool)
         while len(member) < target:

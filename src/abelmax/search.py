@@ -20,11 +20,12 @@ Children are taken in ascending class size |x^C|, so in descending
 order |C_C(x)| = |C| / |x^C|, and the walk leaves a node at the first
 child no larger than the best order found: every abelian subgroup of
 that child, and of each later one, is no larger.  The best order is
-seeded with the cyclic subgroup of row 1, an element of maximal order
-in the canonical order that ``perms`` owns.  Different routes reach the
-same centralizer (C_G(x) ∩ C_G(y) from x or from y), so nodes are
-memoized by their positions, and each distinct centralizer is expanded
-once; ``nodes_explored`` counts them.
+seeded with the cyclic subgroup of the first element that
+``ElementTable.by_order`` picks, one of maximal order.  Different
+routes reach the same centralizer (C_G(x) ∩ C_G(y) from x or from y), so
+nodes are memoized by their positions, and each distinct centralizer is
+expanded once; ``nodes_explored`` counts them.  The memo keeps no key
+for the root: G is never a child, since each child is a proper subgroup.
 
 ``max_abelian_normal`` walks the abelian normal subgroups of a p-group
 P.  A largest one contains Z(P), since its product with Z(P) is abelian
@@ -90,12 +91,13 @@ def max_abelian_order(group: PermGroup) -> MaxAbelianResult:
     centralizers."""
     t0 = time.perf_counter()
     table = group.element_table()
-    best = table.closure([1])[0] if len(table) > 1 else np.zeros(1, dtype=np.int64)
+    # by_order's first pick is the first of its class, so a representative
+    best = table.closure(table.by_order(table.class_reps)[:1])[0]
+    # the keys of the nodes below the root, which is never a child
     seen: set[bytes] = set()
 
     def visit(members: np.ndarray, local: ElementTable) -> None:
         nonlocal best
-        seen.add(members.tobytes())
         central = local.class_sizes[local.class_of] == 1
         if np.count_nonzero(central) > len(best):
             best = members[central]
@@ -106,14 +108,15 @@ def max_abelian_order(group: PermGroup) -> MaxAbelianResult:
             if len(members) // sizes[c] <= len(best):
                 return
             child = members[table.commuting([int(members[reps[c]])], members)[0]]
-            if child.tobytes() not in seen:
+            if (key := child.tobytes()) not in seen:
+                seen.add(key)
                 visit(child, group._subgroup(child).element_table())
 
     visit(np.arange(len(table), dtype=np.int64), table)
     witness = AbelianWitness(
         group._subgroup(best).generators, len(best), table.is_class_union(best)
     )
-    return MaxAbelianResult(len(best), witness, len(seen), time.perf_counter() - t0)
+    return MaxAbelianResult(len(best), witness, 1 + len(seen), time.perf_counter() - t0)
 
 
 def max_abelian_brute(

@@ -78,9 +78,9 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
             ("numtheory", "ratio", str(nt.SIEVE_CAP)), 0,
             lambda proc: proc.stdout == "1.00031895487\n", 100, 300,
         ),
-        # J1's table is 175560 x 266 uint16 (93 MB); the build releases the
-        # transversal product before it forms the rows in canonical order, so
-        # it never holds two tables, and no comparison gathers whole rows
+        # J1's table is 175560 x 266 uint16 (93 MB); the build sorts on the
+        # transversal product's first columns alone before it forms the rows,
+        # so it never holds two tables, and no comparison gathers whole rows
         (
             ("mgroup", "file:groups/j1.gens"), 0,
             lambda proc: "\nm: 19\n" in proc.stdout and proc.stdout.endswith("nodes: 5\n"),
@@ -292,6 +292,21 @@ def test_cli_mgroup_sym6(capsys):
 def test_cli_mgroup_names_the_group_by_its_canonical_spec(capsys):
     code, out, _ = run_cli(capsys, "mgroup", "sym:05")
     assert code == 0 and out.splitlines()[0] == "group: sym:5"
+
+
+def test_cli_huge_elem_abelian_is_refused_without_the_decimal_degree(capsys):
+    # from 2^64 points on, the degree is named p^k and never formed in
+    # decimal: printing 2^2000000 in full took 33 s and 2.4 MB of stderr
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "mgroup", "elem_abelian:2:2000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and len(err) < 300
+    assert "a transversal of 2^2000000 x 2^2000000 entries is above" in err
+    code, _, err = run_cli(capsys, "mgroup", "elem_abelian:2:15")
+    assert code == 3 and err == (
+        "abelmax: capacity error: a transversal of 32768 x 32768 entries needs "
+        "2147483648 bytes, above the table byte cap 536870912\n"
+    )
 
 
 def test_cli_mgroup_degree_above_uint16(tmp_path, capsys):

@@ -87,7 +87,8 @@ def test_search_goldens(spec, expected):
 _REPO = Path(__file__).resolve().parents[1]
 
 # m and the node count of every search: the tree walked is a function of
-# the canonical element order, so any drift in that order shows here.
+# the row order and of the order ``ElementTable.by_order`` picks elements
+# in, so any drift in either shows here.
 _NODE_PINS = [
     ("sym:2", 2, 1), ("sym:3", 3, 1), ("sym:4", 4, 2), ("sym:5", 6, 3),
     ("sym:6", 9, 9), ("sym:7", 12, 14),
@@ -114,15 +115,33 @@ def test_search_node_counts_are_pinned(spec, m, nodes, monkeypatch):
     assert (r.m, r.nodes_explored) == (m, nodes)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["sym:5", "dihedral:12", "pgl2:7", "agammal1:3",
-     "cyclic:30", "elem_abelian:2:4", "agammal1:4"],
-)
+def test_search_memo_keeps_no_key_for_the_root(monkeypatch):
+    # every child is a proper subgroup, so G never comes back and its
+    # 8|G|-byte key (0.76 MB on M12) is not kept: the traced peak of the
+    # search was 3.15 MB with it and is 2.40 MB without
+    import tracemalloc
+
+    monkeypatch.chdir(_REPO)
+    g = cat.build_group("file:groups/m12.gens")
+    g.element_table()
+    tracemalloc.start()
+    try:
+        r = max_abelian_order(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.m, r.nodes_explored) == (16, 13)
+    assert peak < 2_750_000, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("spec", cat.default_catalog_specs())
 def test_element_table_is_in_canonical_order(spec):
+    # the canonical order is ascending image order, so identity first:
+    # rows strictly ascending as tuples, in a group's table and in each
+    # subgroup's
     group = cat.build_group(spec)
     table = group.element_table()
-    matrix, orders = table.matrix, table.orders
+    matrix = table.matrix
     # reference: the closure of the generators, grown one product at a time
     closure = frontier = {group.identity()}
     while frontier:
@@ -130,10 +149,13 @@ def test_element_table_is_in_canonical_order(spec):
         closure = closure | frontier
     assert {tuple(row) for row in matrix.tolist()} == {p.images for p in closure}
     assert matrix[0].tolist() == list(range(matrix.shape[1]))
-    assert orders.tolist() == [table.permutation(i).order() for i in range(len(table))]
-    keys = [(-int(o), tuple(row)) for o, row in zip(orders[1:], matrix[1:].tolist())]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert table.index.find(matrix[:, table.index.base]).tolist() == list(range(len(table)))
+    assert table.orders.tolist() == [table.permutation(i).order() for i in range(len(table))]
+    subgroups = [group.sylow_subgroup(p) for p in group.order.factors]
+    subgroups += [group.centralizer(group.generators)]
+    for t in [table] + [sub.element_table() for sub in subgroups]:
+        rows = [tuple(row) for row in t.matrix.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:])), spec
+        assert t.index.find(t.matrix[:, t.index.base]).tolist() == list(range(len(t)))
 
 
 def _ten_transpositions_at_degree_300():
