@@ -15,6 +15,7 @@ Generator files use 1-indexed disjoint-cycle notation:
     gen (3,7,11,8)(4,10,5,6)
     expect_order 7920
 
+A `gen` line of `()`, or with nothing after `gen`, is the identity.
 Points are converted to the package's 0-indexed convention on load, and
 an `expect_order` line, when present, is checked against the computed
 order (a mismatch is a hard error).
@@ -316,7 +317,9 @@ def build_catalog(specs) -> list[tuple[str, PermGroup]]:
 
 # ── generator files and manifests ───────────────────────────────────
 
-_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+# a cycle of points, or ``()``, the identity as ``Permutation.cycle_string``
+# prints it, which is no cycle
+_CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)")
 
 
 def _parse_cycles(text: str, degree: int, path: str, lineno: int) -> Permutation:
@@ -327,6 +330,8 @@ def _parse_cycles(text: str, degree: int, path: str, lineno: int) -> Permutation
         )
     cycles = []
     for m in _CYCLE_RE.finditer(text):
+        if m.group(1) is None:
+            continue
         points = [int(x) for x in m.group(1).split(",")]
         if any(x < 1 or x > degree for x in points):
             raise GeneratorFileError(

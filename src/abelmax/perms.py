@@ -17,12 +17,15 @@ abelian-subgroup search) runs on one ``ElementTable`` per group: a numpy
 matrix holding one image row per element, in ascending image order (so
 the identity first).  Lexicographic order is a property of the group
 alone, not of its generators.  Two elements are equal exactly when they
-agree on the chain's base, so elements are compared, multiplied and
-measured on their base images (Seress, *Permutation Group Algorithms*,
-§4.1): ``BaseImageIndex`` keys rows on them, ``ElementTable.products``
-reads the entries x(y(base)), ``_base_cycles`` walks the base points'
-cycles for orders and inverses, and the sort keys on columns
-0..max(base).  Only forming the table and ``commuting`` take whole rows
+agree on a base, so elements are compared, multiplied and measured on
+their base images (Seress, *Permutation Group Algorithms*, §4.1): the
+build sorts on the chain's columns 0..max(base), and from then on the
+base is the one ``BaseImageIndex`` reads from the table's rows, the
+points that are the smallest point some element moves, so that it too
+depends on the group alone.  The index keys rows on their images of it,
+in row order, ``ElementTable.products`` reads the entries x(y(base)),
+and ``_base_cycles`` walks the base points' cycles for orders and
+inverses.  Only forming the table and ``commuting`` take whole rows
 of a set of positions, faster than entries on the search's small subsets
 (M12: 0.032 vs 0.082 s); elsewhere a whole row is one element's:
 ``extend`` squares x's row, ``sylow_subgroup`` reads each generator's
@@ -36,9 +39,9 @@ lists of members.  Where an element is picked (a generator, a seed, a
 candidate), the rule is ``ElementTable.by_order``: highest element order
 first, ties in row order.
 
-The arrays a table keeps per element (the index's positions, each
-position's order and class number) and the conjugation maps and class
-labels of a build are int32: the byte cap keeps a table below 2^29 rows,
+The arrays a table keeps per element beside its row and index key
+(each position's order and class number) and the conjugation maps and
+class labels of a build are int32: the byte cap keeps a table below 2^29 rows,
 so int32 holds every position and every element order.  Every set of
 positions a table returns is an ascending, duplicate-free int64 array.
 A subgroup is a ``PermGroup`` too, with no chain of its own: its
@@ -58,8 +61,8 @@ passed only where a run starts enumerating (``verify.run_suite``,
 ``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).  A fixed
 byte cap, ``TABLE_BYTES_CAP``, is checked before the table and before
 each transversal of the chain is allocated; for the table it counts the
-matrix and, for each row, its index key and 12 bytes of int32 (the
-index's position, order and class number).  An orbit is never larger
+matrix and, for each row, its index key and 8 bytes of int32 (the
+order and class number).  An orbit is never larger
 than the group, so the chain refuses no group whose table fits.
 """
 
@@ -77,7 +80,7 @@ DEFAULT_ENUM_CAP = 200_000
 
 # The most bytes an element table (its matrix and per-element arrays), or
 # one level of a stabilizer chain, may take: about 5x J1's 99 MB table, the
-# largest the repository ships.  Every row takes at least 21 bytes, so a
+# largest the repository ships.  Every row takes at least 17 bytes, so a
 # table has fewer than 2^25 rows.
 TABLE_BYTES_CAP = 1 << 29
 
@@ -336,32 +339,42 @@ def _key_dtype(base_length: int, degree: int, dtype: np.dtype) -> np.dtype:
 
 
 class BaseImageIndex:
-    """Row positions of an element table, keyed by images of the base.
+    """Row positions of an element table, keyed by images of its rows' base.
 
-    An element is fixed by its images of a stabilizer chain's base, so a
-    row's key is built from ``row[base]`` alone.  When every key fits in
-    63 bits, the base images are read as the digits of one base-``degree``
-    int64; otherwise a key is the bytes of the base images as one void
-    scalar.  ``keys`` holds the keys sorted and ``at`` the row position
-    of each, as int32 (TABLE_BYTES_CAP keeps a table below 2^29 rows), so
-    a lookup is one ``np.searchsorted`` and the index holds 12 bytes or
-    so per row.  ``find`` returns int64 positions, like every position set;
-    ``search`` returns the int32 of ``at`` with a found flag per key.
-    A key is unique among the group's elements only: a permutation outside
-    the group can share one, so a caller holding an arbitrary permutation
-    compares the whole row it gets back.
+    The base is read from the rows alone: it is the set of points that
+    are the smallest point some element moves, ascending.  Two elements
+    agree on it only if they are equal, since x^-1 y moves its own
+    smallest point, and two rows in ascending image order first differ at
+    one of its points, so their keys ascend with the rows: a row's
+    position is its key's ``np.searchsorted`` offset.  When every key
+    fits in 63 bits, the base images are read as the digits of one
+    base-``degree`` int64; otherwise a key is the big-endian bytes of the
+    base images as one void scalar, whose byte order is then image order.
+    ``find`` returns int64 positions, like every position set; ``search``
+    returns int32 ones (TABLE_BYTES_CAP keeps a table below 2^29 rows)
+    with a found flag per key.  A key is unique among the group's
+    elements only: a permutation outside the group can share one, so a
+    caller holding an arbitrary permutation compares the whole row it gets
+    back.
     """
 
-    def __init__(self, matrix: np.ndarray, base):
-        degree = matrix.shape[1]
+    def __init__(self, matrix: np.ndarray):
+        n, degree = matrix.shape
+        # in row order the smallest moved point never rises after the
+        # identity, so no point below the last row's is in the base; the
+        # rows fixing 0..j-1 lead, ascending in column j, and j is in the
+        # base exactly when fewer of them fix j too
+        base, j = [], int((matrix[-1] != np.arange(degree)).argmax())
+        while n > 1:
+            fixing = int(matrix[:n, j].searchsorted(j, side="right"))
+            if fixing < n:
+                base.append(j)
+            n, j = fixing, j + 1
         self.base = np.array(base, dtype=np.intp)
         self._weights = None
-        if _key_dtype(len(self.base), degree, matrix.dtype) == np.int64:
-            powers = [degree**e for e in range(len(self.base) - 1, -1, -1)]
-            self._weights = np.array(powers, dtype=np.int64)
-        keys = self.key(matrix[:, self.base])
-        self.at = np.argsort(keys, kind="stable").astype(np.int32)
-        self.keys = keys[self.at]
+        if _key_dtype(len(base), degree, matrix.dtype) == np.int64:
+            self._weights = degree ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
+        self.keys = self.key(matrix[:, self.base])
 
     def key(self, images: np.ndarray) -> np.ndarray:
         """Keys of the rows of a (k, len(base)) array of base images."""
@@ -369,13 +382,13 @@ class BaseImageIndex:
             # a multiply-add over the columns; an integer matmul has no
             # BLAS path and takes about 3x as long on a whole table
             return np.einsum("ij,j->i", images, self._weights)
-        images = np.ascontiguousarray(images)
+        images = np.ascontiguousarray(images, dtype=images.dtype.newbyteorder(">"))
         return images.view(np.dtype((np.void, images.itemsize * images.shape[1])))[:, 0]
 
     def search(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row positions (the int32 of ``at``) for a (k, len(base)) array of
-        base images, and whether each key is present; where it is not, the
-        position is that of some other row."""
+        """Row positions (int32) for a (k, len(base)) array of base images,
+        and whether each key is present; where it is not, the position is
+        that of some other row."""
         keys = self.key(images)
         if len(keys) < _SORTED_SEARCH_MIN:
             k = self.keys.searchsorted(keys)
@@ -383,7 +396,8 @@ class BaseImageIndex:
             order = keys.argsort()
             k = np.empty(len(keys), dtype=np.intp)
             k[order] = self.keys.searchsorted(keys[order])
-        return self.at.take(k, mode="clip"), self.keys.take(k, mode="clip") == keys
+        np.minimum(k, len(self.keys) - 1, out=k)
+        return k.astype(np.int32), self.keys[k] == keys
 
     def find(self, images: np.ndarray) -> np.ndarray:
         """Row positions (int64) of group elements given by their base images."""
@@ -407,7 +421,7 @@ class ElementTable:
     smallest position (int64, ascending: classes are numbered by it);
     ``class_members`` gives a class's members.  What the
     table keeps per element, beside its row and index key, is int32
-    (``orders``, ``class_of`` and the index's ``at``): TABLE_BYTES_CAP
+    (``orders`` and ``class_of``): TABLE_BYTES_CAP
     keeps a table below 2^29 rows, so int32 holds every position and every
     element order.  A subgroup, like every set of positions the table
     takes or returns, is an ascending, duplicate-free int64 array of
@@ -417,7 +431,7 @@ class ElementTable:
     ``closure``, Dimino's algorithm.  A subgroup is normal exactly when its
     positions are a union of whole classes, ``is_class_union``, and its own
     table is this one's rows at those positions, which stay ascending,
-    with an index on the same base.  Centralizers, in the search and
+    with its own index on the base those rows give.  Centralizers, in the search and
     in ``PermGroup.centralizer``, come from one primitive, ``commuting``,
     which tests a block of rows against a given set of positions rather
     than the whole table.
@@ -616,17 +630,12 @@ def _class_labels(conj_maps: list[np.ndarray]) -> np.ndarray:
 
 def _classes_by_label(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(class_of, class_sizes, class_reps) of the positions grouped by
-    equal label: a class's representative is its smallest position, classes
-    are numbered by representative, ``class_of`` gives each position's class
-    number (int32), ``class_sizes`` each class's size and ``class_reps``
-    the representatives, ascending (int64)."""
-    # the first position with each label is its class's smallest
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    number = np.empty(len(first), dtype=np.int32)
-    number[by_first] = np.arange(len(first), dtype=np.int32)
-    class_of = number[inverse]
-    return class_of, np.bincount(class_of), first[by_first]
+    equal label, each label its class's smallest position: classes are
+    numbered by it, ``class_of`` gives each position's class number
+    (int32), ``class_sizes`` each class's size and ``class_reps`` the
+    labels, ascending (int64)."""
+    reps, class_of = np.unique(labels, return_inverse=True)
+    return class_of.astype(np.int32), np.bincount(class_of), reps.astype(np.int64)
 
 
 class PermGroup:
@@ -703,26 +712,25 @@ class PermGroup:
         index, classes and orders built from those rows.
 
         A group's rows are ``_rows(cap)``; a subgroup's are the parent's at
-        ``members``, in image order as a subset of sorted rows, indexed on
-        the parent's base: a slice of a table built under the cap, with no
-        cap check.  Either way, the classes come from the generators'
-        conjugation maps, and element order is a class invariant, so
-        ``_base_cycles`` walks one row per class.  The first call checks
+        ``members``, in image order as a subset of sorted rows: a slice of
+        a table built under the cap, with no cap check.  Either way, the
+        index reads its base from the rows alone, the classes come from the
+        generators' conjugation maps, and element order is a class
+        invariant, so ``_base_cycles`` walks one row per class.  The first call checks
         ``cap``, then TABLE_BYTES_CAP; later calls return the cached table
         whatever their cap.
         """
         if self._table is not None:
             return self._table
         if self.parent is None:
-            matrix, base = self._rows(cap), self.chain.base
+            matrix = self._rows(cap)
         else:
-            whole = self.parent.element_table()
-            matrix, base = whole.matrix[self.members], whole.index.base
-        index = BaseImageIndex(matrix, base)
+            matrix = self.parent.element_table().matrix[self.members]
+        index = BaseImageIndex(matrix)
         maps = _conjugation_maps(matrix, index, self.generators or [self.identity()])
         class_of, class_sizes, class_reps = _classes_by_label(_class_labels(maps))
         del maps
-        orders = _base_cycles(matrix, class_reps, base)[0].astype(np.int32)[class_of]
+        orders = _base_cycles(matrix, class_reps, index.base)[0].astype(np.int32)[class_of]
         self._table = ElementTable(matrix, index, orders, class_of, class_sizes, class_reps)
         return self._table
 
@@ -739,8 +747,12 @@ class PermGroup:
             )
         base, degree, dtype = self.chain.base, self.degree, self.chain.dtype
         # beside its row, each element keeps its index key and its int32
-        # ``at``, order and class number
-        per_row = _key_dtype(len(base), degree, dtype).itemsize + 3 * 4
+        # order and class number.  The index reads its base from the rows,
+        # which do not exist yet: it has at most max(base) + 1 points, as
+        # only 1 fixes 0..max(base), and at most log2(n), as each of its
+        # points at least halves the elements fixing the points before it
+        width = min(max(base, default=0) + 1, n.bit_length() - 1)
+        per_row = _key_dtype(width, degree, dtype).itemsize + 2 * 4
         _check_table_bytes(n, degree, dtype, "an element table", per_row)
         # with R the product of the levels below the first, product row
         # a |R| + r is u_a * R[r]; np.take keeps each product contiguous

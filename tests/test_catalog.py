@@ -337,6 +337,32 @@ def test_generator_file_requires_degree_first(tmp_path):
         cat.load_generator_file(p)
 
 
+def test_generator_file_reads_back_the_cycle_strings_the_package_prints(tmp_path):
+    # cycle_string prints the identity as (), and a gen line of () is the
+    # identity: every default-catalog group's generators, and the identity,
+    # written out and loaded back are the same generators of the same order
+    path = tmp_path / "back.gens"
+    for spec in cat.default_catalog_specs():
+        g = cat.build_group(spec)
+        gens = g.generators + [g.identity()]
+        lines = [f"degree {g.degree}"] + [f"gen {p.cycle_string(one_indexed=True)}" for p in gens]
+        path.write_text("\n".join(lines) + "\n")
+        back = cat.load_generator_file(path)
+        assert back.generators == gens and back.order_value == g.order_value, spec
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("(0,1)", "out of range"), ("(1,,2)", "bad cycle syntax"), ("(()", "bad cycle syntax"),
+     ("(1,2)(2,3)", "repeated"), ("(1,2,1)", "repeated")],
+)
+def test_generator_file_rejects_malformed_cycles(tmp_path, text, message):
+    p = tmp_path / "bad.gens"
+    p.write_text(f"degree 3\ngen {text}\n")
+    with pytest.raises(GeneratorFileError, match=message):
+        cat.load_generator_file(p)
+
+
 def test_manifest_loading(tmp_path):
     p = tmp_path / "cat.txt"
     p.write_text("# a comment\nsym:3\n\nalt:5  # trailing comment\n")

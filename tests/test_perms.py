@@ -191,18 +191,17 @@ def test_table_byte_cap_refuses_before_allocating():
 
 def _table_bytes(g):
     """Bytes the finished element table of g holds: its matrix, the index's
-    keys and positions, each position's order and class number, and each
-    class's size and representative."""
+    keys, each position's order and class number, and each class's size
+    and representative."""
     table = g.element_table()
-    arrays = [table.matrix, table.index.keys, table.index.at, table.orders,
+    arrays = [table.matrix, table.index.keys, table.orders,
               table.class_of, table.class_sizes, table.class_reps]
     return sum(a.nbytes for a in arrays)
 
 
 def test_table_byte_cap_counts_the_per_element_arrays(monkeypatch):
     # sym:5's matrix is 120 x 5 uint8, 600 bytes; with each row's int64
-    # key and int32 index position, order and class number, the table
-    # keeps 25 bytes a row
+    # key and int32 order and class number, the table keeps 21 bytes a row
     from abelmax import perms
     from abelmax.catalog import build_group
 
@@ -210,9 +209,9 @@ def test_table_byte_cap_counts_the_per_element_arrays(monkeypatch):
     table = g.element_table()
     assert table.matrix.nbytes == 600
     per_class = table.class_sizes.nbytes + table.class_reps.nbytes
-    assert _table_bytes(g) - per_class == 120 * 25
+    assert _table_bytes(g) - per_class == 120 * 21
     monkeypatch.setattr(perms, "TABLE_BYTES_CAP", 2000)
-    with pytest.raises(CapacityError, match="needs 600 bytes and 2400 more"):
+    with pytest.raises(CapacityError, match="needs 600 bytes and 1920 more"):
         build_group("sym:5").element_table()
 
 
@@ -301,10 +300,11 @@ def test_products_hold_a_block_beside_their_result(monkeypatch):
     assert held < 1.5 * table.matrix.nbytes, f"{held} bytes beside the result"
 
 
-def test_table_keeps_its_rows_and_twelve_bytes_more_a_row(monkeypatch):
+def test_table_keeps_its_rows_and_eight_bytes_more_a_row(monkeypatch):
     # with M12's chain built, the traced bytes the table build leaves
-    # behind are its matrix, each row's index key and its three int32
-    # entries, and little else: no per-class member lists
+    # behind are its matrix, each row's index key and its two int32
+    # entries, and little else: no per-class member lists and no index
+    # positions
     import tracemalloc
 
     from abelmax.catalog import build_group
@@ -318,7 +318,7 @@ def test_table_keeps_its_rows_and_twelve_bytes_more_a_row(monkeypatch):
     finally:
         tracemalloc.stop()
     n = len(table)
-    bound = table.matrix.nbytes + n * (table.index.keys.itemsize + 12) + 64 * 1024
+    bound = table.matrix.nbytes + n * (table.index.keys.itemsize + 8) + 64 * 1024
     assert held <= bound, f"held {held} bytes, bound {bound} bytes"
 
 
@@ -507,6 +507,56 @@ def test_element_tables_are_pinned(monkeypatch):
         assert h.hexdigest() == _TABLE_DIGESTS[spec], spec
 
 
+def _longer_base_than_the_chain():
+    # the chain's base is [4], as the first generator moves 4 first; the
+    # second moves 2, so the rows' base is [2, 4]
+    return [cycles(8, (4, 6), (5, 7)), cycles(8, (2, 3), (4, 5), (6, 7))]
+
+
+@pytest.mark.parametrize("spec", ["two-involutions", "file:groups/m12.gens", "agl3_2"])
+def test_element_table_is_a_property_of_the_group_alone(spec, monkeypatch):
+    # every order of the generators gives the same rows, index base and
+    # keys, class numbers and element orders; the chains' bases differ
+    import itertools
+
+    from abelmax.catalog import build_group
+
+    monkeypatch.chdir(_REPO)
+    if spec == "two-involutions":
+        gens = _longer_base_than_the_chain()
+    else:
+        gens = build_group(spec).generators
+    tables = [PermGroup(list(order)).element_table() for order in itertools.permutations(gens)]
+    for t in tables[1:]:
+        assert np.array_equal(t.matrix, tables[0].matrix), spec
+        assert np.array_equal(t.index.base, tables[0].index.base), spec
+        assert np.array_equal(t.index.keys, tables[0].index.keys), spec
+        assert np.array_equal(t.class_of, tables[0].class_of), spec
+        assert np.array_equal(t.orders, tables[0].orders), spec
+    if spec == "two-involutions":
+        assert tables[0].index.base.tolist() == [2, 4]
+
+
+def test_table_byte_precheck_counts_at_least_what_each_row_keeps(monkeypatch):
+    # the rows' base [2, 4] is longer than the chain's [4]; the count made
+    # before the rows exist bounds the key the index then builds
+    from abelmax import perms
+
+    g = PermGroup(_longer_base_than_the_chain())
+    assert g.chain.base == [4]
+    counted = []
+    check = perms._check_table_bytes
+
+    def counting_check(rows, degree, dtype, what, per_row=0):
+        counted.append(per_row)
+        check(rows, degree, dtype, what, per_row)
+
+    monkeypatch.setattr(perms, "_check_table_bytes", counting_check)
+    table = g.element_table()
+    kept = table.index.keys.itemsize + table.orders.itemsize + table.class_of.itemsize
+    assert counted == [counted[0]] and counted[0] >= kept
+
+
 def test_element_table_dtypes():
     # what a table keeps per element is int32; every set of positions it
     # returns is an int64 array
@@ -516,7 +566,8 @@ def test_element_table_dtypes():
     table = g.element_table()
     sylow = g.sylow_subgroup(2)
     for t in (table, sylow.element_table()):
-        assert t.index.at.dtype == t.orders.dtype == t.class_of.dtype == np.int32
+        assert t.orders.dtype == t.class_of.dtype == np.int32
+        assert t.index.search(t.matrix[:, t.index.base])[0].dtype == np.int32
     assert table.products([1, 2], [3, 4, 5]).dtype == np.int64
     assert table.index.find(table.matrix[:3][:, table.index.base]).dtype == np.int64
     members, _ = table.closure([1, 7])
@@ -978,6 +1029,19 @@ def test_lookup_of_absent_base_images_fails_loudly(d8):
         table.index.find(np.stack([table.matrix[1], row])[:, base])
 
 
+def test_void_keys_ascend_with_the_rows():
+    # ten transpositions from (255, 256) on: uint16 rows and a base of ten
+    # points, so keys are void; an image 255 sorts below 256 only when
+    # each image's bytes are big-endian, and the keys ascend with the rows
+    g = PermGroup([Permutation.from_cycles(300, [(i, i + 1)]) for i in range(255, 275, 2)])
+    table = g.element_table()
+    assert table.matrix.dtype == np.uint16 and table.index.keys.dtype.kind == "V"
+    assert table.index.base.tolist() == list(range(255, 275, 2))
+    assert np.array_equal(np.argsort(table.index.keys, kind="stable"), np.arange(len(table)))
+    images = table.matrix[:, table.index.base]
+    assert table.index.find(images).tolist() == list(range(len(table)))
+
+
 @pytest.mark.parametrize("count", [10, 5000])
 def test_index_search_with_few_and_many_keys(count):
     # below _SORTED_SEARCH_MIN keys the search runs in the given order,
@@ -1117,16 +1181,16 @@ def test_by_order_picks_highest_order_then_smallest_row(spec, monkeypatch):
 
 def test_element_table_builds_one_index_per_table(monkeypatch):
     # a group's table and a subgroup's are built by the same tail, each
-    # with one BaseImageIndex on its final rows
+    # with one BaseImageIndex on its final rows and nothing else
     from abelmax import perms
     from abelmax.catalog import build_group
 
     built = []
     init = perms.BaseImageIndex.__init__
 
-    def counting_init(self, matrix, base):
+    def counting_init(self, matrix):
         built.append(len(matrix))
-        init(self, matrix, base)
+        init(self, matrix)
 
     monkeypatch.setattr(perms.BaseImageIndex, "__init__", counting_init)
     g = build_group("sym:5")
