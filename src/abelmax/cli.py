@@ -22,7 +22,9 @@ Group specs use the catalog DSL (`sym:5`, `psl2:13`, `frobenius:5:4`,
 against the working directory, and a group is named by its canonical
 spec (`sym:05` prints as `sym:5`).  ``--manifest`` with specs is a
 usage error, even with an empty path.  A flag given to a subcommand
-that does not take it is a usage error.  Flags are the only settings.
+that does not take it is a usage error.  ``verify``'s specs and
+``series``' ns may come before, between or after the flags.  Flags are
+the only settings.
 
 Exit codes: 0 success (including expected exceptions), 1 verification
 failure, 2 usage error (including a path that cannot be read or
@@ -62,7 +64,8 @@ _FORMATS = ("text", "json", "csv")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     # each flag is attached only to the subcommands that act on it
     cap = argparse.ArgumentParser(add_help=False)
     cap.add_argument(
@@ -101,7 +104,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_se = sub.add_parser("series", parents=[out], help="CSV of bound-ratio samples")
     p_se.add_argument("ns", type=int, nargs="*")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed, with ``verify``'s specs and ``series``' ns before,
+    between or after their flags.  argparse gives a ``nargs="*"``
+    positional an empty list at the first flag after the subcommand's
+    first argument and leaves the rest unrecognized, so those two
+    subcommands' arguments are parsed again by their own parser's
+    ``parse_known_intermixed_args``, which the top-level parser does not
+    support (its subcommand positional has ``nargs=PARSER``)."""
+    parser, commands = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras and args.command in ("verify", "series"):
+        rest = argv[argv.index(args.command) + 1 :]
+        namespace = argparse.Namespace(command=args.command)
+        args, extras = commands[args.command].parse_known_intermixed_args(rest, namespace)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -210,8 +232,7 @@ def main(argv=None) -> int:
     if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         if exc.code is None:

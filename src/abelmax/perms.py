@@ -148,18 +148,6 @@ class Permutation:
         p.images = tuple(inv)
         return p
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Permutation.identity(len(self.images))
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            square = square * square
-            n >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -242,8 +230,6 @@ class StabilizerChain:
         self._strong: list[tuple[np.ndarray, int]] = []
         self._transversals, self._where = [], []
         for g in generators:
-            if g.degree != degree:
-                raise ValueError("degree mismatch among generators")
             if not g.is_identity():
                 row = np.array(g.images, dtype=self.dtype)
                 moved = np.flatnonzero(row[self.base] != self.base)
@@ -863,15 +849,15 @@ class PermGroup:
     def sylow_subgroup(self, p: int) -> "PermGroup":
         """A Sylow p-subgroup, grown cyclically through normalizers.
 
-        P is kept as its ascending positions in the element table.  It
-        starts as the p-part of the first element of order divisible by p
-        and adjoins, until |P| is the p-part of the group order, the first
-        p-element outside P that
-        conjugates every generator of P into P.  That element normalizes
-        P, so ``ElementTable.extend`` gives
-        the larger subgroup.  Each step tests all the p-elements outside P
-        at once, one generator of P at a time, on base images.  "First"
-        is ``ElementTable.by_order``'s: highest element order, then row.
+        P is kept as its ascending positions in the element table.  Its
+        candidates are the p-elements, those whose order divides the
+        p-part p^e of the group order, in ``ElementTable.by_order``'s
+        order: highest element order, then row.  P starts as the cyclic
+        subgroup of the first candidate and adjoins, until |P| = p^e, the
+        first candidate outside P that conjugates every generator of P
+        into P.  That element normalizes P, so ``ElementTable.extend``
+        gives the larger subgroup.  Each step tests all the candidates
+        outside P at once, one generator of P at a time, on base images.
         """
         e = self.order.factors.get(p, 0)
         if e == 0:
@@ -879,15 +865,10 @@ class PermGroup:
         target = p**e
         table = self.element_table()
         matrix, orders = table.matrix, table.orders
-        seed_idx = int(table.by_order(np.flatnonzero(orders % p == 0))[0])
-        k = int(orders[seed_idx])
-        while k % p == 0:
-            k //= p
-        gen_idx = [table.position(table.permutation(seed_idx) ** k)]
-        member, _ = table.closure(gen_idx)
+        candidates = table.by_order(np.flatnonzero(target % orders == 0))
+        gen_idx = [int(candidates[0])]
+        member = table.extend(np.zeros(1, dtype=np.int64), gen_idx[0])
         if len(member) < target:
-            # the p-elements are those whose order divides p^e
-            candidates = table.by_order(np.flatnonzero(target % orders == 0))
             _, inv_base = _base_cycles(matrix, candidates, table.index.base)
             inside = np.zeros(len(table), dtype=bool)
         while len(member) < target:

@@ -91,8 +91,9 @@ def max_abelian_order(group: PermGroup) -> MaxAbelianResult:
     centralizers."""
     t0 = time.perf_counter()
     table = group.element_table()
-    # by_order's first pick is the first of its class, so a representative
-    best = table.closure(table.by_order(table.class_reps)[:1])[0]
+    # the cyclic subgroup of by_order's first pick, which is the first of
+    # its class, so a class representative
+    best = table.extend(np.zeros(1, dtype=np.int64), int(table.by_order(table.class_reps)[0]))
     # the keys of the nodes below the root, which is never a child
     seen: set[bytes] = set()
 

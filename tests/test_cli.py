@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -457,13 +459,11 @@ def test_cli_verify_bad_suite_is_usage_error(capsys):
 
 def test_cli_verify_suites_are_the_run_suite_names():
     # the parser keeps its own list, so that building it imports no numpy
-    import argparse
-
     from abelmax import verify as vf
     from abelmax.cli import _build_parser
 
-    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    _, commands = _build_parser()
+    (suite,) = [a for a in commands["verify"]._actions if a.dest == "suite"]
     assert sorted(suite.choices) == sorted([*vf._PER_GROUP_CHECKS, "lemma", "all"])
 
 
@@ -492,6 +492,44 @@ def test_cli_flags_only_where_they_act(tmp_path, capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, specs_first", [
+    (("verify", "twoprime", "--format", "csv", "sym:3", "alt:5"),
+     ("verify", "twoprime", "sym:3", "alt:5", "--format", "csv")),
+    (("verify", "twoprime", "sym:3", "--format", "csv", "alt:5"),
+     ("verify", "twoprime", "sym:3", "alt:5", "--format", "csv")),
+    (("verify", "--format", "csv", "twoprime", "sym:3", "alt:5"),
+     ("verify", "twoprime", "sym:3", "alt:5", "--format", "csv")),
+    (("series", "100", "--out", "{out}", "1000"), ("series", "100", "1000", "--out", "{out}")),
+    (("series", "--out", "{out}", "100", "1000"), ("series", "100", "1000", "--out", "{out}")),
+])
+def test_cli_arguments_may_come_before_between_or_after_flags(tmp_path, capsys, argv, specs_first):
+    # verify's specs and series' ns are a list that argparse would end at
+    # the first flag; each form gives the bytes of its specs-first form
+    def run(form, out):
+        result = run_cli(capsys, *(a.format(out=out) for a in form))
+        return result, out.read_bytes() if out.exists() else None
+
+    got, want = run(argv, tmp_path / "got.csv"), run(specs_first, tmp_path / "want.csv")
+    assert got == want and want[0][0] == 0
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (("verify", "twoprime", "--format", "csv", "sym:3", "--bogus"), "--bogus"),
+    # as at any unknown flag, argparse leaves the arguments after it unread
+    (("verify", "twoprime", "--bogus", "sym:3"), "--bogus sym:3"),
+    (("series", "--out", "{out}", "100", "--bogus"), "--bogus"),
+    (("mgroup", "sym:4", "sym:5"), "sym:5"),
+    (("mgroup", "--enum-cap", "10", "sym:4", "sym:5"), "sym:5"),
+    (("numtheory", "g", "6", "7"), "7"),
+])
+def test_cli_unknown_flags_and_extra_arguments_are_usage_errors(tmp_path, capsys, argv, unrecognized):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, *(a.format(out=out) for a in argv))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("usage: abelmax [-h]")
+    assert err.endswith(f"abelmax: error: unrecognized arguments: {unrecognized}\n")
 
 
 # ── series ──────────────────────────────────────────────────────────
@@ -605,3 +643,42 @@ def test_cli_verify_handles_trivial_group(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "sym:1", "cyclic:1")
     assert code == 0
     assert "0 failed" in out
+
+
+# ── README ──────────────────────────────────────────────────────────
+
+def _readme_commands():
+    """(argv, value) for each ``abelmax`` line of the bash block under
+    README's "## Command line", where value is the comment's leading run
+    of numbers, or None."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "abelmax", line
+        value = re.match(r"[\d.]+(?: [\d.]+)*(?=  |$)", comment.strip())
+        commands.append((argv, value and value.group()))
+    return commands
+
+
+_README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize(
+    "argv, value", _README_COMMANDS, ids=[" ".join(argv) for argv, _ in _README_COMMANDS]
+)
+def test_readme_command_examples_run(capsys, monkeypatch, argv, value):
+    monkeypatch.chdir(Path(__file__).parents[1])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if value is not None:
+        assert out == value + "\n"
+
+
+def test_readme_command_examples_are_all_read():
+    assert len(_README_COMMANDS) == 11
+    assert [value for _, value in _README_COMMANDS if value] == [
+        "120", "7", "86400", "1.00380173329", "4 6 10"
+    ]

