@@ -136,8 +136,9 @@ def _write_output(text: str, out: str | None) -> None:
 def _cmd_numtheory(args) -> int:
     n = args.n
     # verify needs g(m) up to the enumeration cap, so the library goes on
-    # to SIEVE_CAP; here g and h share f's cap (g(10^6) takes seconds)
-    if args.func in ("g", "h") and n > nt.EXACT_BOUND_CAP:
+    # to SIEVE_CAP; here the exact g, h and f share one cap (g(10^6) takes
+    # seconds)
+    if args.func in ("g", "h", "f") and n > nt.EXACT_BOUND_CAP:
         raise CapacityError(
             f"exact {args.func} capped at n <= {nt.EXACT_BOUND_CAP} (got {n})"
         )

@@ -44,7 +44,8 @@ from .errors import CapacityError
 # particular below 2**64, which covers every order this package builds).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Exact order_bound values above this are refused; use order_bound_log.
+# The command line refuses exact g, h and f above this n; the library
+# computes them further (order_bound_log gives log f at any n).
 EXACT_BOUND_CAP = 100_000
 
 # The prime sieve (one byte per number) is refused above this limit.
@@ -299,15 +300,9 @@ def order_bound(n: int) -> FactoredInteger:
     Integral because each prime in (n/2, n] has floor_log 1 and so
     divides the prime-power product exactly once: the quotient's
     exponents are the product's on the primes <= n/2, plus n's own.
-    Capped at EXACT_BOUND_CAP; beyond that use order_bound_log.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > EXACT_BOUND_CAP:
-        raise CapacityError(
-            f"exact order_bound capped at n <= {EXACT_BOUND_CAP} (got {n}); "
-            "use order_bound_log"
-        )
     half = n // 2
     factors = {p: e for p, e in _prime_power_exponents(n).items() if p <= half}
     # n's prime factors are keys already, except n itself when it is a

@@ -34,16 +34,17 @@ A group's table and a subgroup's are finished by one tail, on their
 final rows: the index, the generators' conjugation maps, the classes by
 min-label propagation, and the element orders, walked once per class.
 The table, the only holder of the classes, records each position's
-class number and each class's size and smallest position, and keeps no
-lists of members.  Where an element is picked (a generator, a seed, a
-candidate), the rule is ``ElementTable.by_order``: highest element order
-first, ties in row order.
+class number and keeps one order per class, beside its size and
+representative (its smallest position): an element's order is its
+class's, and no lists of members are kept.  Where an element is picked
+(a generator, a seed, a candidate), the rule is ``ElementTable.by_order``:
+highest element order first, ties in row order.
 
-The arrays a table keeps per element beside its row and index key
-(each position's order and class number) and the conjugation maps and
-class labels of a build are int32: the byte cap keeps a table below 2^29 rows,
-so int32 holds every position and every element order.  Every set of
-positions a table returns is an ascending, duplicate-free int64 array.
+The one array a table keeps per element beside its row and index key
+(each position's class number) and the conjugation maps and class labels
+of a build are int32: the byte cap keeps a table below 2^29 rows, so
+int32 holds every position.  Every set of positions a table returns
+is an ascending, duplicate-free int64 array.
 A subgroup is a ``PermGroup`` too, with no chain of its own: its
 ``members`` are such an array of positions in its parent's table, found
 by Dimino's algorithm ``ElementTable.closure`` (or, adjoining a
@@ -61,9 +62,9 @@ passed only where a run starts enumerating (``verify.run_suite``,
 ``verify.catalog_pgroup_inputs`` and the CLI's ``mgroup``).  A fixed
 byte cap, ``TABLE_BYTES_CAP``, is checked before the table and before
 each transversal of the chain is allocated; for the table it counts the
-matrix and, for each row, its index key and 8 bytes of int32 (the
-order and class number).  An orbit is never larger
-than the group, so the chain refuses no group whose table fits.
+matrix and, for each row, its index key and its int32 class number,
+and nothing else.  An orbit is never larger than the group, so the
+chain refuses no group whose table fits.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ DEFAULT_ENUM_CAP = 200_000
 
 # The most bytes an element table (its matrix and per-element arrays), or
 # one level of a stabilizer chain, may take: about 5x J1's 99 MB table, the
-# largest the repository ships.  Every row takes at least 17 bytes, so a
-# table has fewer than 2^25 rows.
+# largest the repository ships.  Every row takes at least 13 bytes, so a
+# table has fewer than 2^26 rows.
 TABLE_BYTES_CAP = 1 << 29
 
 # Schreier generators, table rows, products, base-point walks and commuting
@@ -401,34 +402,36 @@ class ElementTable:
     table, and every consumer (conjugacy classes, subgroups, the
     abelian-subgroup search) reads row positions through ``index``, which
     finds a row from its base images; one that picks elements picks them
-    by ``by_order``, highest element order first.  ``orders`` and
-    ``class_of`` hold each position's element order and conjugacy class
-    number, ``class_sizes`` each class's size and ``class_reps`` its
-    smallest position (int64, ascending: classes are numbered by it);
-    ``class_members`` gives a class's members.  What the
-    table keeps per element, beside its row and index key, is int32
-    (``orders`` and ``class_of``): TABLE_BYTES_CAP
-    keeps a table below 2^29 rows, so int32 holds every position and every
-    element order.  A subgroup, like every set of positions the table
-    takes or returns, is an ascending, duplicate-free int64 array of
-    positions.  Adjoining an element x that normalizes a subgroup H (Sylow
-    growth, the abelian-normal search) is ``extend``, which forms H<x> from the
-    powers of x in one gather; a subgroup from arbitrary generators is
-    ``closure``, Dimino's algorithm.  A subgroup is normal exactly when its
-    positions are a union of whole classes, ``is_class_union``, and its own
-    table is this one's rows at those positions, which stay ascending,
-    with its own index on the base those rows give.  Centralizers, in the search and
-    in ``PermGroup.centralizer``, come from one primitive, ``commuting``,
+    by ``by_order``, highest element order first.  ``class_of`` holds
+    each position's conjugacy class number.  Element order is a class
+    invariant, so the table keeps one order per class, beside its size
+    and representative: ``class_orders``, ``class_sizes`` and
+    ``class_reps``, each class's smallest position (all int64;
+    ``class_reps`` ascends, as classes are numbered by it).  An element's
+    order is ``class_orders[class_of[i]]``, and ``class_members`` gives a
+    class's members.  What the table keeps per element, beside its row
+    and index key, is ``class_of``, int32: TABLE_BYTES_CAP keeps a table
+    below 2^29 rows, so int32 holds every position.  A subgroup, like
+    every set of positions the table takes or returns, is an ascending,
+    duplicate-free int64 array of positions.  Adjoining an element x that
+    normalizes a subgroup H (Sylow growth, the abelian-normal search) is
+    ``extend``, which forms H<x> from the powers of x in one gather; a
+    subgroup from arbitrary generators is ``closure``, Dimino's algorithm.
+    A subgroup is normal exactly when its positions are a union of whole
+    classes, ``is_class_union``, and its own table is this one's rows at
+    those positions, which stay ascending, with its own index on the base
+    those rows give.  Centralizers, in the search and in
+    ``PermGroup.centralizer``, come from one primitive, ``commuting``,
     which tests a block of rows against a given set of positions rather
     than the whole table.
     """
 
     matrix: np.ndarray
     index: BaseImageIndex
-    orders: np.ndarray
     class_of: np.ndarray
     class_sizes: np.ndarray
     class_reps: np.ndarray
+    class_orders: np.ndarray
 
     def position(self, p: Permutation) -> int:
         """Position of the permutation p; ValueError if it is not a row."""
@@ -458,7 +461,8 @@ class ElementTable:
         positions, ties are in row order; the result is not a position
         set."""
         positions = np.asarray(positions, dtype=np.int64)
-        return positions[np.argsort(-self.orders[positions], kind="stable")]
+        orders = self.class_orders[self.class_of[positions]]
+        return positions[np.argsort(-orders, kind="stable")]
 
     def products(self, left, right) -> np.ndarray:
         """The (len(left), len(right)) int64 positions of x_l * x_r =
@@ -485,13 +489,13 @@ class ElementTable:
         inside[subgroup] = True
         if inside[x]:
             return subgroup
-        base = self.index.base
+        base, order = self.index.base, self.class_orders[self.class_of[x]]
         # powers[j] = x^(j+1)(base); step is x^len(powers), whole
         powers, step = self.matrix[x, base][None], self.matrix[x]
-        while len(powers) < self.orders[x]:
+        while len(powers) < order:
             powers = np.concatenate((powers, step[powers]))
             step = step[step]
-        powers = self.index.find(powers[: self.orders[x]])
+        powers = self.index.find(powers[:order])
         c = 1 + int(inside[powers].argmax())
         inside[self.products(subgroup, powers[: c - 1])] = True
         return np.flatnonzero(inside)
@@ -702,9 +706,10 @@ class PermGroup:
         a table built under the cap, with no cap check.  Either way, the
         index reads its base from the rows alone, the classes come from the
         generators' conjugation maps, and element order is a class
-        invariant, so ``_base_cycles`` walks one row per class.  The first call checks
-        ``cap``, then TABLE_BYTES_CAP; later calls return the cached table
-        whatever their cap.
+        invariant, so ``_base_cycles`` walks one row per class and the
+        table keeps one order per class.  The first call checks ``cap``,
+        then TABLE_BYTES_CAP; later calls return the cached table whatever
+        their cap.
         """
         if self._table is not None:
             return self._table
@@ -716,8 +721,8 @@ class PermGroup:
         maps = _conjugation_maps(matrix, index, self.generators or [self.identity()])
         class_of, class_sizes, class_reps = _classes_by_label(_class_labels(maps))
         del maps
-        orders = _base_cycles(matrix, class_reps, index.base)[0].astype(np.int32)[class_of]
-        self._table = ElementTable(matrix, index, orders, class_of, class_sizes, class_reps)
+        orders = _base_cycles(matrix, class_reps, index.base)[0]
+        self._table = ElementTable(matrix, index, class_of, class_sizes, class_reps, orders)
         return self._table
 
     def _rows(self, cap: int) -> np.ndarray:
@@ -733,12 +738,12 @@ class PermGroup:
             )
         base, degree, dtype = self.chain.base, self.degree, self.chain.dtype
         # beside its row, each element keeps its index key and its int32
-        # order and class number.  The index reads its base from the rows,
-        # which do not exist yet: it has at most max(base) + 1 points, as
+        # class number.  The index reads its base from the rows, which do
+        # not exist yet: it has at most max(base) + 1 points, as
         # only 1 fixes 0..max(base), and at most log2(n), as each of its
         # points at least halves the elements fixing the points before it
         width = min(max(base, default=0) + 1, n.bit_length() - 1)
-        per_row = _key_dtype(width, degree, dtype).itemsize + 2 * 4
+        per_row = _key_dtype(width, degree, dtype).itemsize + 4
         _check_table_bytes(n, degree, dtype, "an element table", per_row)
         # with R the product of the levels below the first, product row
         # a |R| + r is u_a * R[r]; np.take keeps each product contiguous
@@ -864,8 +869,9 @@ class PermGroup:
             raise ValueError(f"{p} does not divide the group order {self.order_value}")
         target = p**e
         table = self.element_table()
-        matrix, orders = table.matrix, table.orders
-        candidates = table.by_order(np.flatnonzero(target % orders == 0))
+        matrix = table.matrix
+        p_classes = np.flatnonzero(target % table.class_orders == 0)
+        candidates = table.by_order(table.class_members(p_classes))
         gen_idx = [int(candidates[0])]
         member = table.extend(np.zeros(1, dtype=np.int64), gen_idx[0])
         if len(member) < target:

@@ -198,7 +198,11 @@ def classify_large_prime_case(G: PermGroup, m: int) -> str:
 
     The cases are tested most-specific first; a group that fits none of
     the predicates under the caps is reported ``unclassified`` rather
-    than guessed.
+    than guessed.  Two predicates read the statement in a particular
+    way: every C_p lands in case 1 with C = 1 (``sym:2``), although the
+    statement asks for a non-trivial C; and case 3 asks for a *minimal
+    normal* elementary abelian 2^a, so ``sym:7`` (p = 7) is case 4
+    although it contains 2^3.
     """
     primes = large_primes(G, m)
     if not primes:
@@ -210,12 +214,13 @@ def classify_large_prime_case(G: PermGroup, m: int) -> str:
             P = G.sylow_subgroup(p)
             if G.is_normal(P) and G.centralizer(P.generators).order_value == p:
                 return "case1_frobenius"
-    minimals = G.minimal_normal_subgroups()
+    minimals, table = G.minimal_normal_subgroups(), G.element_table()
     for N in minimals:
-        # elementary abelian of order 2^a, where 2^a - 1 is a large prime
+        # of order 2^a, where 2^a - 1 is a large prime, and elementary
+        # abelian: N's exponent, read from its classes, is at most 2
         o = N.order_value
-        if o - 1 in primes and o & (o - 1) == 0 and N.is_abelian():
-            if (G.element_table().orders[N.members] <= 2).all():
+        if o - 1 in primes and o & (o - 1) == 0:
+            if table.class_orders[table.class_of[N.members]].max() <= 2:
                 return "case3_agammal"
     if len(minimals) == 1:
         (N,) = minimals
@@ -234,7 +239,10 @@ _A5_ORDER_PROFILE = Counter({1: 1, 2: 15, 3: 20, 5: 24})
 
 
 def _order_profile(group: PermGroup) -> Counter:
-    return Counter(int(o) for o in group.element_table().orders)
+    """How many elements have each order: class sizes summed per order."""
+    table = group.element_table()
+    pairs = zip(table.class_orders.tolist(), table.class_sizes.tolist())
+    return sum((Counter({order: size}) for order, size in pairs), Counter())
 
 
 def is_expected_two_prime_group(G: PermGroup) -> bool:

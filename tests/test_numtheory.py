@@ -266,11 +266,6 @@ def test_order_bound_examples():
     assert nt.order_bound(1).value == 1
 
 
-def test_order_bound_cap():
-    with pytest.raises(CapacityError):
-        nt.order_bound(nt.EXACT_BOUND_CAP + 1)
-
-
 # 194 and 19946 are twice a prime, the last one the sum takes
 @pytest.mark.parametrize("n", [1, 2, 6, 10, 97, 194, 1000, 9973, 10000, 19946])
 def test_order_bound_log_matches_exact(n):

@@ -190,27 +190,37 @@ def test_table_byte_cap_refuses_before_allocating():
 
 def _table_bytes(g):
     """Bytes the finished element table of g holds: its matrix, the index's
-    keys, each position's order and class number, and each class's size
-    and representative."""
+    keys, each position's class number, and each class's order, size and
+    representative."""
     table = g.element_table()
-    arrays = [table.matrix, table.index.keys, table.orders,
-              table.class_of, table.class_sizes, table.class_reps]
+    arrays = [table.matrix, table.index.keys, table.class_of,
+              table.class_orders, table.class_sizes, table.class_reps]
     return sum(a.nbytes for a in arrays)
 
 
 def test_table_byte_cap_counts_the_per_element_arrays(monkeypatch):
     # sym:5's matrix is 120 x 5 uint8, 600 bytes; with each row's int64
-    # key and int32 order and class number, the table keeps 21 bytes a row
+    # key and int32 class number, the table keeps 17 bytes a row, and the
+    # pre-check counts the key and 4 bytes beside each row.  Those are
+    # the only arrays a table keeps per element: every other is per class
+    import dataclasses
+
     from abelmax import perms
     from abelmax.catalog import build_group
 
     g = build_group("sym:5")
     table = g.element_table()
     assert table.matrix.nbytes == 600
-    per_class = table.class_sizes.nbytes + table.class_reps.nbytes
-    assert _table_bytes(g) - per_class == 120 * 21
+    arrays = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+    arrays.update({f"index.{k}": v for k, v in vars(table.index).items()})
+    per_element = {k for k, v in arrays.items() if isinstance(v, np.ndarray) and len(v) == 120}
+    assert per_element == {"matrix", "index.keys", "class_of"}
+    per_class = {k for k, v in arrays.items() if isinstance(v, np.ndarray) and len(v) == 7}
+    assert per_class == {"class_sizes", "class_reps", "class_orders"}
+    per_class_bytes = sum(arrays[k].nbytes for k in per_class)
+    assert _table_bytes(g) - per_class_bytes == 120 * 17
     monkeypatch.setattr(perms, "TABLE_BYTES_CAP", 2000)
-    with pytest.raises(CapacityError, match="needs 600 bytes and 1920 more"):
+    with pytest.raises(CapacityError, match="needs 600 bytes and 1440 more"):
         build_group("sym:5").element_table()
 
 
@@ -299,11 +309,11 @@ def test_products_hold_a_block_beside_their_result(monkeypatch):
     assert held < 1.5 * table.matrix.nbytes, f"{held} bytes beside the result"
 
 
-def test_table_keeps_its_rows_and_eight_bytes_more_a_row(monkeypatch):
+def test_table_keeps_its_rows_and_four_bytes_more_a_row(monkeypatch):
     # with M12's chain built, the traced bytes the table build leaves
-    # behind are its matrix, each row's index key and its two int32
-    # entries, and little else: no per-class member lists and no index
-    # positions
+    # behind are its matrix, each row's index key and its int32 class
+    # number, and little else: no per-element orders, no per-class member
+    # lists and no index positions
     import tracemalloc
 
     from abelmax.catalog import build_group
@@ -317,7 +327,7 @@ def test_table_keeps_its_rows_and_eight_bytes_more_a_row(monkeypatch):
     finally:
         tracemalloc.stop()
     n = len(table)
-    bound = table.matrix.nbytes + n * (table.index.keys.itemsize + 8) + 64 * 1024
+    bound = table.matrix.nbytes + n * (table.index.keys.itemsize + 4) + 64 * 1024
     assert held <= bound, f"held {held} bytes, bound {bound} bytes"
 
 
@@ -498,7 +508,7 @@ def test_element_tables_are_pinned(monkeypatch):
         g = build_group(spec)
         table = g.element_table()
         h = hashlib.sha256(table.matrix.tobytes())
-        h.update(table.orders.astype(np.int64).tobytes())
+        h.update(table.class_orders[table.class_of].astype(np.int64).tobytes())
         h.update(table.class_of.astype(np.int64).tobytes())
         for members in class_lists(table):
             h.update(members.astype(np.int64).tobytes())
@@ -531,7 +541,7 @@ def test_element_table_is_a_property_of_the_group_alone(spec, monkeypatch):
         assert np.array_equal(t.index.base, tables[0].index.base), spec
         assert np.array_equal(t.index.keys, tables[0].index.keys), spec
         assert np.array_equal(t.class_of, tables[0].class_of), spec
-        assert np.array_equal(t.orders, tables[0].orders), spec
+        assert np.array_equal(t.class_orders, tables[0].class_orders), spec
     if spec == "two-involutions":
         assert tables[0].index.base.tolist() == [2, 4]
 
@@ -552,20 +562,22 @@ def test_table_byte_precheck_counts_at_least_what_each_row_keeps(monkeypatch):
 
     monkeypatch.setattr(perms, "_check_table_bytes", counting_check)
     table = g.element_table()
-    kept = table.index.keys.itemsize + table.orders.itemsize + table.class_of.itemsize
+    kept = table.index.keys.itemsize + table.class_of.itemsize
     assert counted == [counted[0]] and counted[0] >= kept
 
 
 def test_element_table_dtypes():
-    # what a table keeps per element is int32; every set of positions it
-    # returns is an int64 array
+    # what a table keeps per element (its class numbers) is int32, what
+    # it keeps per class int64; every set of positions it returns is an
+    # int64 array
     from abelmax.catalog import build_group
 
     g = build_group("sym:5")
     table = g.element_table()
     sylow = g.sylow_subgroup(2)
     for t in (table, sylow.element_table()):
-        assert t.orders.dtype == t.class_of.dtype == np.int32
+        assert t.class_of.dtype == np.int32
+        assert t.class_orders.dtype == t.class_sizes.dtype == t.class_reps.dtype == np.int64
         assert t.index.search(t.matrix[:, t.index.base])[0].dtype == np.int32
     assert table.products([1, 2], [3, 4, 5]).dtype == np.int64
     assert table.index.find(table.matrix[:3][:, table.index.base]).dtype == np.int64
@@ -790,9 +802,9 @@ def test_conjugacy_classes_s4(s4):
     classes = class_lists(table)
     assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
     assert sum(len(c) for c in classes) == 24
-    # class function sanity: all members share the element order
-    for cls in classes:
-        assert len({int(table.orders[i]) for i in cls}) == 1
+    # class function sanity: all members share their class's order
+    for c, cls in enumerate(classes):
+        assert {table.permutation(int(i)).order() for i in cls} == {table.class_orders[c]}
 
 
 @pytest.mark.parametrize(
@@ -842,15 +854,16 @@ def _degree_300_group():
 
 @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2000", "sym:6", "agl3_2", "degree-300"])
 def test_element_table_orders_are_lcms_of_cycle_lengths(spec):
-    # the table's orders are the lcms of the base points' cycle lengths,
-    # walked for one row per class (cyclic:1 has an empty base); the
-    # reference walks each Permutation's cycles
+    # the table's class orders are the lcms of the base points' cycle
+    # lengths, walked for one row per class (cyclic:1 has an empty base);
+    # each element's order is its class's.  The reference walks each
+    # Permutation's cycles
     from abelmax.catalog import build_group
 
     g = _degree_300_group() if spec == "degree-300" else build_group(spec)
     table = g.element_table()
     expected = [table.permutation(i).order() for i in range(len(table))]
-    assert table.orders.tolist() == expected
+    assert table.class_orders[table.class_of].tolist() == expected
 
 
 @pytest.mark.parametrize("spec", ["agl3_2", "degree-300"])
@@ -923,10 +936,11 @@ def test_sylow_subgroups_start_from_the_first_p_element():
         ((p, e),) = P.order.factors.items()
         assert P.order_value == p**e == p ** P.parent.order.factors[p], gid
         assert_position_set(P.members)
-        assert (p**e % table.orders[P.members] == 0).all(), gid
-        p_elements = np.flatnonzero(p**e % table.orders == 0)
-        top = table.orders[p_elements].max()
-        first = p_elements[table.orders[p_elements] == top][0]
+        orders = table.class_orders[table.class_of]
+        assert (p**e % orders[P.members] == 0).all(), gid
+        p_elements = np.flatnonzero(p**e % orders == 0)
+        top = orders[p_elements].max()
+        first = p_elements[orders[p_elements] == top][0]
         assert table.position(P.generators[0]) == first, gid
     assert len(sylows) == 64
 
@@ -1156,8 +1170,8 @@ def test_subgroup_validates_membership(s3):
 def test_subgroup_tables_equal_the_tables_of_rebuilt_groups():
     # a subgroup's table is a slice of its parent's; the reference is the
     # same subgroup built as a group of its own, with its own chain.  The
-    # slice walks its own class representatives for the element orders,
-    # which must also be the parent's at its members
+    # slice walks its own class representatives for the class orders, and
+    # each member's order must also be the parent's
     from abelmax import catalog as cat
 
     checked = 0
@@ -1168,8 +1182,10 @@ def test_subgroup_tables_equal_the_tables_of_rebuilt_groups():
             ref = PermGroup(sub.generators or [sub.identity()])
             got, want = sub.element_table(), ref.element_table()
             assert np.array_equal(got.matrix, want.matrix), gid
-            assert np.array_equal(got.orders, want.orders)
-            assert np.array_equal(got.orders, g.element_table().orders[sub.members])
+            assert np.array_equal(got.class_orders, want.class_orders)
+            parent = g.element_table()
+            orders = parent.class_orders[parent.class_of[sub.members]]
+            assert np.array_equal(got.class_orders[got.class_of], orders)
             assert np.array_equal(got.class_of, want.class_of)
             assert np.array_equal(got.class_sizes, np.bincount(got.class_of))
             assert np.array_equal(want.class_sizes, np.bincount(want.class_of))
@@ -1190,7 +1206,7 @@ def test_by_order_picks_highest_order_then_smallest_row(spec, monkeypatch):
     monkeypatch.chdir(_REPO)
     g = build_group(spec)
     table = g.element_table()
-    orders = table.orders.tolist()
+    orders = table.class_orders[table.class_of].tolist()
     for positions in (range(len(table)), range(0, len(table), 2), g.sylow_subgroup(2).members):
         positions = [int(i) for i in positions]
         picked = table.by_order(positions)

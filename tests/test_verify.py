@@ -5,11 +5,13 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abelmax import catalog as cat
 from abelmax import numtheory as nt
 from abelmax import verify as vf
+from abelmax.perms import PermGroup, Permutation
 from abelmax.search import max_abelian_order
 
 
@@ -301,9 +303,58 @@ def test_isomorphic_aliases_pass_every_suite(monkeypatch):
     assert expected == {gid: gid in aliases for gid in aliases + others}
 
 
+def coset_copy(G, H):
+    """G acting on the left cosets of its subgroup H, a group of degree
+    |G:H| with its own chain, base and generators; None when the action
+    is not faithful.  A coset gH is named by its smallest position, and
+    g sends the coset rH to (gr)H."""
+    table = G.element_table()
+    names = table.products(np.arange(len(table)), H.members).min(axis=1)
+    reps = np.unique(names)
+    point = np.searchsorted(reps, names)
+    moves = table.products([table.position(g) for g in G.generators], reps)
+    copy = PermGroup([Permutation(point[row]) for row in moves])
+    return copy if copy.order_value == G.order_value else None
+
+
+def test_coset_copies_get_the_verdicts_of_their_originals(entries):
+    # each default group of order <= 1400 on the cosets of each Sylow
+    # subgroup whose core is trivial: another degree, base and generators
+    # for the same group, so every row of ``all`` but its group id, and
+    # the large-prime case, must be the original's
+    originals, copies = [], []
+    for gid, G in entries:
+        if G.order_value > 1400:
+            continue
+        for p in G.order.factors:
+            P = G.sylow_subgroup(p)
+            copy = coset_copy(G, P)
+            if copy is not None:
+                assert copy.degree == G.order_value // P.order_value
+                originals.append((gid, G))
+                copies.append((f"{gid} on the cosets of a Sylow {p}-subgroup", copy))
+    assert len(copies) == 37
+
+    def rows(report):
+        return [(c.theorem, c.passed, c.m, c.order, c.detail) for c in report.checks]
+
+    want = vf.run_suite("all", originals)
+    got = vf.run_suite("all", copies)
+    assert rows(got) == rows(want)
+    ms = [c.m for c in want.checks if c.theorem == "divisibility"]
+    cases = Counter()
+    for (_, G), (_, copy), m in zip(originals, copies, ms):
+        if vf.large_primes(G, m):
+            case = vf.classify_large_prime_case(G, m)
+            assert vf.classify_large_prime_case(copy, m) == case
+            cases[case] += 1
+    assert sorted(cases.values()) == [1, 2, 4, 26]
+
+
 def test_symmetric_order_profiles_match_the_symmetric_groups():
     for n in range(2, 6):
-        orders = cat.sym_group(n).element_table().orders
+        table = cat.sym_group(n).element_table()
+        orders = table.class_orders[table.class_of]
         profile = Counter(int(o) for o in orders)
         assert vf._SYMMETRIC_ORDER_PROFILES[math.factorial(n)] == profile
     assert len(vf._SYMMETRIC_ORDER_PROFILES) == 4
